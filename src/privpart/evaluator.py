@@ -62,8 +62,12 @@ class IncrementalEvaluator:
 
         # Lazy per-adversary candidate columns for the global construction
         # scan; a flip only invalidates the touched adversary's column.
+        # The scan's other tables are built on first use too, so evaluators
+        # that never scan (branch-and-bound, result checks) skip them.
         self._col_cache: np.ndarray | None = None
         self._col_dirty = np.ones(self.k, dtype=bool)
+        self._uz: np.ndarray | None = None  # utility_weights / z
+        self._seg: tuple | None = None  # worst linear/quadratic segmented max
 
         self.reset(assignment)
 
@@ -215,19 +219,22 @@ class IncrementalEvaluator:
         props, w = self._props_of(d)
         if props.size == 0:
             return
+        # Row views: indexing a 1-d row is cheaper than sums[a, props].
+        s_row, f_row = self.sums[a], self.f_ap[a]
+        old_s, old_f = s_row[props], f_row[props]
         if log is not None:
-            log.append(("row", a, props, self.sums[a, props].copy(), self.f_ap[a, props].copy()))
+            log.append(("row", a, props, old_s, old_f))
         sign = 1.0 if on else -1.0
         if self.family == "step":
-            new_s = self.sums[a, props] + sign
+            new_s = old_s + sign
             new_f = (new_s == self.inst._sizes[props]).astype(np.float64)
         else:
-            new_s = self.sums[a, props] + sign * w
+            new_s = old_s + sign * w
             new_f = new_s if self.family == "linear" else new_s**2
-        old_f = self.f_ap[a, props]
-        delta_sum = float((new_f - old_f).sum())
-        self.sums[a, props] = new_s
-        self.f_ap[a, props] = new_f
+        # The worst aggregate rescans the row; only average needs the delta.
+        delta_sum = 0.0 if self.worst else float((new_f - old_f).sum())
+        s_row[props] = new_s
+        f_row[props] = new_f
         self._refresh_agg(a, delta_sum, may_decrease=not on)
 
     def _flip_cosine(self, d: int, a: int, on: bool, log: list | None) -> None:
@@ -509,15 +516,18 @@ class IncrementalEvaluator:
         if self._col_cache is None:
             self._col_cache = np.empty((num_d, self.k))
             self._col_dirty[:] = True
+            self._uz = inst.utility_weights / self.z
         for a in np.nonzero(self._col_dirty)[0]:
             self._col_cache[:, a] = self._new_fprime_add_col(int(a))
             self._col_dirty[a] = False
-        newfp = self._col_cache
-        new_f = np.maximum(newfp, self._other_max()[None, :])
-        bonus = (self.counts == 0).astype(np.float64)
-        gains = inst.utility_weights / self.z + inst.lam * (self.f - new_f) + bonus[:, None]
-        gains[self.bits] = _NEG_INF
-        gains[self.counts >= inst.t, :] = _NEG_INF
+        # Same operation order as add_gain_row, in one buffer:
+        # uz + lam * (f - max(newfp, other_max)) + bonus.
+        gains = np.maximum(self._col_cache, self._other_max()[None, :])
+        np.subtract(self.f, gains, out=gains)
+        np.multiply(inst.lam, gains, out=gains)
+        np.add(self._uz, gains, out=gains)
+        gains += (self.counts == 0).astype(np.float64)[:, None]
+        np.copyto(gains, _NEG_INF, where=self.bits | (self.counts >= inst.t)[:, None])
         return gains
 
     def _new_fprime_add_col(self, a: int) -> np.ndarray:
@@ -539,20 +549,16 @@ class IncrementalEvaluator:
             delta = 2.0 * (inst._entry_weights @ s_row) + self._sqsum
             return self.fprime[a] + delta / self.num_p
         # Worst-aggregation linear/quadratic: segmented max over each
-        # entry's incident properties.
-        vals = s_row[self._pcols] + self._pw
+        # entry's incident properties. Entries in no property keep
+        # fprime[a]; reduceat runs over the non-empty segments only.
+        if self._seg is None:
+            nonempty = np.flatnonzero(np.diff(self._indptr))
+            self._seg = (nonempty, self._indptr[nonempty], np.empty(self._pcols.size))
+        rows, starts, vals = self._seg
+        np.take(s_row, self._pcols, out=vals)
+        vals += self._pw
         if self.family == "quadratic":
-            vals = vals**2
-        return np.maximum(self.fprime[a], _segment_max(vals, self._indptr, num_d))
-
-
-def _segment_max(vals: np.ndarray, indptr: np.ndarray, n: int) -> np.ndarray:
-    """Per-segment max with empty segments mapped to -inf."""
-    out = np.full(n, _NEG_INF)
-    if vals.size == 0:
+            np.square(vals, out=vals)
+        out = np.full(num_d, self.fprime[a])
+        out[rows] = np.maximum(self.fprime[a], np.maximum.reduceat(vals, starts))
         return out
-    padded = np.append(vals, _NEG_INF)
-    seg = np.maximum.reduceat(padded, indptr[:-1])
-    lengths = np.diff(indptr)
-    out[lengths > 0] = seg[lengths > 0]
-    return out

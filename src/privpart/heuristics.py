@@ -7,7 +7,14 @@ Strategy semantics:
 * GREEDY picks the candidate with the largest objective gain, breaking
   ties toward the lowest (entry, adversary) pair.
 * GRASP collects the up-to-n best strictly improving candidates and
-  draws one uniformly; with n=1 it reproduces GREEDY exactly.
+  draws one uniformly; with n=1 it reproduces GREEDY exactly. The list
+  is exact, ties included: strictly improving candidates are ordered by
+  gain descending, then by lowest flat index (entry * k + adversary in
+  the global scope, adversary in the myopic one), the first n are kept,
+  and one of them is drawn with a single ``rng.integers(len(list))``.
+  The global scope first narrows the candidates with ``np.partition`` to
+  those at or above the n-th largest gain, which keeps every candidate
+  of that ordering's first n, so the list and the draw are unchanged.
 
 Both accept a move only on strict improvement, which (together with the
 unassigned-entry penalty in the objective) guarantees every entry ends
@@ -120,10 +127,17 @@ def _select_from_gain_matrix(gains: np.ndarray, params: SearchParams, rng) -> Mo
             return None
         return Move("add", flat // k, to_adversary=flat % k)
     flat_gains = gains.ravel()
-    improving = np.nonzero(flat_gains > 0.0)[0]
+    improving = np.flatnonzero(flat_gains > 0.0)
     if improving.size == 0:
         return None
-    order = improving[np.lexsort((improving, -flat_gains[improving]))]
+    vals = flat_gains[improving]
+    if improving.size > params.n:
+        # Keep everything at or above the n-th largest gain, so ties at
+        # the cut survive and the ordering below sees the same top n.
+        keep = vals >= np.partition(vals, vals.size - params.n)[vals.size - params.n]
+        improving = improving[keep]
+        vals = vals[keep]
+    order = improving[np.lexsort((improving, -vals))]
     top = order[: params.n]
     flat = int(top[rng.integers(top.size)])
     return Move("add", flat // k, to_adversary=flat % k)

@@ -480,6 +480,15 @@ def instance_to_json(instance: Instance) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _json_int(value, what: str) -> int:
+    """An integer field of an instance document. Floats and bools are
+    rejected, not coerced: ``int()`` would truncate 0.7 to 0 and take
+    ``true`` as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_json(text: str) -> Instance:
     try:
         doc = json.loads(text)
@@ -488,30 +497,35 @@ def instance_from_json(text: str) -> Instance:
     try:
         props = [
             SensitiveProperty(
-                int(p["id"]),
-                tuple(int(d) for d in p["members"]),
+                _json_int(p["id"], "property id"),
+                tuple(_json_int(d, f"property {p['id']} member") for d in p["members"]),
                 tuple(float(w) for w in p["weights"]) if p.get("weights") is not None else None,
             )
             for p in doc["properties"]
         ]
-        hg = DependencyHypergraph(int(doc["num_entries"]), props)
+        hg = DependencyHypergraph(_json_int(doc["num_entries"], "num_entries"), props)
         entries = None
         if "entries" in doc:
             entries = [
-                DataEntry(i, (e[0], e[1], e[2])) for i, e in enumerate(doc["entries"])
+                DataEntry(i, (e[0], e[1], _json_int(e[2], f"entry {i} count")))
+                for i, e in enumerate(doc["entries"])
             ]
         inst = Instance(
             hg,
             np.array(doc["utility_weights"], dtype=np.float64),
-            k=int(doc["num_adversaries"]),
-            t=int(doc["t"]),
+            k=_json_int(doc["num_adversaries"], "num_adversaries"),
+            t=_json_int(doc["t"], "t"),
             lam=float(doc["lambda"]),
             tau=float(doc["tau_I"]),
             model=DisclosureModel(doc["model"]["family"], doc["model"]["aggregation"]),
             entries=entries,
         )
+    except InstanceError:
+        raise
     except (KeyError, TypeError, IndexError) as exc:
         raise InstanceError(f"instance document missing field: {exc}") from exc
+    except ValueError as exc:  # e.g. ragged utility_weights, a weight "x"
+        raise InstanceError(f"malformed instance document: {exc}") from exc
     return validate_instance(inst)
 
 

@@ -213,3 +213,38 @@ def test_incremental_matches_scratch_on_random_walks():
                               to_adversary=int(rng.choice(unset))))
             elif unset.size:
                 ev.apply(Move("add", d, to_adversary=int(rng.choice(unset))))
+
+
+@pytest.mark.parametrize("aggregation", ["worst", "average"])
+@pytest.mark.parametrize("family", ["step", "linear", "quadratic"])
+def test_add_gain_matrix_matches_add_gain_row_on_random_walks(family, aggregation):
+    rng = np.random.default_rng(7)
+    num_d, k, t = 9, 3, 2
+    for _ in range(5):
+        props = []
+        for pid in range(5):
+            # Entry num_d - 1 is in no property: an empty segment.
+            members = tuple(sorted(rng.choice(num_d - 1, int(rng.integers(1, 5)), replace=False)))
+            w = None if family == "step" else tuple(rng.dirichlet(np.ones(len(members))))
+            props.append(SensitiveProperty(pid, tuple(int(d) for d in members), w))
+        inst = validate_instance(Instance(
+            DependencyHypergraph(num_d, props), rng.random((num_d, k)), k=k, t=t,
+            lam=0.8, tau=0.2, model=DisclosureModel(family, aggregation),
+        ))
+        ev = IncrementalEvaluator(inst)
+        for _ in range(40):
+            gains = ev.add_gain_matrix()
+            eligible = ~ev.bits & (ev.counts < t)[:, None]
+            assert np.all(gains[~eligible] == -np.inf)
+            for d, a in zip(*np.nonzero(eligible)):
+                assert abs(gains[d, a] - ev.add_gain_row(int(d))[a]) <= 1e-12
+            d = int(rng.integers(num_d))
+            setbits = np.nonzero(ev.bits[d])[0]
+            unset = np.nonzero(~ev.bits[d])[0]
+            if setbits.size and rng.random() < 0.35:
+                ev.apply(Move("remove", d, from_adversary=int(rng.choice(setbits))))
+            elif setbits.size and unset.size and rng.random() < 0.5:
+                ev.apply(Move("swap", d, from_adversary=int(rng.choice(setbits)),
+                              to_adversary=int(rng.choice(unset))))
+            elif ev.counts[d] < t:
+                ev.apply(Move("add", d, to_adversary=int(rng.choice(unset))))

@@ -8,6 +8,7 @@ from privpart import (
     DependencyHypergraph,
     DisclosureModel,
     Instance,
+    Move,
     SearchParams,
     SensitiveProperty,
     construction,
@@ -20,6 +21,7 @@ from privpart import (
     validate_instance,
 )
 from privpart.evaluator import IncrementalEvaluator
+from privpart.heuristics import _select_from_gain_matrix
 
 
 def plain(w, k=2, t=1, props=(), model=DisclosureModel("step", "worst")):
@@ -152,6 +154,45 @@ def test_pick_next_best_grasp_draws_uniformly_from_top_n():
     assert set(picks) == {0, 1}
     share = picks.count(0) / len(picks)
     assert 0.4 <= share <= 0.6
+
+
+# -- global GRASP selection ------------------------------------------------------
+
+def _select_full_lexsort(gains, n, rng):
+    """Reference GRASP selection: order every strictly improving candidate
+    by (-gain, flat index), keep the first n, draw one uniformly."""
+    k = gains.shape[1]
+    flat_gains = gains.ravel()
+    improving = np.nonzero(flat_gains > 0.0)[0]
+    if improving.size == 0:
+        return None
+    order = improving[np.lexsort((improving, -flat_gains[improving]))]
+    top = order[:n]
+    flat = int(top[rng.integers(top.size)])
+    return Move("add", flat // k, to_adversary=flat % k)
+
+
+def test_grasp_global_selection_matches_full_lexsort_reference():
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(150):
+        num_d, k = int(rng.integers(1, 30)), int(rng.integers(2, 6))
+        # Rounding to one or two decimals makes ties, also at the cut.
+        gains = np.round(rng.normal(0.2, 0.4, (num_d, k)), int(rng.integers(1, 3)))
+        gains[rng.random((num_d, k)) < 0.3] = -np.inf
+        cases.append(gains)
+    cases.append(np.full((7, 3), 0.5))
+    cases.append(np.repeat([[0.3], [0.1], [0.3], [-0.2]], 4, axis=1))  # all-equal rows
+    cases.append(np.full((4, 2), -np.inf))
+    for gains in cases:
+        improving = int(np.count_nonzero(gains > 0.0))
+        for n in sorted({1, 2, 5, improving + 1}):
+            params = SearchParams("grasp", "global", n=n)
+            for seed in range(3):
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert _select_from_gain_matrix(gains, params, ours) == \
+                    _select_full_lexsort(gains, n, ref)
+                assert ours.bit_generator.state == ref.bit_generator.state
 
 
 # -- local search ----------------------------------------------------------------

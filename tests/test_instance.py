@@ -165,3 +165,27 @@ def test_json_roundtrip_with_payloads():
     )
     back = instance_from_json(instance_to_json(inst))
     assert back.entries[0].payload == ("u1", "L1", 2)
+
+
+def _mutated_document(path, value):
+    doc = json.loads(instance_to_json(validate_instance(
+        small_instance(model=DisclosureModel("linear", "average"), weights=(0.5, 0.5))
+    )))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("properties", 0, "members", 0), "x"),
+    (("num_adversaries",), "two"),
+    (("utility_weights",), [[0.9, 0.1], [0.1]]),
+    (("properties", 0, "members", 0), 0.7),
+    (("t",), True),
+], ids=["string-member", "string-count", "ragged-weights", "fractional-member", "bool-cap"])
+def test_json_loader_rejects_malformed_types(path, value):
+    with pytest.raises(InstanceError):
+        instance_from_json(_mutated_document(path, value))
