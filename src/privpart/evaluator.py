@@ -5,7 +5,7 @@ every iteration, so candidate gains must come from state deltas rather
 than full re-evaluations. This module keeps, per adversary, the running
 per-property disclosure state (member counts, weighted sums, or cosine
 dot products and norms) together with the per-adversary aggregate, and
-offers three access paths:
+offers these access paths:
 
 * ``gain(move)``        -- exact objective delta for one move, computed
                            by apply + snapshot-restore
@@ -13,6 +13,9 @@ offers three access paths:
                            vectorized across adversaries
 * ``add_gain_matrix()`` -- gains for every eligible addition, vectorized
                            across entries per adversary
+* ``neighborhood_gains(d)`` / ``neighborhood_gain_bounds()`` -- gains of
+                           entry d's local-search neighbors, and for every
+                           entry at once a float-exact upper bound on them
 
 Snapshot-restore (rather than arithmetic undo) keeps the state bit-exact
 across millions of trial evaluations. A ``cross_check`` mode recomputes
@@ -126,8 +129,15 @@ class IncrementalEvaluator:
             cache["entry_pair_prods"] = prods
             cache["entry_pair_props"] = props
             cache["entry_pair_cols"] = cols
+            # Per entry, aligned with its properties: the other user of
+            # each property's pair.
+            prop_u = cache["prop_users"]
+            ui, uj = prop_u[pcols, 0], prop_u[pcols, 1]
+            own_u = np.repeat(cache["user_idx"], np.diff(indptr))
+            cache["entry_partner"] = np.split(np.where(ui == own_u, uj, ui), indptr[1:-1])
         self._cos = cache
         self._prop_u = cache["prop_users"]
+        self._partner = cache["entry_partner"]
         self._e_user = cache["user_idx"]
         self._e_sq = cache["sq_counts"]
 
@@ -257,7 +267,7 @@ class IncrementalEvaluator:
                 np.add.at(self.dots[a], pprops[mask], delta if on else -delta)
         if props.size == 0:
             return
-        new_f = self._cosine_values(self.norms[a], self.dots[a, props], props, u,
+        new_f = self._cosine_values(self.norms[a], self.dots[a, props], d,
                                     float(self.norms[a, u]))
         old_f = self.f_ap[a, props]
         delta_sum = float((new_f - old_f).sum())
@@ -265,11 +275,8 @@ class IncrementalEvaluator:
         # Cosine components can move either way on any flip.
         self._refresh_agg(a, delta_sum, may_decrease=True)
 
-    def _cosine_values(self, norms_row, dots_vals, props, u, norm_u):
-        ui = self._prop_u[props, 0]
-        uj = self._prop_u[props, 1]
-        partner = np.where(ui == u, uj, ui)
-        denom = norm_u * norms_row[partner]
+    def _cosine_values(self, norms_row, dots_vals, d, norm_u):
+        denom = norm_u * norms_row[self._partner[d]]
         return np.where(denom > 0.0, dots_vals / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
 
     def _refresh_agg(self, a: int, delta_sum: float, may_decrease: bool) -> None:
@@ -394,10 +401,7 @@ class IncrementalEvaluator:
         if others.size:
             active = self.bits[others].T * cache["entry_pair_prods"][d]  # (k, pairs)
             np.add.at(dots_new.T, cache["entry_pair_cols"][d], active.T)
-        ui = self._prop_u[props, 0]
-        uj = self._prop_u[props, 1]
-        partner = np.where(ui == u, uj, ui)
-        denom = new_norm_u[:, None] * self.norms[:, partner]
+        denom = new_norm_u[:, None] * self.norms[:, self._partner[d]]
         new_f = np.where(denom > 0.0, dots_new / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
         old_f = self.f_ap[:, props]
         if not self.worst:
@@ -436,7 +440,7 @@ class IncrementalEvaluator:
                     mask = self.bits[others, a]
                     np.subtract.at(dots_new, pcols[mask], prods[mask])
                 norm_u = float(self.norms[a, u]) - float(self._e_sq[d])
-                new_f = self._cosine_values(self.norms[a], dots_new, props, u, norm_u)
+                new_f = self._cosine_values(self.norms[a], dots_new, d, norm_u)
                 out[a] = self._row_aggregate(a, props, new_f)
             return out
 
@@ -460,6 +464,69 @@ class IncrementalEvaluator:
         row[props] = new_vals
         return float(row.max())
 
+    def _max_excluding(self):
+        """A function of a tuple of at most two adversaries: the largest
+        fprime among the others, -inf if none is left. Reads the top 3."""
+        order = np.argsort(-self.fprime, kind="stable")[: min(3, self.k)]
+        top = [(int(i), float(self.fprime[i])) for i in order]
+
+        def max_excluding(excl: tuple) -> float:
+            for idx, val in top:
+                if idx not in excl:
+                    return val
+            return -np.inf
+
+        return max_excluding
+
+    def neighborhood_gain_bounds(self) -> np.ndarray:
+        """(|D|,) upper bounds on each entry's best ``neighborhood_gains``
+        value; -inf for an entry with no neighbor.
+
+        Each move's gain is written with the operations of
+        ``neighborhood_gains`` in the same order, with its f_new replaced
+        by a lower bound that leaves out the moved entry's own disclosure
+        change: ``max_excluding`` of the adversaries it touches, and for
+        an addition to b also fprime[b] where adding an entry cannot lower
+        fprime[b] in floating point. Rounding is monotone, so each bound is
+        at least the float gain it stands for. Cosine gets no such floor
+        (its components can fall when an entry is added), and neither does
+        average quadratic once a sum has rounded below 0 (2 s.a + a.a can
+        then be negative)."""
+        inst, k = self.inst, self.k
+        max_excluding = self._max_excluding()
+        no_floor = self.family == "cosine" or (
+            self.family == "quadratic" and not self.worst
+            and self.num_p > 0 and self.sums.min() < 0.0
+        )
+        floor = [-np.inf] * k if no_floor else [float(v) for v in self.fprime]
+        lam, f_cur = inst.lam, self.f
+
+        def term(low: float) -> float:
+            # lam * (f_cur - f_new) for any f_new >= low; lam may be 0.
+            return np.inf if low == -np.inf else lam * (f_cur - low)
+
+        add_term = np.array([term(max(max_excluding((b,)), floor[b])) for b in range(k)])
+        rem_term = np.array([term(max_excluding((a,))) for a in range(k)])
+        if self._uz is None:
+            self._uz = inst.utility_weights / self.z
+        uz, w, bits, counts = self._uz, inst.utility_weights, self.bits, self.counts
+
+        bonus = (counts == 0).astype(np.float64)[:, None]
+        can_add = ~bits & (counts < inst.t)[:, None]
+        best = np.where(can_add, uz + add_term + bonus, _NEG_INF).max(axis=1)
+        penalty = (counts == 1).astype(np.float64)[:, None]
+        np.maximum(best, np.where(bits, -uz + rem_term - penalty, _NEG_INF).max(axis=1),
+                   out=best)
+        for a in range(k):
+            rows = np.flatnonzero(bits[:, a])
+            if rows.size == 0:
+                continue
+            swap_term = np.array([term(max(max_excluding((a, b)), floor[b])) for b in range(k)])
+            swap = (w[rows] - w[rows, a][:, None]) / self.z + swap_term
+            swap[bits[rows]] = _NEG_INF  # only to a free adversary (b == a included)
+            best[rows] = np.maximum(best[rows], swap.max(axis=1))
+        return best
+
     def neighborhood_gains(self, d: int) -> list[tuple[Move, float]]:
         """Gains for every single-entry neighbor of the current state:
         additions (if below the cap), then per assigned adversary its
@@ -472,15 +539,7 @@ class IncrementalEvaluator:
         free = [int(b) for b in range(self.k) if not self.bits[d, b]]
         add_newfp = self._new_fprime_add_row(d) if free else None
         rem_newfp = self._new_fprime_remove_row(d, asg)
-
-        order = np.argsort(-self.fprime, kind="stable")[: min(3, self.k)]
-        top = [(int(i), float(self.fprime[i])) for i in order]
-
-        def max_excluding(excl: tuple) -> float:
-            for idx, val in top:
-                if idx not in excl:
-                    return val
-            return -np.inf
+        max_excluding = self._max_excluding()
 
         lam = inst.lam
         f_cur = self.f

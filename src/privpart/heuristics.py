@@ -30,6 +30,21 @@ Strategy semantics:
 Both accept a move only on strict improvement, which (together with the
 unassigned-entry penalty in the objective) guarantees every entry ends
 up with between 1 and t adversaries.
+
+Local search skips an entry without scoring its neighbors when its gain
+bound is not positive (an exact form of the "don't-look bits" of Bentley,
+ORSA J. Computing 4, 1992). The bound
+(``IncrementalEvaluator.neighborhood_gain_bounds``) writes each move's gain
+with the same float operations as ``neighborhood_gains``, with the new
+aggregate replaced by a lower bound on it: the largest aggregate of the
+adversaries the move does not touch, and for an addition to b also
+b's current aggregate, which adding an entry cannot lower for step,
+linear and quadratic disclosure (lam in [0, 1] and a_dp >= 0 are
+validated; average quadratic keeps the floor only while no running sum
+has rounded below 0). Cosine gets no such floor: its components can fall
+when an entry is added. Float rounding is monotone, so the bound is at least
+every gain the entry would score, a skipped entry is one on which no move
+could have been accepted, and the moves are those of the unscreened pass.
 """
 
 from __future__ import annotations
@@ -251,12 +266,20 @@ def local_search(instance: Instance, assignment: Assignment, params: SearchParam
                  evaluator: IncrementalEvaluator | None = None):
     """One pass over the entries in seeded random order, taking for each
     the best strictly-improving neighbor (stay / add / remove / swap).
-    Returns (assignment, objective value, moves applied)."""
+    Returns (assignment, objective value, moves applied).
+
+    Entries whose gain bound is not positive are skipped without scoring
+    their neighbors; the moves stay those of a pass that scores every
+    entry (see the module docstring). The bounds are recomputed after each
+    accepted move, since a move changes the aggregates every bound reads."""
     instance = validate_instance(instance)
     ev = evaluator if evaluator is not None else IncrementalEvaluator(instance, assignment)
     applied = 0
+    bound = ev.neighborhood_gain_bounds()
     for d in rng.permutation(instance.num_entries):
         d = int(d)
+        if not bound[d] > 0.0:
+            continue
         best_move = None
         best_gain = 0.0
         for move, gain in ev.neighborhood_gains(d):
@@ -266,6 +289,7 @@ def local_search(instance: Instance, assignment: Assignment, params: SearchParam
         if best_move is not None:
             ev.apply(best_move)
             applied += 1
+            bound = ev.neighborhood_gain_bounds()
     return ev.assignment(), ev.objective, applied
 
 

@@ -13,8 +13,8 @@ the LP relaxation) works on the two central objects defined here:
   per-entry row-sum, mutated only through moves.
 
 ``validate_instance`` checks all structural invariants and builds the
-caches (incidence transpose, sparse weight matrices, top-t utility
-normalizer, cosine pair tables) that the evaluators rely on.
+caches (sparse weight matrices and their entry-major transposes, top-t
+utility normalizer, cosine pair tables) that the evaluators rely on.
 """
 
 from __future__ import annotations
@@ -101,14 +101,6 @@ class DependencyHypergraph:
         if not self.properties:
             return 0
         return max(len(p.members) for p in self.properties)
-
-    def incidence(self) -> list[list[int]]:
-        """Per-entry list of property ids (exact transpose of membership)."""
-        inc: list[list[int]] = [[] for _ in range(self.num_entries)]
-        for p in self.properties:
-            for d in p.members:
-                inc[d].append(p.id)
-        return inc
 
 
 def bipartite_to_hypergraph(
@@ -332,7 +324,6 @@ def validate_instance(raw: Instance) -> Instance:
             )
 
     # Caches shared by every evaluator.
-    raw._incidence = hg.incidence()
     raw._sizes = raw.property_sizes()
     raw._weight_matrix = _build_weight_matrix(raw)           # |P| x |D|, a_dp
     raw._member_matrix = raw._weight_matrix.copy()
@@ -489,6 +480,15 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_float(value, what: str) -> float:
+    """A real-valued field of an instance document. Bools and strings are
+    rejected, not coerced: ``float()`` would take ``true`` as 1.0 and
+    ``"0.3"`` as 0.3."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InstanceError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def instance_from_json(text: str) -> Instance:
     try:
         doc = json.loads(text)
@@ -499,7 +499,8 @@ def instance_from_json(text: str) -> Instance:
             SensitiveProperty(
                 _json_int(p["id"], "property id"),
                 tuple(_json_int(d, f"property {p['id']} member") for d in p["members"]),
-                tuple(float(w) for w in p["weights"]) if p.get("weights") is not None else None,
+                tuple(_json_float(w, f"property {p['id']} weight") for w in p["weights"])
+                if p.get("weights") is not None else None,
             )
             for p in doc["properties"]
         ]
@@ -512,11 +513,12 @@ def instance_from_json(text: str) -> Instance:
             ]
         inst = Instance(
             hg,
-            np.array(doc["utility_weights"], dtype=np.float64),
+            np.array([[_json_float(x, f"utility weight ({d}, {a})") for a, x in enumerate(row)]
+                      for d, row in enumerate(doc["utility_weights"])], dtype=np.float64),
             k=_json_int(doc["num_adversaries"], "num_adversaries"),
             t=_json_int(doc["t"], "t"),
-            lam=float(doc["lambda"]),
-            tau=float(doc["tau_I"]),
+            lam=_json_float(doc["lambda"], "lambda"),
+            tau=_json_float(doc["tau_I"], "tau_I"),
             model=DisclosureModel(doc["model"]["family"], doc["model"]["aggregation"]),
             entries=entries,
         )
@@ -524,7 +526,7 @@ def instance_from_json(text: str) -> Instance:
         raise
     except (KeyError, TypeError, IndexError) as exc:
         raise InstanceError(f"instance document missing field: {exc}") from exc
-    except ValueError as exc:  # e.g. ragged utility_weights, a weight "x"
+    except ValueError as exc:  # e.g. ragged utility_weights
         raise InstanceError(f"malformed instance document: {exc}") from exc
     return validate_instance(inst)
 

@@ -11,12 +11,17 @@ from privpart import (
     Move,
     SearchParams,
     SensitiveProperty,
+    SynthConfig,
+    build_location_instance,
     construction,
+    generate_instance,
+    ingest_checkins,
     local_search,
     pick_next_best,
     rand_plus,
     random_small_instance,
     solve,
+    synthetic_checkin_lines,
     tradeoff_objective,
     validate_instance,
 )
@@ -244,6 +249,138 @@ def test_local_search_never_decreases_objective():
         _, g_ls, _ = local_search(inst, None, SearchParams("grasp", "myopic", n=2), rng,
                                   evaluator=ev)
         assert g_ls >= g_con - 1e-12
+
+
+# -- local-search gain screen -------------------------------------------------------
+
+def _random_walk(ev, rng, steps):
+    """Random legal adds, removes and swaps, down to entries with no
+    adversary, so the states are not local optima."""
+    inst = ev.inst
+    for _ in range(steps):
+        d = int(rng.integers(inst.num_entries))
+        held, free = np.flatnonzero(ev.bits[d]), np.flatnonzero(~ev.bits[d])
+        kind = int(rng.integers(3))
+        if kind == 0 and free.size and held.size < inst.t:
+            ev.apply(Move("add", d, to_adversary=int(rng.choice(free))))
+        elif kind == 1 and held.size:
+            ev.apply(Move("remove", d, from_adversary=int(rng.choice(held))))
+        elif held.size and free.size:
+            ev.apply(Move("swap", d, from_adversary=int(rng.choice(held)),
+                          to_adversary=int(rng.choice(free))))
+
+
+def _with_lam(inst, lam):
+    return validate_instance(Instance(
+        inst.hypergraph, inst.utility_weights, inst.k, inst.t, lam, inst.tau,
+        inst.model, inst.entries,
+    ))
+
+
+def _small_location_instance(k=5):
+    lines, friends = synthetic_checkin_lines(num_users=40, num_edges=50, num_entries=300, seed=4)
+    return build_location_instance(ingest_checkins(lines).entries, friends, k=k, t=2, seed=4)
+
+
+def _screen_instances():
+    """Every family x aggregation at desk scale (also with lam = 0, where
+    an unbounded disclosure term must not turn into 0 * inf), a mid-size
+    linear/worst instance and a cosine location instance (k=2 has swaps
+    whose other-adversary max is empty)."""
+    seen, insts = set(), []
+    for family in ("step", "linear", "quadratic", "cosine"):
+        for seed in range(12):
+            inst = random_small_instance(300 + seed, family)
+            seen.add((family, inst.model.aggregation))
+            insts += [inst, _with_lam(inst, 0.0)]
+    assert len(seen) == 8
+    cfg = SynthConfig(num_entries=150, num_properties=30, k=5, t=2, seed=3)
+    insts.append(generate_instance(cfg, model=DisclosureModel("linear", "worst")))
+    insts += [_small_location_instance(), _small_location_instance(k=2)]
+    return insts
+
+
+def _walked_evaluator(inst, seed):
+    rng = np.random.default_rng(seed)
+    ev = IncrementalEvaluator(inst)
+    construction(inst, SearchParams("greedy", "myopic"), rng, evaluator=ev)
+    _random_walk(ev, rng, max(4, inst.num_entries // 10))
+    return ev
+
+
+def test_gain_bounds_cover_every_neighbor_gain():
+    for i, inst in enumerate(_screen_instances()):
+        ev = _walked_evaluator(inst, i)
+        rng = np.random.default_rng(i)
+        for _ in range(3):
+            bound = ev.neighborhood_gain_bounds()
+            for d in range(inst.num_entries):
+                best = max((g for _, g in ev.neighborhood_gains(d)), default=-np.inf)
+                assert bound[d] >= best, (i, d)  # exact: the skip must be safe in float
+            _random_walk(ev, rng, 3)
+
+
+def test_gain_bound_has_no_quadratic_floor_once_a_sum_rounds_below_zero():
+    # Weights 1 and 2**-53 on one property: adding both to adversary 0 and
+    # removing them again leaves its running sum at -2**-53, after which
+    # adding entry 1 lowers adversary 0's average quadratic aggregate by a
+    # few ulps. With fprime[0] as the floor the bound would read 0 while
+    # the add (and the swap) gain 6e-33.
+    props = [SensitiveProperty(0, (0, 1), (1.0, 2.0**-53)),
+             SensitiveProperty(1, (2, 3), (2.0**-40, 1.0 - 2.0**-40))]
+    w = np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
+    inst = validate_instance(Instance(DependencyHypergraph(4, props), w, k=2, t=2,
+                                      model=DisclosureModel("quadratic", "average")))
+    ev = IncrementalEvaluator(inst)
+    for move in (Move("add", 1, to_adversary=0), Move("add", 0, to_adversary=0),
+                 Move("remove", 1, from_adversary=0), Move("remove", 0, from_adversary=0),
+                 Move("add", 2, to_adversary=0), Move("add", 1, to_adversary=1)):
+        ev.apply(move)
+    assert ev.sums[0, 0] < 0.0
+    best = max(g for _, g in ev.neighborhood_gains(1))
+    assert best > 0.0
+    assert ev.neighborhood_gain_bounds()[1] >= best
+
+
+def _reference_local_search(ev, rng):
+    """The unscreened pass: score every entry's neighbors."""
+    applied = 0
+    for d in rng.permutation(ev.inst.num_entries):
+        best_move, best_gain = None, 0.0
+        for move, gain in ev.neighborhood_gains(int(d)):
+            if gain > best_gain:
+                best_gain, best_move = gain, move
+        if best_move is not None:
+            ev.apply(best_move)
+            applied += 1
+    return applied
+
+
+def test_screened_local_search_matches_unscreened_reference():
+    params = SearchParams("greedy", "myopic")
+    total = 0
+    for i, inst in enumerate(_screen_instances()):
+        ours, ref = _walked_evaluator(inst, i), _walked_evaluator(inst, i)
+        ours_rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
+        _, value, moved = local_search(inst, None, params, ours_rng, evaluator=ours)
+        assert moved == _reference_local_search(ref, ref_rng)
+        assert np.array_equal(ours.bits, ref.bits)
+        assert value == ref.objective
+        assert ours_rng.bit_generator.state == ref_rng.bit_generator.state
+        total += moved
+    assert total > 0
+
+
+def test_local_search_skips_entries_on_location_instance():
+    inst = _small_location_instance()
+    rng = np.random.default_rng(0)
+    ev = IncrementalEvaluator(inst)
+    construction(inst, SearchParams("greedy", "myopic"), rng, evaluator=ev)
+    scored = []
+    scan = ev.neighborhood_gains
+    ev.neighborhood_gains = lambda d: scored.append(d) or scan(d)
+    local_search(inst, None, SearchParams("greedy", "myopic"), rng, evaluator=ev)
+    assert len(scored) < inst.num_entries
 
 
 # -- outer loop -------------------------------------------------------------------

@@ -185,7 +185,20 @@ def _mutated_document(path, value):
     (("utility_weights",), [[0.9, 0.1], [0.1]]),
     (("properties", 0, "members", 0), 0.7),
     (("t",), True),
-], ids=["string-member", "string-count", "ragged-weights", "fractional-member", "bool-cap"])
+    (("lambda",), True),
+    (("tau_I",), "0.3"),
+    (("properties", 0, "weights", 0), "0.5"),
+    (("utility_weights", 0, 1), "0.1"),
+    (("utility_weights", 1, 0), False),
+], ids=["string-member", "string-count", "ragged-weights", "fractional-member", "bool-cap",
+       "bool-lambda", "string-tau", "string-property-weight", "string-utility-weight",
+       "bool-utility-weight"])
 def test_json_loader_rejects_malformed_types(path, value):
     with pytest.raises(InstanceError):
         instance_from_json(_mutated_document(path, value))
+
+
+def test_json_loader_accepts_integer_valued_floats():
+    # Many JSON writers emit 1.0 as 1: an integer is a number, not a coercion.
+    back = instance_from_json(_mutated_document(("lambda",), 1))
+    assert back.lam == 1.0 and isinstance(back.lam, float)
