@@ -53,7 +53,6 @@ from .heuristics import (
     SolveResult,
     construction,
     local_search,
-    pick_next_best,
     rand_plus,
     solve,
 )

@@ -9,6 +9,19 @@ best conceivable disclosure term. For the monotone families the current
 partial disclosure already lower-bounds the final one; cosine is not
 monotone, so its bound falls back to zero disclosure.
 
+Branch-and-bound does not recurse into the last entry's subsets. It
+flips that entry onto each adversary alone, reads the adversary's
+aggregate f'_a and undoes the flip, then scores every subset from the k
+values. This is exact: adversaries do not share state, so flipping the
+entry onto a changes only a's row and f'_a, whatever else the subset
+holds; and each subset's score repeats the per-leaf float operations in
+the same order (utility added in subset order, f the max of the
+aggregates, the same value and budget tests). Results and node counts
+are those of visiting each leaf.
+
+Enumeration builds each chunk of subset indices with numpy's C-order
+``unravel_index``, which is ``itertools.product`` order.
+
 ``formulation`` selects what is maximized:
 
 * ``tradeoff``   -- utility + lam * (tau - disclosure)
@@ -24,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -86,14 +99,11 @@ def enumerate_optimum(instance: Instance, formulation: str = "tradeoff") -> Solv
     best_bits = None
     feasible_seen = False
     chunk = 1 << 14
-    buf = []
-    count = 0
-
-    def flush():
-        nonlocal best_value, best_bits, feasible_seen
-        if not buf:
-            return
-        combos = np.array(buf, dtype=np.int64)  # (n, D)
+    shape = (m,) * num_d
+    # C-order unravel puts entry 0 slowest: itertools.product order.
+    for start in range(0, total, chunk):
+        flat = np.arange(start, min(start + chunk, total))
+        combos = np.stack(np.unravel_index(flat, shape), axis=1)  # (n, D)
         bits = masks[combos]  # (n, D, k)
         values, feas = _batch_values(instance, bits, formulation)
         if formulation == "discbudget":
@@ -103,18 +113,10 @@ def enumerate_optimum(instance: Instance, formulation: str = "tradeoff") -> Solv
         if values[i] > best_value:
             best_value = float(values[i])
             best_bits = bits[i].copy()
-        buf.clear()
-
-    for combo in product(range(m), repeat=num_d):
-        buf.append(combo)
-        count += 1
-        if len(buf) >= chunk:
-            flush()
-    flush()
 
     if formulation == "discbudget" and not feasible_seen:
         raise InfeasibleError("no assignment meets the disclosure budget")
-    return finalize_result(instance, Assignment(best_bits), count, started, 0)
+    return finalize_result(instance, Assignment(best_bits), total, started, 0)
 
 
 def _batch_values(instance: Instance, bits: np.ndarray, formulation: str):
@@ -196,13 +198,8 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
     monotone = instance.model.family != "cosine"
 
     best = {"value": -np.inf, "bits": None, "nodes": 0}
-
-    def node_value() -> float:
-        if budget:
-            return ev.util_raw / z
-        if formulation == "maxmin":
-            return float(min(ev.util_raw / z + lam * (tau - fp) for fp in ev.fprime))
-        return ev.util_raw / z + lam * (tau - ev.f)
+    last = instance.num_entries - 1
+    w_last = instance.utility_weights[last].tolist()
 
     def bound(d: int) -> float:
         util = (ev.util_raw + suffix[d]) / z
@@ -211,19 +208,43 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
         f_floor = ev.f if monotone else 0.0
         return util + lam * (tau - f_floor)
 
+    def score_leaves() -> None:
+        # k single flips give every leaf's aggregates (module docstring).
+        base = ev.fprime.tolist()
+        single = []
+        for a in range(instance.k):
+            log: list = []
+            ev._flip(last, a, True, log)
+            single.append(float(ev.fprime[a]))
+            ev._undo(log)
+        for sub in subsets:
+            best["nodes"] += 1
+            util_raw, fprime = ev.util_raw, base[:]
+            for a in sub:
+                util_raw += w_last[a]
+                fprime[a] = single[a]
+            f = max(fprime)
+            if budget:
+                if not f < tau:
+                    continue
+                value = util_raw / z
+            elif formulation == "maxmin":
+                value = min(util_raw / z + lam * (tau - fp) for fp in fprime)
+            else:
+                value = util_raw / z + lam * (tau - f)
+            if value > best["value"]:
+                best["value"] = value
+                best["bits"] = ev.bits.copy()
+                best["bits"][last, list(sub)] = True
+
     def dfs(d: int) -> None:
         best["nodes"] += 1
         if budget and monotone and ev.f >= tau:
             return
-        if d == instance.num_entries:
-            if budget and not (ev.f < tau):
-                return
-            value = node_value()
-            if value > best["value"]:
-                best["value"] = value
-                best["bits"] = ev.bits.copy()
-            return
         if bound(d) <= best["value"]:
+            return
+        if d == last:
+            score_leaves()
             return
         for sub in subsets:
             log: list = []

@@ -10,9 +10,8 @@ statistics live in summary.json.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +32,6 @@ CSV_COLUMNS = (
     "algorithm", "seed", "k", "t", "num_entries", "num_properties",
     "utility", "disclosure", "objective", "fully_disclosed",
 )
-
-WORKERS_ENV = "PRIVPART_WORKERS"
 
 
 @dataclass
@@ -160,29 +157,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     ks = cfg.k_values if cfg.k_values is not None else [None]
 
     instances = {k: _materialize(cfg.source, k) for k in ks}
-    cells = [
-        (alg, k, seed)
-        for alg in cfg.algorithms
-        for k in ks
-        for seed in cfg.seeds
-    ]
-
-    def run_cell(cell):
-        alg, k, seed = cell
-        inst = instances[k]
-        result = run_algorithm(alg, inst, seed, cfg.params.get(alg))
-        return cell, inst, result
-
-    workers = max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-    else:
-        outcomes = [run_cell(c) for c in cells]
 
     rows = []
     walls = {}
-    for (alg, k, seed), inst, result in outcomes:
+    for alg, k, seed in product(cfg.algorithms, ks, cfg.seeds):
+        inst = instances[k]
+        result = run_algorithm(alg, inst, seed, cfg.params.get(alg))
         rows.append({
             "algorithm": alg,
             "seed": seed,

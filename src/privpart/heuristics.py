@@ -190,33 +190,6 @@ def _select_from_gain_row(d: int, gains: np.ndarray, params: SearchParams, rng) 
     return Move("add", d, to_adversary=int(top[rng.integers(top.size)]))
 
 
-def pick_next_best(instance: Instance, assignment: Assignment, g: float,
-                   candidates, params: SearchParams, rng) -> Move | None:
-    """Choose the next addition among explicit (entry, adversary)
-    candidates: the gain-maximizing one (GREEDY) or a uniform draw from
-    the up-to-n best (GRASP); None if nothing beats the current value g."""
-    cands = sorted(candidates)
-    if not cands:
-        return None
-    ev = IncrementalEvaluator(instance, assignment)
-    base = ev.objective
-    scored = []
-    for (d, a) in cands:
-        value = base + ev.gain(Move("add", d, to_adversary=a))
-        scored.append((value, d, a))
-    if params.strategy == "greedy":
-        value, d, a = max(scored, key=lambda s: (s[0], -s[1], -s[2]))
-        if not value > g:
-            return None
-        return Move("add", d, to_adversary=a)
-    improving = sorted((s for s in scored if s[0] > g), key=lambda s: (-s[0], s[1], s[2]))
-    if not improving:
-        return None
-    top = improving[: params.n]
-    _, d, a = top[rng.integers(len(top))]
-    return Move("add", d, to_adversary=a)
-
-
 # -- construction phase --------------------------------------------------------
 
 def construction(instance: Instance, params: SearchParams, rng,

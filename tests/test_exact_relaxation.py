@@ -1,7 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from privpart import (
+    Assignment,
     DependencyHypergraph,
     DisclosureModel,
     FractionalSolution,
@@ -20,6 +23,9 @@ from privpart import (
     solve_lp_relaxation,
     validate_instance,
 )
+from privpart.evaluator import IncrementalEvaluator
+from privpart.exact import FORMULATIONS, _adversary_subsets, _batch_values
+from privpart.heuristics import finalize_result
 from privpart.relaxation import repair
 
 
@@ -99,6 +105,154 @@ def test_discbudget_exact_maximizes_utility_under_budget():
 
 
 # -- LP relaxation ------------------------------------------------------------
+
+# -- leaf scoring and chunked enumeration against per-subset references -------
+
+def _reference_solve_exact(instance, formulation):
+    """Branch-and-bound that recurses into every leaf and scores it from
+    the evaluator's state after its flips: the per-subset route that
+    ``solve_exact`` replaces with k single flips at the last entry."""
+    subsets = _adversary_subsets(instance.k, instance.t)
+    ev = IncrementalEvaluator(instance)
+    z = instance._normalizer
+    suffix = np.zeros(instance.num_entries + 1)
+    suffix[:-1] = np.cumsum(instance._top_t_sum[::-1])[::-1]
+    lam, tau = instance.lam, instance.tau
+    budget = formulation == "discbudget"
+    monotone = instance.model.family != "cosine"
+    best = {"value": -np.inf, "bits": None, "nodes": 0}
+
+    def node_value():
+        if budget:
+            return ev.util_raw / z
+        if formulation == "maxmin":
+            return float(min(ev.util_raw / z + lam * (tau - fp) for fp in ev.fprime))
+        return ev.util_raw / z + lam * (tau - ev.f)
+
+    def bound(d):
+        util = (ev.util_raw + suffix[d]) / z
+        if budget:
+            return util
+        return util + lam * (tau - (ev.f if monotone else 0.0))
+
+    def dfs(d):
+        best["nodes"] += 1
+        if budget and monotone and ev.f >= tau:
+            return
+        if d == instance.num_entries:
+            if budget and not (ev.f < tau):
+                return
+            value = node_value()
+            if value > best["value"]:
+                best["value"] = value
+                best["bits"] = ev.bits.copy()
+            return
+        if bound(d) <= best["value"]:
+            return
+        for sub in subsets:
+            log = []
+            for a in sub:
+                ev._flip(d, a, True, log)
+            dfs(d + 1)
+            ev._undo(log)
+
+    dfs(0)
+    if best["bits"] is None:
+        raise InfeasibleError("no assignment meets the disclosure budget")
+    return finalize_result(instance, Assignment(best["bits"]), best["nodes"], 0.0, 0)
+
+
+def _reference_enumerate(instance, formulation):
+    """Enumeration that buffers ``itertools.product`` tuples into chunks."""
+    subsets = _adversary_subsets(instance.k, instance.t)
+    masks = np.zeros((len(subsets), instance.k), dtype=bool)
+    for i, sub in enumerate(subsets):
+        masks[i, list(sub)] = True
+    best_value, best_bits, feasible_seen, count, buf = -np.inf, None, False, 0, []
+
+    def flush():
+        nonlocal best_value, best_bits, feasible_seen
+        if not buf:
+            return
+        bits = masks[np.array(buf, dtype=np.int64)]
+        values, feas = _batch_values(instance, bits, formulation)
+        if formulation == "discbudget":
+            feasible_seen = feasible_seen or bool(feas.any())
+            values = np.where(feas, values, -np.inf)
+        i = int(np.argmax(values))
+        if values[i] > best_value:
+            best_value, best_bits = float(values[i]), bits[i].copy()
+        buf.clear()
+
+    for combo in product(range(len(subsets)), repeat=instance.num_entries):
+        buf.append(combo)
+        count += 1
+        if len(buf) >= 1 << 14:
+            flush()
+    flush()
+    if formulation == "discbudget" and not feasible_seen:
+        raise InfeasibleError("no assignment meets the disclosure budget")
+    return finalize_result(instance, Assignment(best_bits), count, 0.0, 0)
+
+
+def _tied(inst):
+    """Same instance with utility weights on a 0.1 grid: many assignments
+    tie in exact arithmetic, so their float values differ only by the
+    order of the additions, and that order decides which one wins."""
+    w = np.round(inst.utility_weights * 4.0) / 10.0 + 0.1
+    return validate_instance(Instance(
+        inst.hypergraph, w, inst.k, inst.t, lam=inst.lam, tau=inst.tau,
+        model=inst.model, entries=inst.entries,
+    ))
+
+
+def _outcome(solver, inst, formulation):
+    try:
+        res = solver(inst, formulation)
+    except InfeasibleError as exc:
+        return ("infeasible", str(exc))
+    return (res.iterations, res.assignment.bits.tobytes(), res.objective.value)
+
+
+def test_leaf_scoring_matches_per_subset_branch_and_bound():
+    # The first 150 seeds whose search space has at most 6**4 leaves: the
+    # larger ones run the same leaf code but cost seconds each here.
+    seen, infeasible, checked, seed = set(), 0, 0, 0
+    while checked < 150:
+        inst = random_small_instance(seed)
+        seed += 1
+        if len(_adversary_subsets(inst.k, inst.t)) ** inst.num_entries > 6**4:
+            continue
+        seen.add((inst.model.family, inst.model.aggregation))
+        cases = [inst, _tied(inst)] if checked < 60 else [inst]
+        checked += 1
+        for case in cases:
+            for formulation in FORMULATIONS:
+                ours = _outcome(solve_exact, case, formulation)
+                assert ours == _outcome(_reference_solve_exact, case, formulation), (
+                    seed, formulation)
+                infeasible += ours[0] == "infeasible"
+    assert len(seen) == 8
+    assert infeasible > 0
+
+
+def test_chunked_enumeration_matches_product_loop():
+    for seed in (3, 11, 17, 42):
+        inst = random_small_instance(seed)
+        for case in (inst, _tied(inst)):
+            for formulation in FORMULATIONS:
+                assert _outcome(enumerate_optimum, case, formulation) == _outcome(
+                    _reference_enumerate, case, formulation), (seed, formulation)
+    # Several chunks: 10 subsets, 10**5 assignments.
+    big = validate_instance(Instance(
+        DependencyHypergraph(5, [SensitiveProperty(0, (0, 2, 4), (0.5, 0.3, 0.2))]),
+        np.random.default_rng(0).random((5, 4)), 4, 2,
+        model=DisclosureModel("linear", "average"),
+    ))
+    for formulation in FORMULATIONS:
+        assert _outcome(enumerate_optimum, big, formulation) == _outcome(
+            _reference_enumerate, big, formulation)
+
 
 def test_lp_step_pair_is_integral_and_tight():
     inst = pair_instance()

@@ -187,11 +187,12 @@ def test_cli_ingest_and_bench(tmp_path):
     assert (tmp_path / "bench" / "summary.json").exists()
 
 
-def test_worker_pool_does_not_change_results(tmp_path, monkeypatch):
-    first = Path(run_experiment(small_config(tmp_path / "seq"))["results_csv"]).read_bytes()
-    monkeypatch.setenv("PRIVPART_WORKERS", "3")
-    second = Path(run_experiment(small_config(tmp_path / "par"))["results_csv"]).read_bytes()
-    assert first == second
+def test_repeated_runs_write_identical_results(tmp_path):
+    def results(name):
+        cfg = small_config(tmp_path / name, algorithms=["rand+", "grasp"], k_values=[2, 3])
+        return Path(run_experiment(cfg)["results_csv"]).read_bytes()
+
+    assert results("one") == results("two")
 
 
 def test_cli_verify_passes():

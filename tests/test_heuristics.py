@@ -17,7 +17,6 @@ from privpart import (
     generate_instance,
     ingest_checkins,
     local_search,
-    pick_next_best,
     rand_plus,
     random_small_instance,
     solve,
@@ -118,44 +117,31 @@ def test_myopic_construction_respects_cap_and_assigns_everyone():
         assert np.all(a.per_entry_count >= 1)
 
 
-# -- pick_next_best ------------------------------------------------------------
+# -- global selection from the gain matrix -------------------------------------
 
-def test_pick_next_best_greedy_takes_argmax():
+def _select(inst, assignment, params, seed):
+    gains = IncrementalEvaluator(inst, assignment).add_gain_matrix()
+    return _select_from_gain_matrix(gains, params, np.random.default_rng(seed))
+
+
+def test_global_selection_greedy_takes_argmax():
     inst = plain([[0.9, 0.1], [0.1, 0.8]], t=1)
-    empty = Assignment.empty(inst)
-    g = tradeoff_objective(inst, empty).value
-    move = pick_next_best(
-        inst, empty, g, [(0, 0), (0, 1), (1, 0), (1, 1)],
-        SearchParams("greedy", "global"), np.random.default_rng(0),
-    )
+    move = _select(inst, Assignment.empty(inst), SearchParams("greedy", "global"), 0)
     assert (move.entry, move.to_adversary) == (0, 0)
 
 
-def test_pick_next_best_returns_none_without_strict_improvement():
+def test_global_selection_returns_none_without_strict_improvement():
     inst = plain([[0.9, 0.0]], t=2)
     a = Assignment(np.array([[True, False]]))
-    g = tradeoff_objective(inst, a).value
-    move = pick_next_best(
-        inst, a, g, [(0, 1)], SearchParams("greedy", "global"), np.random.default_rng(0)
-    )
-    assert move is None
-    move = pick_next_best(
-        inst, a, g, [(0, 1)], SearchParams("grasp", "global", n=2), np.random.default_rng(0)
-    )
-    assert move is None
+    assert _select(inst, a, SearchParams("greedy", "global"), 0) is None
+    assert _select(inst, a, SearchParams("grasp", "global", n=2), 0) is None
 
 
-def test_pick_next_best_grasp_draws_uniformly_from_top_n():
+def test_global_selection_grasp_draws_uniformly_from_top_n():
     inst = plain([[0.5, 0.3, 0.1]], k=3, t=1)
     empty = Assignment.empty(inst)
-    g = tradeoff_objective(inst, empty).value
-    picks = []
-    for seed in range(400):
-        move = pick_next_best(
-            inst, empty, g, [(0, 0), (0, 1), (0, 2)],
-            SearchParams("grasp", "global", n=2), np.random.default_rng(seed),
-        )
-        picks.append(move.to_adversary)
+    params = SearchParams("grasp", "global", n=2)
+    picks = [_select(inst, empty, params, seed).to_adversary for seed in range(400)]
     assert set(picks) == {0, 1}
     share = picks.count(0) / len(picks)
     assert 0.4 <= share <= 0.6
