@@ -8,7 +8,7 @@ party; the dependency structure forms a hypergraph over the entries.
 The package maximizes a utility/disclosure tradeoff over that structure:
 
 * ``instance``    -- data model, validation, serialization
-* ``disclosure``  -- step / linear / quadratic / cosine families
+* ``disclosure``  -- step / linear / quadratic / cosine families, one batched scorer
 * ``utility``     -- additive utility with top-t normalization
 * ``objective``   -- penalized tradeoff and budget feasibility
 * ``heuristics``  -- greedy / randomized construction + local search
@@ -21,13 +21,10 @@ The package maximizes a utility/disclosure tradeoff over that structure:
 
 from .disclosure import (
     aggregate_disclosure,
-    cosine_disclosure,
+    batch_disclosure,
     disclosure_vector,
-    linear_disclosure,
     overall_disclosure,
     per_property_disclosure,
-    quadratic_disclosure,
-    step_disclosure,
 )
 from .evaluator import IncrementalEvaluator
 from .exact import InfeasibleError, SizeGuardError, enumerate_optimum, solve_exact
@@ -84,7 +81,7 @@ from .relaxation import (
     solve_lp_relaxation,
 )
 from .synth import SynthConfig, generate_instance, random_small_instance
-from .utility import AdditiveUtility, UtilityFunction, adversary_utility, total_utility
+from .utility import adversary_utility, total_utility
 
 __version__ = "0.1.0"
 

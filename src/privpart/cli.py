@@ -102,11 +102,18 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _read_lines(path, parse):
+    """``parse`` applied to the lines of a UTF-8 text file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(fh)
+        except UnicodeDecodeError as exc:
+            raise GeodataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
 def _cmd_ingest(args) -> int:
-    with open(args.checkins, "r", encoding="utf-8") as fh:
-        ingest = ingest_checkins(fh)
-    with open(args.friends, "r", encoding="utf-8") as fh:
-        friends = read_friendships(fh)
+    ingest = _read_lines(args.checkins, ingest_checkins)
+    friends = _read_lines(args.friends, read_friendships)
     inst = build_location_instance(
         ingest.entries, friends, k=args.k, t=args.t, seed=args.seed,
         lam=args.lam, tau=args.tau, max_users=args.max_users, max_edges=args.max_edges,

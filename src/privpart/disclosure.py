@@ -1,30 +1,36 @@
 """Per-property, per-adversary disclosure for the four function families,
 plus aggregation into the overall scalar.
 
-All evaluators return a dense (k, |P|) matrix of values in [0, 1]:
-row ``a`` holds what adversary ``a`` learns about each property from the
-entries assigned to it. Adversaries never pool information, so each row
-depends only on that adversary's column of the assignment.
+Row ``a`` of a (k, |P|) disclosure matrix holds what adversary ``a``
+learns about each property from the entries assigned to it. Adversaries
+never pool information, so each row depends only on that adversary's
+column of the assignment.
 
 * step       -- 1 exactly when all of a property's members are co-revealed
 * linear     -- weighted fraction of members revealed
 * quadratic  -- square of the linear value
 * cosine     -- trajectory similarity of the property's two users,
                 restricted to the published check-ins
+
+``batch_disclosure`` is the one from-scratch routine: it scores n
+assignments at once from an (n, |D|, k) bit tensor and returns the
+unclipped (n, k, |P|) values together with the running state the
+incremental evaluator keeps. Every from-scratch path goes through it:
+the evaluator's ``reset`` (n = 1, unclipped), enumeration's batches
+(unclipped), and ``disclosure_vector`` and the batched objective, which
+clip to [0, 1].
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
-from .instance import Assignment, Instance, DisclosureModel, InstanceError
+from .instance import AGGREGATIONS, Assignment, Instance, DisclosureModel, InstanceError
 
 __all__ = [
     "DisclosureModel",
-    "step_disclosure",
-    "linear_disclosure",
-    "quadratic_disclosure",
-    "cosine_disclosure",
+    "batch_disclosure",
     "disclosure_vector",
     "aggregate_disclosure",
     "per_property_disclosure",
@@ -32,96 +38,80 @@ __all__ = [
 ]
 
 
-def _require_validated(instance: Instance) -> None:
+def batch_disclosure(instance: Instance, bits: np.ndarray):
+    """Score an (n, |D|, k) boolean batch of assignments from scratch.
+
+    Returns ``(state, f_ap)``. ``f_ap`` is the (n, k, |P|) unclipped
+    disclosure. ``state`` is the evaluator's running state: for step,
+    linear and quadratic the (n, k, |P|) member counts or weighted sums
+    (for linear the same array as ``f_ap``); for cosine the pair
+    ``(norms, dots)`` of (n, k, users) squared norms and (n, k, |P|) dot
+    products. Each value is a sparse product summed in member, entry or
+    pair order, so it does not depend on n.
+    """
     if not instance.validated:
         raise InstanceError("instance must be validated first")
+    n, num_d, k = bits.shape
+    cols = np.ascontiguousarray(bits.transpose(1, 0, 2), dtype=np.float64).reshape(num_d, n * k)
+
+    def product(mat, x):  # (rows, m) sparse @ (m, n * k) -> (n, k, rows)
+        out = np.asarray(mat @ x).reshape(mat.shape[0], n, k)
+        return np.ascontiguousarray(out.transpose(1, 2, 0))
+
+    family = instance.model.family
+    if family == "cosine":
+        cache = _cosine_matrices(instance)
+        norms = product(cache["norm_matrix"], cols)
+        dots = product(cache["pair_matrix"], cols[cache["pair_e1"]] * cols[cache["pair_e2"]])
+        ui, uj = cache["prop_users"].T
+        denom = norms[:, :, ui] * norms[:, :, uj]
+        f_ap = np.where(denom > 0.0, dots / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
+        return (norms, dots), f_ap
+    if family == "step":
+        counts = product(instance._member_matrix, cols)
+        return counts, (counts == instance._sizes).astype(np.float64)
+    sums = product(instance._weight_matrix, cols)
+    return sums, (sums if family == "linear" else sums**2)
 
 
-def step_disclosure(instance: Instance, assignment: Assignment) -> np.ndarray:
-    """1 exactly for (a, p) where adversary a holds every member of p."""
-    _require_validated(instance)
-    counts = instance._member_matrix @ assignment.bits.astype(np.float64)  # |P| x k
-    return (counts.T == instance._sizes[None, :]).astype(np.float64)
-
-
-def linear_disclosure(instance: Instance, assignment: Assignment) -> np.ndarray:
-    """Weighted member coverage: sum of a_dp over revealed members."""
-    _require_validated(instance)
-    _require_weights(instance)
-    sums = instance._weight_matrix @ assignment.bits.astype(np.float64)
-    return np.clip(sums.T, 0.0, 1.0)
-
-
-def quadratic_disclosure(instance: Instance, assignment: Assignment) -> np.ndarray:
-    _require_validated(instance)
-    _require_weights(instance)
-    sums = instance._weight_matrix @ assignment.bits.astype(np.float64)
-    return np.clip(sums.T, 0.0, 1.0) ** 2
-
-
-def _require_weights(instance: Instance) -> None:
-    for p in instance.hypergraph.properties:
-        if p.weights is None:
-            raise InstanceError(f"property {p.id} is missing disclosure weights")
-
-
-def cosine_disclosure(instance: Instance, assignment: Assignment) -> np.ndarray:
-    """Cosine similarity of the two users' location-count vectors,
-    restricted per adversary to the entries it received. Defined as 0
-    whenever either restricted vector is all-zero."""
-    _require_validated(instance)
+def _cosine_matrices(instance: Instance) -> dict:
+    """The instance's cosine cache with two sparse tables added on first
+    use: users x entries (squared counts) and properties x pairs (count
+    products). Their rows list entries and pairs in order."""
     cache = instance._cosine
-    if cache is None:
-        raise InstanceError("instance was not validated with a cosine model")
-    k = instance.k
-    num_p = instance.num_properties
-    out = np.zeros((k, num_p), dtype=np.float64)
-    if num_p == 0:
-        return out
-    ui = cache["prop_users"][:, 0]
-    uj = cache["prop_users"][:, 1]
-    for a in range(k):
-        mask = assignment.bits[:, a].astype(np.float64)
-        norms = np.bincount(
-            cache["user_idx"], weights=cache["sq_counts"] * mask, minlength=cache["num_users"]
-        )
-        dots = np.zeros(num_p, dtype=np.float64)
-        if cache["pair_prop"].size:
-            active = cache["pair_prod"] * mask[cache["pair_e1"]] * mask[cache["pair_e2"]]
-            np.add.at(dots, cache["pair_prop"], active)
-        denom = norms[ui] * norms[uj]
-        nz = denom > 0.0
-        out[a, nz] = dots[nz] / np.sqrt(denom[nz])
-    return np.clip(out, 0.0, 1.0)
-
-
-_FAMILY_FUNCS = {
-    "step": step_disclosure,
-    "linear": linear_disclosure,
-    "quadratic": quadratic_disclosure,
-    "cosine": cosine_disclosure,
-}
+    if "norm_matrix" not in cache:
+        num_d, num_pairs = instance.num_entries, cache["pair_prop"].size
+        cache["norm_matrix"] = sp.csr_matrix(
+            (cache["sq_counts"], (cache["user_idx"], np.arange(num_d))),
+            shape=(cache["num_users"], num_d))
+        cache["pair_matrix"] = sp.csr_matrix(
+            (cache["pair_prod"], (cache["pair_prop"], np.arange(num_pairs))),
+            shape=(instance.num_properties, num_pairs))
+    return cache
 
 
 def disclosure_vector(instance: Instance, assignment: Assignment) -> np.ndarray:
-    """Dispatch on the instance's disclosure family."""
-    return _FAMILY_FUNCS[instance.model.family](instance, assignment)
+    """The (k, |P|) disclosure of one assignment, clipped to [0, 1]."""
+    return np.clip(batch_disclosure(instance, assignment.bits[None])[1][0], 0.0, 1.0)
 
 
-def aggregate_disclosure(vector: np.ndarray, mode: str) -> float:
-    """Collapse a (k, |P|) disclosure matrix to the overall scalar.
+def aggregate_disclosure(vector: np.ndarray, mode: str):
+    """Collapse a (k, |P|) disclosure matrix to the overall scalar, or an
+    (n, k, |P|) batch to n of them.
 
     ``worst`` is the largest single component; ``average`` is the largest
     per-adversary mean. Both are 0 for property-free instances.
     """
+    if mode not in AGGREGATIONS:
+        raise InstanceError(f"unknown aggregation {mode!r}")
     vector = np.asarray(vector, dtype=np.float64)
-    if vector.size == 0:
-        return 0.0
-    if mode == "worst":
-        return float(vector.max())
-    if mode == "average":
-        return float(vector.mean(axis=1).max())
-    raise InstanceError(f"unknown aggregation {mode!r}")
+    if vector.shape[-1] == 0:
+        out = np.zeros(vector.shape[:-2])
+    elif mode == "worst":
+        out = vector.max(axis=(-2, -1))
+    else:
+        out = vector.mean(axis=-1).max(axis=-1)
+    return out if out.ndim else float(out)
 
 
 def per_property_disclosure(vector: np.ndarray) -> np.ndarray:

@@ -7,8 +7,6 @@ per-property disclosure state (member counts, weighted sums, or cosine
 dot products and norms) together with the per-adversary aggregate, and
 offers these access paths:
 
-* ``gain(move)``        -- exact objective delta for one move, computed
-                           by apply + snapshot-restore
 * ``add_gain_row(d)``   -- gains for adding entry d to each adversary,
                            vectorized across adversaries
 * ``add_gain_matrix()`` -- gains for every eligible addition, vectorized
@@ -32,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .disclosure import batch_disclosure
 from .instance import Assignment, Instance, InstanceError, Move
 from .objective import ObjectiveValue
 
@@ -85,15 +84,12 @@ class IncrementalEvaluator:
         self.util_raw = float((inst.utility_weights * self.bits).sum())
         self.c_unassigned = int(np.count_nonzero(self.counts == 0))
 
-        dense = self.bits.astype(np.float64)
-        if self.family == "step":
-            self.sums = np.asarray(inst._member_matrix @ dense).T.copy()
-            self.f_ap = (self.sums == inst._sizes[None, :]).astype(np.float64)
-        elif self.family in ("linear", "quadratic"):
-            self.sums = np.asarray(inst._weight_matrix @ dense).T.copy()
-            self.f_ap = (self.sums if self.family == "linear" else self.sums**2).copy()
+        state, f_ap = batch_disclosure(inst, self.bits[None])
+        if self.family == "cosine":
+            self.norms, self.dots = state[0][0], state[1][0]
         else:
-            self._reset_cosine(dense)
+            self.sums = state[0]
+        self.f_ap = f_ap[0].copy()  # for linear, f_ap is state itself
 
         if self.worst:
             self.fprime = self.f_ap.max(axis=1) if self.num_p else np.zeros(self.k)
@@ -136,35 +132,9 @@ class IncrementalEvaluator:
             own_u = np.repeat(cache["user_idx"], np.diff(indptr))
             cache["entry_partner"] = np.split(np.where(ui == own_u, uj, ui), indptr[1:-1])
         self._cos = cache
-        self._prop_u = cache["prop_users"]
         self._partner = cache["entry_partner"]
         self._e_user = cache["user_idx"]
         self._e_sq = cache["sq_counts"]
-
-    def _reset_cosine(self, dense: np.ndarray) -> None:
-        cache = self._cos
-        self.norms = np.zeros((self.k, cache["num_users"]))
-        for a in range(self.k):
-            self.norms[a] = np.bincount(
-                cache["user_idx"], weights=cache["sq_counts"] * dense[:, a],
-                minlength=cache["num_users"],
-            )
-        self.dots = np.zeros((self.k, self.num_p))
-        if cache["pair_prop"].size:
-            for a in range(self.k):
-                active = (
-                    cache["pair_prod"] * dense[cache["pair_e1"], a] * dense[cache["pair_e2"], a]
-                )
-                np.add.at(self.dots[a], cache["pair_prop"], active)
-        if self.num_p:
-            ui = self._prop_u[:, 0]
-            uj = self._prop_u[:, 1]
-            denom = self.norms[:, ui] * self.norms[:, uj]
-            self.f_ap = np.where(
-                denom > 0.0, self.dots / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0
-            )
-        else:
-            self.f_ap = np.zeros((self.k, 0))
 
     # -- objective views --------------------------------------------------
     @property
@@ -234,12 +204,12 @@ class IncrementalEvaluator:
         old_s, old_f = s_row[props], f_row[props]
         if log is not None:
             log.append(("row", a, props, old_s, old_f))
-        sign = 1.0 if on else -1.0
         if self.family == "step":
-            new_s = old_s + sign
+            new_s = old_s + (1.0 if on else -1.0)
             new_f = (new_s == self.inst._sizes[props]).astype(np.float64)
         else:
-            new_s = old_s + sign * w
+            # a_dp >= 0, so a sum that rounds below 0 on removal is 0.
+            new_s = old_s + w if on else np.maximum(old_s - w, 0.0)
             new_f = new_s if self.family == "linear" else new_s**2
         # The worst aggregate rescans the row; only average needs the delta.
         delta_sum = 0.0 if self.worst else float((new_f - old_f).sum())
@@ -323,16 +293,6 @@ class IncrementalEvaluator:
             (move.entry, move.from_adversary, False),
             (move.entry, move.to_adversary, True),
         )
-
-    def gain(self, move: Move) -> float:
-        """Objective delta of one move, leaving the state untouched."""
-        before = self.objective
-        log: list = []
-        for (d, a, on) in self._move_flips(move):
-            self._flip(d, a, on, log)
-        after = self.objective
-        self._undo(log)
-        return after - before
 
     def apply(self, move: Move) -> None:
         for (d, a, on) in self._move_flips(move):
@@ -450,9 +410,9 @@ class IncrementalEvaluator:
             if self.family == "step":
                 new_f = np.zeros(props.size)  # a removed member always breaks fullness
             elif self.family == "linear":
-                new_f = s - w
+                new_f = np.maximum(s - w, 0.0)  # clamped as _flip_sums does
             else:
-                new_f = (s - w) ** 2
+                new_f = np.maximum(s - w, 0.0) ** 2
             out[a] = self._row_aggregate(a, props, new_f)
         return out
 
@@ -487,18 +447,13 @@ class IncrementalEvaluator:
         by a lower bound that leaves out the moved entry's own disclosure
         change: ``max_excluding`` of the adversaries it touches, and for
         an addition to b also fprime[b] where adding an entry cannot lower
-        fprime[b] in floating point. Rounding is monotone, so each bound is
-        at least the float gain it stands for. Cosine gets no such floor
-        (its components can fall when an entry is added), and neither does
-        average quadratic once a sum has rounded below 0 (2 s.a + a.a can
-        then be negative)."""
+        fprime[b] in floating point (running sums are clamped at 0, so
+        2 s.a + a.a >= 0 for average quadratic). Rounding is monotone, so
+        each bound is at least the float gain it stands for. Cosine gets no
+        such floor: its components can fall when an entry is added."""
         inst, k = self.inst, self.k
         max_excluding = self._max_excluding()
-        no_floor = self.family == "cosine" or (
-            self.family == "quadratic" and not self.worst
-            and self.num_p > 0 and self.sums.min() < 0.0
-        )
-        floor = [-np.inf] * k if no_floor else [float(v) for v in self.fprime]
+        floor = [-np.inf] * k if self.family == "cosine" else [float(v) for v in self.fprime]
         lam, f_cur = inst.lam, self.f
 
         def term(low: float) -> float:

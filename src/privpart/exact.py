@@ -41,6 +41,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .disclosure import batch_disclosure
 from .evaluator import IncrementalEvaluator
 from .heuristics import SolveResult, finalize_result
 from .instance import Assignment, Instance, InstanceError, validate_instance
@@ -126,27 +127,13 @@ def _batch_values(instance: Instance, bits: np.ndarray, formulation: str):
     z = instance._normalizer
     util = np.einsum("ndk,dk->n", bits, w) / z
 
-    num_p = instance.num_properties
-    if num_p == 0:
-        fprime = np.zeros((bits.shape[0], instance.k))
+    fap = batch_disclosure(instance, bits)[1]  # (n, k, |P|)
+    if instance.num_properties == 0:
+        fprime = np.zeros(fap.shape[:2])
+    elif instance.model.aggregation == "worst":
+        fprime = fap.max(axis=2)
     else:
-        fam = instance.model.family
-        if fam == "cosine":
-            fap = _batch_cosine(instance, bits)
-        else:
-            mat = instance._member_matrix if fam == "step" else instance._weight_matrix
-            dense = np.asarray(mat.todense())
-            sums = np.einsum("pd,ndk->npk", dense, bits)
-            if fam == "step":
-                fap = (sums == instance._sizes[None, :, None]).astype(np.float64)
-            elif fam == "linear":
-                fap = sums
-            else:
-                fap = sums**2
-        if instance.model.aggregation == "worst":
-            fprime = fap.max(axis=1)
-        else:
-            fprime = fap.mean(axis=1)
+        fprime = fap.mean(axis=2)
 
     lam, tau = instance.lam, instance.tau
     if formulation == "maxmin":
@@ -156,24 +143,6 @@ def _batch_values(instance: Instance, bits: np.ndarray, formulation: str):
     if formulation == "discbudget":
         return util, fprime.max(axis=1) < tau
     return values, None
-
-
-def _batch_cosine(instance: Instance, bits: np.ndarray) -> np.ndarray:
-    cache = instance._cosine
-    n, _, k = bits.shape
-    num_p = instance.num_properties
-    norms = np.zeros((n, cache["num_users"], k))
-    weighted = bits * cache["sq_counts"][None, :, None]
-    np.add.at(norms, (slice(None), cache["user_idx"]), weighted)
-    dots = np.zeros((n, num_p, k))
-    for row in range(cache["pair_prop"].size):
-        p = cache["pair_prop"][row]
-        both = bits[:, cache["pair_e1"][row], :] & bits[:, cache["pair_e2"][row], :]
-        dots[:, p, :] += cache["pair_prod"][row] * both
-    ui = cache["prop_users"][:, 0]
-    uj = cache["prop_users"][:, 1]
-    denom = norms[:, ui, :] * norms[:, uj, :]
-    return np.where(denom > 0.0, dots / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
 
 
 def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResult:

@@ -95,8 +95,10 @@ def ingest_checkins(lines: Iterable[str], delimiter: str | None = None) -> Inges
 
 def read_friendships(lines: Iterable[str]) -> list[tuple[str, str]]:
     """Parse an edge list: two whitespace- or comma-separated user ids
-    per line."""
+    per line. Lines with one id and self-loops are skipped with a
+    warning."""
     edges = []
+    skipped = 0
     for line in lines:
         line = line.strip()
         if not line:
@@ -104,6 +106,10 @@ def read_friendships(lines: Iterable[str]) -> list[tuple[str, str]]:
         parts = line.replace(",", " ").split()
         if len(parts) >= 2 and parts[0] != parts[1]:
             edges.append((parts[0], parts[1]))
+        else:
+            skipped += 1
+    if skipped:
+        log.warning("skipped %d friendship lines without two distinct user ids", skipped)
     return edges
 
 

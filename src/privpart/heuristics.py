@@ -40,11 +40,11 @@ aggregate replaced by a lower bound on it: the largest aggregate of the
 adversaries the move does not touch, and for an addition to b also
 b's current aggregate, which adding an entry cannot lower for step,
 linear and quadratic disclosure (lam in [0, 1] and a_dp >= 0 are
-validated; average quadratic keeps the floor only while no running sum
-has rounded below 0). Cosine gets no such floor: its components can fall
-when an entry is added. Float rounding is monotone, so the bound is at least
-every gain the entry would score, a skipped entry is one on which no move
-could have been accepted, and the moves are those of the unscreened pass.
+validated, and running sums are clamped at 0 on removal). Cosine gets no
+such floor: its components can fall when an entry is added. Float rounding
+is monotone, so the bound is at least every gain the entry would score, a
+skipped entry is one on which no move could have been accepted, and the
+moves are those of the unscreened pass.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disclosure import disclosure_vector, per_property_disclosure
+from .disclosure import per_property_disclosure
 from .evaluator import IncrementalEvaluator
 from .instance import Assignment, Instance, InstanceError, Move, validate_instance
-from .objective import ObjectiveValue, tradeoff_objective
+from .objective import ObjectiveValue, batch_objective, best_draw
 
 STRATEGIES = ("greedy", "grasp")
 SCOPES = ("global", "myopic")
@@ -100,11 +100,11 @@ def finalize_result(instance: Instance, assignment: Assignment, iterations: int,
             started: float, seed: int) -> SolveResult:
     """Package a result, recomputing the objective from scratch so the
     reported value is exactly reproducible from the assignment."""
-    vec = disclosure_vector(instance, assignment)
+    objective, vec = batch_objective(instance, assignment.bits[None])
     return SolveResult(
         assignment=assignment,
-        objective=tradeoff_objective(instance, assignment),
-        per_property_disclosure=per_property_disclosure(vec),
+        objective=objective.pick(0),
+        per_property_disclosure=per_property_disclosure(vec[0]),
         iterations=iterations,
         wall_time=time.perf_counter() - started,
         seed_used=seed,
@@ -125,22 +125,19 @@ def rand_plus(instance: Instance, runs: int = 100, seed: int = 0) -> SolveResult
     w = instance.utility_weights.copy()
     zero_rows = w.sum(axis=1) == 0.0
     w[zero_rows] = 1.0  # uniform fallback for all-zero weight rows
-
-    best_bits = None
-    best_value = -np.inf
     t = instance.t
-    for _ in range(runs):
+
+    def draw(c: int) -> np.ndarray:
         # Weighted sampling without replacement via exponential racing:
         # the t smallest Exp(1)/w values per row are a draw proportional
         # to w.
-        keys = rng.exponential(1.0, size=w.shape) / w
-        chosen = np.argpartition(keys, t - 1, axis=1)[:, :t]
-        bits = np.zeros_like(instance.utility_weights, dtype=bool)
-        np.put_along_axis(bits, chosen, True, axis=1)
-        value = tradeoff_objective(instance, Assignment(bits)).value
-        if value > best_value:
-            best_value = value
-            best_bits = bits
+        keys = rng.exponential(1.0, size=(c,) + w.shape) / w
+        chosen = np.argpartition(keys, t - 1, axis=2)[:, :, :t]
+        bits = np.zeros(keys.shape, dtype=bool)
+        np.put_along_axis(bits, chosen, True, axis=2)
+        return bits
+
+    best_bits = best_draw(instance, draw, runs)
     return finalize_result(instance, Assignment(best_bits), runs, started, seed)
 
 

@@ -15,9 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disclosure import aggregate_disclosure, disclosure_vector
-from .instance import Assignment, Instance
-from .utility import total_utility
+from .disclosure import aggregate_disclosure, batch_disclosure, disclosure_vector
+from .instance import Assignment, Instance, InstanceError
+
+# Bits per chunk when many random draws are scored at once: a chunk holds
+# max(1, SCORE_CHUNK_CELLS // (|D| k)) draws, which bounds its float
+# buffers to about 1 MiB each.
+SCORE_CHUNK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -36,17 +40,55 @@ class ObjectiveValue:
             value=utility + lam * (tau - disclosure) - unassigned,
         )
 
+    def pick(self, i: int) -> "ObjectiveValue":
+        """Draw ``i`` of a batch whose fields are arrays."""
+        return ObjectiveValue(float(self.utility[i]), float(self.disclosure[i]),
+                              int(self.unassigned_count[i]), float(self.value[i]))
+
+
+def batch_objective(instance: Instance, bits: np.ndarray):
+    """Penalized tradeoff of an (n, |D|, k) batch from scratch: an
+    ``ObjectiveValue`` of (n,) arrays, and the (n, k, |P|) disclosure
+    clipped to [0, 1]. Each draw's utility is the sum of its contiguous
+    |D| k block, the same pairwise summation as a sum over one assignment,
+    so every value is that of scoring the draw alone."""
+    vec = np.clip(batch_disclosure(instance, bits)[1], 0.0, 1.0)
+    z = instance._normalizer
+    if z <= 0.0:
+        raise InstanceError("degenerate instance: all utility weights are zero")
+    n = bits.shape[0]
+    utility = (instance.utility_weights * bits).reshape(n, -1).sum(axis=1) / z
+    f = aggregate_disclosure(vec, instance.model.aggregation)
+    unassigned = np.count_nonzero(~bits.any(axis=2), axis=1)
+    return ObjectiveValue.compose(utility, f, unassigned, instance.lam, instance.tau), vec
+
 
 def tradeoff_objective(instance: Instance, assignment: Assignment) -> ObjectiveValue:
     """Recompute the penalized tradeoff from scratch. The assignment may
     violate the lower cardinality bound mid-search; the upper bound is the
     caller's responsibility."""
-    u = total_utility(instance, assignment)
-    f = aggregate_disclosure(
-        disclosure_vector(instance, assignment), instance.model.aggregation
-    )
-    c = int(np.count_nonzero(assignment.per_entry_count == 0))
-    return ObjectiveValue.compose(u, f, c, instance.lam, instance.tau)
+    return batch_objective(instance, assignment.bits[None])[0].pick(0)
+
+
+def draw_chunks(instance: Instance, runs: int) -> list[int]:
+    """Sizes of the chunks in which ``runs`` random draws are scored."""
+    step = max(1, SCORE_CHUNK_CELLS // (instance.num_entries * instance.k))
+    return [min(step, runs - start) for start in range(0, runs, step)]
+
+
+def best_draw(instance: Instance, draw, runs: int) -> np.ndarray:
+    """Bits of the best of ``runs`` random draws by penalized tradeoff, the
+    first of equals. ``draw(c)`` returns the next c draws as a (c, |D|, k)
+    tensor; drawing chunk after chunk consumes the generator exactly as
+    drawing one at a time does."""
+    best_bits, best_value = None, -np.inf
+    for c in draw_chunks(instance, runs):
+        bits = draw(c)
+        values = batch_objective(instance, bits)[0].value
+        i = int(np.argmax(values))
+        if values[i] > best_value:
+            best_value, best_bits = values[i], bits[i].copy()
+    return best_bits
 
 
 def discbudget_feasible(

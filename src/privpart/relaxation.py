@@ -26,7 +26,7 @@ from scipy.optimize import linprog
 
 from .heuristics import SolveResult, finalize_result
 from .instance import Assignment, Instance, InstanceError, validate_instance
-from .objective import tradeoff_objective
+from .objective import batch_objective, best_draw, draw_chunks
 
 ROW_SUM_TOL = 1e-6
 
@@ -131,9 +131,14 @@ def solve_lp_relaxation(instance: Instance, family: str | None = None) -> Fracti
     return FractionalSolution(x_hat=x_hat, lp_objective=lp_objective)
 
 
-def round_solution(frac: FractionalSolution, rng) -> np.ndarray:
-    """Independent Bernoulli rounding of every component."""
-    return rng.random(frac.x_hat.shape) < frac.x_hat
+def _roundings(instance: Instance, frac: FractionalSolution, rng, c: int,
+               apply_repair: bool) -> np.ndarray:
+    """c independent Bernoulli roundings of every component, (c, |D|, k),
+    each repaired if asked."""
+    bits = rng.random((c,) + frac.x_hat.shape) < frac.x_hat
+    if apply_repair:
+        bits = np.stack([repair(instance, b, frac) for b in bits])
+    return bits
 
 
 def repair(instance: Instance, bits: np.ndarray, frac: FractionalSolution) -> np.ndarray:
@@ -158,14 +163,7 @@ def round_and_repair(instance: Instance, frac: FractionalSolution,
         raise InstanceError("runs must be >= 1")
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    best_bits = None
-    best_value = -np.inf
-    for _ in range(runs):
-        bits = repair(instance, round_solution(frac, rng), frac)
-        value = tradeoff_objective(instance, Assignment(bits)).value
-        if value > best_value:
-            best_value = value
-            best_bits = bits
+    best_bits = best_draw(instance, lambda c: _roundings(instance, frac, rng, c, True), runs)
     return finalize_result(instance, Assignment(best_bits), runs, started, seed)
 
 
@@ -181,12 +179,12 @@ def rounding_mean_objective(instance: Instance, frac: FractionalSolution,
     instance = validate_instance(instance)
     rng = np.random.default_rng(seed)
     values = np.empty(draws)
-    for i in range(draws):
-        bits = round_solution(frac, rng)
-        if apply_repair:
-            bits = repair(instance, bits, frac)
-        obj = tradeoff_objective(instance, Assignment(bits))
-        values[i] = obj.value if penalize_unassigned else obj.value + obj.unassigned_count
+    start = 0
+    for c in draw_chunks(instance, draws):
+        obj = batch_objective(instance, _roundings(instance, frac, rng, c, apply_repair))[0]
+        values[start:start + c] = (
+            obj.value if penalize_unassigned else obj.value + obj.unassigned_count)
+        start += c
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
     return mean, stderr

@@ -4,31 +4,11 @@ Total utility divides the raw weight sum by the best achievable one: the
 sum, over entries, of each entry's t largest weights. A cardinality-
 feasible assignment therefore always scores in [0, 1], with 1 reached
 exactly when every entry sits at its top-t adversaries.
-
-Only the additive family is implemented; ``UtilityFunction`` is the seam
-for plugging in other nondecreasing submodular families.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
-
-from .instance import Assignment, Instance, InstanceError, Move
-
-
-class UtilityFunction(Protocol):
-    """Contract for utility evaluators usable by the search heuristics."""
-
-    def evaluate(self, assignment: Assignment) -> float: ...
-
-    def marginal(self, assignment: Assignment, move: Move) -> float: ...
-
-
-def top_t_normalizer(instance: Instance) -> float:
-    """Z = sum over entries of the t largest weights (max achievable)."""
-    if not instance.validated:
-        raise InstanceError("instance must be validated first")
-    return instance._normalizer
+from .instance import Assignment, Instance, InstanceError
 
 
 def adversary_utility(instance: Instance, assignment: Assignment, a: int) -> float:
@@ -38,30 +18,10 @@ def adversary_utility(instance: Instance, assignment: Assignment, a: int) -> flo
 
 def total_utility(instance: Instance, assignment: Assignment) -> float:
     """Normalized total utility in [0, 1] for feasible assignments."""
-    z = top_t_normalizer(instance)
+    if not instance.validated:
+        raise InstanceError("instance must be validated first")
+    z = instance._normalizer
     if z <= 0.0:
         raise InstanceError("degenerate instance: all utility weights are zero")
     raw = float((instance.utility_weights * assignment.bits).sum())
     return raw / z
-
-
-class AdditiveUtility:
-    """The additive family behind every experiment: constant marginals,
-    hence trivially nondecreasing and submodular."""
-
-    def __init__(self, instance: Instance):
-        self.instance = instance
-        self.z = top_t_normalizer(instance)
-
-    def evaluate(self, assignment: Assignment) -> float:
-        return total_utility(self.instance, assignment)
-
-    def marginal(self, assignment: Assignment, move: Move) -> float:
-        w = self.instance.utility_weights
-        d = move.entry
-        delta = 0.0
-        if move.to_adversary is not None:
-            delta += w[d, move.to_adversary]
-        if move.from_adversary is not None:
-            delta -= w[d, move.from_adversary]
-        return float(delta) / self.z

@@ -11,12 +11,8 @@ from privpart import (
     Move,
     SensitiveProperty,
     aggregate_disclosure,
-    cosine_disclosure,
     disclosure_vector,
-    linear_disclosure,
-    quadratic_disclosure,
     random_small_instance,
-    step_disclosure,
     validate_instance,
 )
 from privpart.evaluator import IncrementalEvaluator
@@ -45,26 +41,26 @@ def bits(num_entries, k, pairs):
 
 def test_step_full_subset_discloses():
     inst = build([(0, 1)], 2, t=2)
-    assert step_disclosure(inst, bits(2, 2, [(0, 0), (1, 0)]))[0, 0] == 1.0
+    assert disclosure_vector(inst, bits(2, 2, [(0, 0), (1, 0)]))[0, 0] == 1.0
 
 
 def test_step_split_does_not_disclose():
     inst = build([(0, 1)], 2)
-    vec = step_disclosure(inst, bits(2, 2, [(0, 0), (1, 1)]))
+    vec = disclosure_vector(inst, bits(2, 2, [(0, 0), (1, 1)]))
     assert vec.max() == 0.0
 
 
 def test_step_empty_assignment_all_zero():
     inst = build([(0, 1)], 2)
-    assert step_disclosure(inst, bits(2, 2, [])).max() == 0.0
+    assert disclosure_vector(inst, bits(2, 2, [])).max() == 0.0
 
 
 def test_linear_weighted_coverage():
     w = (1 / 3, 1 / 3, 1 / 3)
     inst = build([(0, 1, 2)], 3, family="linear", weights_list=[w], t=2)
-    vec = linear_disclosure(inst, bits(3, 2, [(0, 0), (1, 0)]))
+    vec = disclosure_vector(inst, bits(3, 2, [(0, 0), (1, 0)]))
     assert vec[0, 0] == pytest.approx(2 / 3)
-    full = linear_disclosure(inst, bits(3, 2, [(0, 0), (1, 0), (2, 0)]))
+    full = disclosure_vector(inst, bits(3, 2, [(0, 0), (1, 0), (2, 0)]))
     assert full[0, 0] == pytest.approx(1.0)
     assert full[1, 0] == 0.0
 
@@ -72,11 +68,11 @@ def test_linear_weighted_coverage():
 def test_quadratic_is_square_of_linear():
     w = (1 / 3, 1 / 3, 1 / 3)
     inst = build([(0, 1, 2)], 3, family="quadratic", weights_list=[w], t=2)
-    vec = quadratic_disclosure(inst, bits(3, 2, [(0, 0), (1, 0)]))
+    vec = disclosure_vector(inst, bits(3, 2, [(0, 0), (1, 0)]))
     assert vec[0, 0] == pytest.approx(4 / 9)
-    full = quadratic_disclosure(inst, bits(3, 2, [(0, 0), (1, 0), (2, 0)]))
+    full = disclosure_vector(inst, bits(3, 2, [(0, 0), (1, 0), (2, 0)]))
     assert full[0, 0] == pytest.approx(1.0)
-    assert quadratic_disclosure(inst, bits(3, 2, [])).max() == 0.0
+    assert disclosure_vector(inst, bits(3, 2, [])).max() == 0.0
 
 
 def cosine_instance():
@@ -93,7 +89,7 @@ def cosine_instance():
 
 def test_cosine_matches_direct_formula():
     inst = cosine_instance()
-    vec = cosine_disclosure(inst, bits(4, 2, [(0, 0), (1, 0), (2, 0), (3, 0)]))
+    vec = disclosure_vector(inst, bits(4, 2, [(0, 0), (1, 0), (2, 0), (3, 0)]))
     assert vec[0, 0] == pytest.approx(2 / (np.sqrt(5) * np.sqrt(2)))
 
 
@@ -103,13 +99,13 @@ def test_cosine_disjoint_supports_are_orthogonal():
         DataEntry(1, ("u2", "B", 3)),
     ]
     inst = build([(0, 1)], 2, family="cosine", aggregation="average", entries=entries)
-    vec = cosine_disclosure(inst, bits(2, 2, [(0, 0), (1, 0)]))
+    vec = disclosure_vector(inst, bits(2, 2, [(0, 0), (1, 0)]))
     assert vec.max() == 0.0
 
 
 def test_cosine_empty_restriction_is_zero():
     inst = cosine_instance()
-    vec = cosine_disclosure(inst, bits(4, 2, [(0, 0), (1, 0), (2, 1), (3, 1)]))
+    vec = disclosure_vector(inst, bits(4, 2, [(0, 0), (1, 0), (2, 1), (3, 1)]))
     assert vec.max() == 0.0
 
 
@@ -170,8 +166,8 @@ def test_cosine_can_decrease_on_addition():
     ]
     inst = build([(0, 1, 2)], 3, family="cosine", aggregation="average",
                  entries=entries, t=2)
-    partial = cosine_disclosure(inst, bits(3, 2, [(0, 0), (2, 0)]))
-    fuller = cosine_disclosure(inst, bits(3, 2, [(0, 0), (1, 0), (2, 0)]))
+    partial = disclosure_vector(inst, bits(3, 2, [(0, 0), (2, 0)]))
+    fuller = disclosure_vector(inst, bits(3, 2, [(0, 0), (1, 0), (2, 0)]))
     assert fuller[0, 0] < partial[0, 0]
 
 

@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from privpart import (
     run_experiment,
     solve,
 )
-from privpart.cli import main
+from privpart.cli import EXIT_FAIL, EXIT_OK, main
 from privpart.experiments import CSV_COLUMNS
 from privpart.synth import SynthConfig, generate_instance, random_small_instance
 from privpart.instance import DisclosureModel
@@ -185,6 +186,43 @@ def test_cli_ingest_and_bench(tmp_path):
     assert rc == 0
     assert (tmp_path / "bench" / "results.csv").exists()
     assert (tmp_path / "bench" / "summary.json").exists()
+
+
+def _ingest_files(tmp_path):
+    from privpart import synthetic_checkin_lines
+
+    lines, friends = synthetic_checkin_lines(num_users=20, num_edges=16,
+                                             num_entries=80, seed=1)
+    checkins = tmp_path / "checkins.tsv"
+    checkins.write_text("\n".join(lines) + "\n")
+    friends_path = tmp_path / "friends.txt"
+    friends_path.write_text("\n".join(f"{a}\t{b}" for a, b in friends) + "\n")
+    return checkins, friends_path
+
+
+def _ingest(checkins, friends_path, tmp_path):
+    return main(["ingest", "--checkins", str(checkins), "--friends", str(friends_path),
+                 "--k", "2", "--t", "1", "-o", str(tmp_path / "geo.json")])
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_cli_ingest_non_utf8_file_is_an_error(tmp_path, capsys, which):
+    paths = _ingest_files(tmp_path)
+    bad = paths[which]
+    bad.write_bytes(bad.read_bytes() + b"u1\t2010\t0\t0\t\xff\xfe\n")
+    assert _ingest(*paths, tmp_path) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "UTF-8" in err
+    assert not (tmp_path / "geo.json").exists()
+
+
+def test_cli_ingest_warns_on_skipped_friendship_lines(tmp_path, caplog):
+    checkins, friends_path = _ingest_files(tmp_path)
+    with friends_path.open("a") as fh:
+        fh.write("u3\nu4 u4\n\n")
+    with caplog.at_level(logging.WARNING, logger="privpart.geodata"):
+        assert _ingest(checkins, friends_path, tmp_path) == EXIT_OK
+    assert "skipped 2 friendship lines" in caplog.text
 
 
 def test_repeated_runs_write_identical_results(tmp_path):

@@ -306,26 +306,26 @@ def test_gain_bounds_cover_every_neighbor_gain():
             _random_walk(ev, rng, 3)
 
 
-def test_gain_bound_has_no_quadratic_floor_once_a_sum_rounds_below_zero():
+def test_gain_bound_keeps_quadratic_floor_as_removed_sums_clamp_at_zero():
     # Weights 1 and 2**-53 on one property: adding both to adversary 0 and
-    # removing them again leaves its running sum at -2**-53, after which
-    # adding entry 1 lowers adversary 0's average quadratic aggregate by a
-    # few ulps. With fprime[0] as the floor the bound would read 0 while
-    # the add (and the swap) gain 6e-33.
+    # removing them again would leave its running sum at -2**-53 in plain
+    # float arithmetic. Weights are nonnegative, so removal clamps the sum
+    # at 0, and the fprime floor of the average quadratic bound stays safe.
     props = [SensitiveProperty(0, (0, 1), (1.0, 2.0**-53)),
              SensitiveProperty(1, (2, 3), (2.0**-40, 1.0 - 2.0**-40))]
     w = np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
     inst = validate_instance(Instance(DependencyHypergraph(4, props), w, k=2, t=2,
                                       model=DisclosureModel("quadratic", "average")))
-    ev = IncrementalEvaluator(inst)
+    ev = IncrementalEvaluator(inst, cross_check=True)
     for move in (Move("add", 1, to_adversary=0), Move("add", 0, to_adversary=0),
                  Move("remove", 1, from_adversary=0), Move("remove", 0, from_adversary=0),
                  Move("add", 2, to_adversary=0), Move("add", 1, to_adversary=1)):
         ev.apply(move)
-    assert ev.sums[0, 0] < 0.0
-    best = max(g for _, g in ev.neighborhood_gains(1))
-    assert best > 0.0
-    assert ev.neighborhood_gain_bounds()[1] >= best
+    assert ev.sums.min() >= 0.0
+    bound = ev.neighborhood_gain_bounds()
+    for d in range(inst.num_entries):
+        best = max((g for _, g in ev.neighborhood_gains(d)), default=-np.inf)
+        assert bound[d] >= best, d
 
 
 def _reference_local_search(ev, rng):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from privpart import (
-    AdditiveUtility,
     Assignment,
     DependencyHypergraph,
     DisclosureModel,
@@ -12,6 +11,7 @@ from privpart import (
     Move,
     SensitiveProperty,
     adversary_utility,
+    apply_move,
     discbudget_feasible,
     random_small_instance,
     total_utility,
@@ -72,12 +72,16 @@ def test_total_utility_never_exceeds_one_exhaustively():
 def test_additive_marginals_are_constant():
     rng = np.random.default_rng(9)
     inst = plain_instance(rng.random((4, 3)), k=3, t=2)
-    util = AdditiveUtility(inst)
     mv = Move("add", 2, to_adversary=1)
     small = assign(inst, [(0, 0)])
     large = assign(inst, [(0, 0), (1, 2), (3, 1)])
-    assert util.marginal(small, mv) == pytest.approx(util.marginal(large, mv))
-    assert util.marginal(small, mv) >= 0.0
+
+    def marginal(a):
+        return total_utility(inst, apply_move(a, mv)) - total_utility(inst, a)
+
+    assert marginal(small) == pytest.approx(marginal(large))
+    assert marginal(small) == pytest.approx(inst.utility_weights[2, 1] / inst._normalizer)
+    assert marginal(small) >= 0.0
 
 
 def test_tradeoff_objective_examples():
