@@ -15,6 +15,16 @@ offers these access paths:
                            entry d's local-search neighbors, and for every
                            entry at once a float-exact upper bound on them
 
+For cosine, ``add_gain_row(d)`` keeps the rows it computed for every
+adversary (the new norm of d's user, the new dots and cosine values over
+d's properties), tagged with d. A following ``apply(Move("add", d, a))``
+writes row a of them into the state instead of recomputing it, so a
+myopic construction step does the cosine add arithmetic once. Any flip
+(an applied move, a branch-and-bound trial), ``_undo`` and ``reset``
+drop the kept rows; an add without them runs the same kernel on its one
+row. Adding an inactive pair's 0.0 leaves a dot unchanged, so the state
+is bitwise the one a fresh evaluator reaches by replaying the moves.
+
 Snapshot-restore (rather than arithmetic undo) keeps the state bit-exact
 across millions of trial evaluations. A ``cross_check`` mode recomputes
 everything from scratch after each applied move and asserts agreement to
@@ -62,13 +72,13 @@ class IncrementalEvaluator:
         if self.family == "cosine":
             self._init_cosine_tables()
 
+        self._uz = instance.utility_weights / self.z
         # Lazy per-adversary candidate columns for the global construction
         # scan; a flip only invalidates the touched adversary's column.
         # The scan's other tables are built on first use too, so evaluators
         # that never scan (branch-and-bound, result checks) skip them.
         self._col_cache: np.ndarray | None = None
         self._col_dirty = np.ones(self.k, dtype=bool)
-        self._uz: np.ndarray | None = None  # utility_weights / z
         self._seg: tuple | None = None  # worst linear/quadratic segmented max
 
         self.reset(assignment)
@@ -77,6 +87,7 @@ class IncrementalEvaluator:
     def reset(self, assignment: Assignment | None = None) -> None:
         inst = self.inst
         self._col_dirty[:] = True
+        self._kept = None
         if assignment is None:
             assignment = Assignment.empty(inst)
         self.bits = assignment.bits.copy()
@@ -194,6 +205,7 @@ class IncrementalEvaluator:
                 self._flip_cosine(d, a, on, log)
             else:
                 self._flip_sums(d, a, on, log)
+        self._kept = None
 
     def _flip_sums(self, d: int, a: int, on: bool, log: list | None) -> None:
         props, w = self._props_of(d)
@@ -221,33 +233,71 @@ class IncrementalEvaluator:
         cache = self._cos
         u = int(self._e_user[d])
         props, _ = self._props_of(d)
-        pprops = cache["entry_pair_props"][d]
         if log is not None:
+            pprops = cache["entry_pair_props"][d]
             log.append((
                 "cosine", a, u, float(self.norms[a, u]),
-                pprops, self.dots[a, pprops].copy(),
-                props, self.f_ap[a, props].copy(),
+                pprops, self.dots[a, pprops],
+                props, self.f_ap[a, props],
             ))
-        sq = self._e_sq[d]
-        self.norms[a, u] += sq if on else -sq
-        if pprops.size:
-            mask = self.bits[cache["entry_pair_others"][d], a]
-            if mask.any():
-                delta = cache["entry_pair_prods"][d][mask]
-                np.add.at(self.dots[a], pprops[mask], delta if on else -delta)
-        if props.size == 0:
-            return
-        new_f = self._cosine_values(self.norms[a], self.dots[a, props], d,
-                                    float(self.norms[a, u]))
-        old_f = self.f_ap[a, props]
-        delta_sum = float((new_f - old_f).sum())
-        self.f_ap[a, props] = new_f
+        if on:
+            # The row add_gain_row kept for d, else the same kernel on row a.
+            kept = self._kept
+            if kept is not None and kept[0] == d:
+                norm_u, dots_new, new_f = kept[1][a], kept[2][a], kept[3][a]
+            else:
+                norm_u, dots_new, new_f = self._cosine_add_rows(d, props, a)
+            self.norms[a, u] = norm_u
+            if props.size == 0:
+                return
+            self.dots[a][props] = dots_new
+        else:
+            self.norms[a, u] -= self._e_sq[d]
+            pprops = cache["entry_pair_props"][d]
+            if pprops.size:
+                mask = self.bits[cache["entry_pair_others"][d], a]
+                if mask.any():
+                    np.subtract.at(self.dots[a], pprops[mask], cache["entry_pair_prods"][d][mask])
+            if props.size == 0:
+                return
+            new_f = self._cosine_values(self.norms[a], self.dots[a, props], d,
+                                        float(self.norms[a, u]))
+        f_row = self.f_ap[a]
+        # The worst aggregate rescans the row; only average needs the delta.
+        delta_sum = 0.0 if self.worst else float((new_f - f_row[props]).sum())
+        f_row[props] = new_f
         # Cosine components can move either way on any flip.
         self._refresh_agg(a, delta_sum, may_decrease=True)
 
-    def _cosine_values(self, norms_row, dots_vals, d, norm_u):
-        denom = norm_u * norms_row[self._partner[d]]
-        return np.where(denom > 0.0, dots_vals / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
+    def _cosine_add_rows(self, d: int, props: np.ndarray, rows):
+        """For adding entry d to adversary ``rows`` (an int), or to every
+        adversary (``slice(None)``): the new squared norm of d's user, the
+        new dots and the new cosine values over d's properties, shapes
+        (), (deg,), (deg,) or (k,), (k, deg), (k, deg).
+
+        Each of d's properties holds at most one pair with d, so every dot
+        gets one addition; an inactive pair adds 0.0, which leaves it as a
+        flip that skips the pair would."""
+        cache = self._cos
+        new_norm_u = self.norms[rows, self._e_user[d]] + self._e_sq[d]
+        # take() on the last axis serves one row and k rows alike, and is
+        # cheaper than fancy indexing on arrays this small.
+        dots_new = self.dots[rows].take(props, axis=-1)
+        others = cache["entry_pair_others"][d]
+        if others.size:
+            active = self.bits[:, rows].take(others, axis=0).T * cache["entry_pair_prods"][d]
+            np.add.at(dots_new.T, cache["entry_pair_cols"][d], active.T)
+        new_f = self._cosine_values(self.norms[rows], dots_new, d, new_norm_u[..., None])
+        return new_norm_u, dots_new, new_f
+
+    def _cosine_values(self, norms, dots_vals, d, norm_u):
+        """Cosine of d's properties from the dots and the norms of one
+        adversary (1-d) or of a block of adversaries (2-d)."""
+        denom = norm_u * norms.take(self._partner[d], axis=-1)
+        # Norms are sums of squared counts, so denom >= 0; where it is 0
+        # the user pair shares nothing and the value is 0.
+        return np.divide(dots_vals, np.sqrt(denom), out=np.zeros(dots_vals.shape),
+                         where=denom > 0.0)
 
     def _refresh_agg(self, a: int, delta_sum: float, may_decrease: bool) -> None:
         if self.worst:
@@ -261,6 +311,7 @@ class IncrementalEvaluator:
         self.f = float(self.fprime.max())
 
     def _undo(self, log: list) -> None:
+        self._kept = None
         for rec in reversed(log):
             tag = rec[0]
             if tag == "base":
@@ -312,10 +363,11 @@ class IncrementalEvaluator:
 
     # -- vectorized candidate gains -----------------------------------------
     def _other_max(self) -> np.ndarray:
-        """For each adversary, the max aggregate among the others."""
-        order = np.sort(self.fprime)
-        m1, m2 = order[-1], order[-2]
-        return np.where(self.fprime == m1, m2, m1)
+        """For each adversary, the max aggregate among the others. Plain
+        floats: over k values this is cheaper than a numpy sort."""
+        fp = self.fprime.tolist()
+        m2, m1 = sorted(fp)[-2:]
+        return np.array([m2 if v == m1 else m1 for v in fp])
 
     def add_gain_row(self, d: int) -> np.ndarray:
         """Gains for Move('add', d, to=a) for every adversary a; already
@@ -324,7 +376,7 @@ class IncrementalEvaluator:
         newfp = self._new_fprime_add_row(d)
         new_f = np.maximum(self._other_max(), newfp)
         bonus = 1.0 if self.counts[d] == 0 else 0.0
-        gains = inst.utility_weights[d] / self.z + inst.lam * (self.f - new_f) + bonus
+        gains = self._uz[d] + inst.lam * (self.f - new_f) + bonus
         gains[self.bits[d]] = _NEG_INF
         return gains
 
@@ -351,19 +403,12 @@ class IncrementalEvaluator:
         return self.fprime + (2.0 * (s @ w) + self._sqsum[d]) / self.num_p
 
     def _new_fprime_add_row_cosine(self, d: int, props: np.ndarray) -> np.ndarray:
-        cache = self._cos
-        u = int(self._e_user[d])
+        kept = self._cosine_add_rows(d, props, slice(None))
+        self._kept = (d,) + kept  # committed by the next add of d, if no flip comes first
         if props.size == 0:
             return self.fprime.copy()
-        new_norm_u = self.norms[:, u] + self._e_sq[d]  # (k,)
-        dots_new = self.dots[:, props].copy()  # (k, deg)
-        others = cache["entry_pair_others"][d]
-        if others.size:
-            active = self.bits[others].T * cache["entry_pair_prods"][d]  # (k, pairs)
-            np.add.at(dots_new.T, cache["entry_pair_cols"][d], active.T)
-        denom = new_norm_u[:, None] * self.norms[:, self._partner[d]]
-        new_f = np.where(denom > 0.0, dots_new / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
-        old_f = self.f_ap[:, props]
+        new_f = kept[2]
+        old_f = self.f_ap.take(props, axis=1)
         if not self.worst:
             return self.fprime + (new_f - old_f).sum(axis=1) / self.num_p
         out = np.maximum(self.fprime, new_f.max(axis=1))
@@ -395,7 +440,7 @@ class IncrementalEvaluator:
                 if props.size == 0:
                     out[a] = float(self.fprime[a])
                     continue
-                dots_new = self.dots[a, props].copy()
+                dots_new = self.dots[a, props]
                 if others.size:
                     mask = self.bits[others, a]
                     np.subtract.at(dots_new, pcols[mask], prods[mask])
@@ -462,8 +507,6 @@ class IncrementalEvaluator:
 
         add_term = np.array([term(max(max_excluding((b,)), floor[b])) for b in range(k)])
         rem_term = np.array([term(max_excluding((a,))) for a in range(k)])
-        if self._uz is None:
-            self._uz = inst.utility_weights / self.z
         uz, w, bits, counts = self._uz, inst.utility_weights, self.bits, self.counts
 
         bonus = (counts == 0).astype(np.float64)[:, None]
@@ -530,7 +573,6 @@ class IncrementalEvaluator:
         if self._col_cache is None:
             self._col_cache = np.empty((num_d, self.k))
             self._col_dirty[:] = True
-            self._uz = inst.utility_weights / self.z
         for a in np.nonzero(self._col_dirty)[0]:
             self._col_cache[:, a] = self._new_fprime_add_col(int(a))
             self._col_dirty[a] = False

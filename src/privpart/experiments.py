@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -51,13 +52,32 @@ class ExperimentConfig:
                 raise InstanceError(f"unknown algorithm {name!r}")
         if not self.seeds:
             raise InstanceError("config needs at least one seed")
+        if any(isinstance(v, bool) or not isinstance(v, Integral)
+               for v in [*self.seeds, *(self.k_values or [])]):
+            raise InstanceError("seeds and k_values must be integers")
+        if not isinstance(self.params, dict) or not all(
+                isinstance(v, dict) for v in self.params.values()):
+            raise InstanceError("params must map algorithm names to objects of overrides")
         kind = _source_kind(self.source)
         if kind == "file" and self.k_values is not None:
             raise InstanceError("k_values sweep requires a synth or geodata source")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InstanceError(f"not a valid config document: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise InstanceError("config must be a JSON object")
+        missing = [key for key in ("source", "algorithms", "seeds", "output_dir") if key not in doc]
+        if missing:
+            raise InstanceError(f"config is missing {', '.join(missing)}")
+        if not (isinstance(doc["algorithms"], list) and isinstance(doc["seeds"], list)
+                and isinstance(doc.get("k_values", []), (list, type(None)))):
+            raise InstanceError("config algorithms, seeds and k_values must be lists")
+        if not isinstance(doc["output_dir"], str):
+            raise InstanceError("config output_dir must be a path")
         return cls(
             source=doc["source"],
             algorithms=list(doc["algorithms"]),
@@ -69,10 +89,17 @@ class ExperimentConfig:
 
 
 def _source_kind(source: dict) -> str:
+    if not isinstance(source, dict):
+        raise InstanceError("source must be an object")
     kinds = [k for k in ("file", "synth", "geodata") if k in source]
     if len(kinds) != 1:
         raise InstanceError("source must contain exactly one of file|synth|geodata")
-    return kinds[0]
+    kind = kinds[0]
+    if not isinstance(source[kind], str if kind == "file" else dict):
+        raise InstanceError(f"source {kind} must be {'a path' if kind == 'file' else 'an object'}")
+    if kind == "geodata" and not {"checkins", "friends"} <= source[kind].keys():
+        raise InstanceError("geodata source needs checkins and friends paths")
+    return kind
 
 
 def _materialize(source: dict, k: int | None) -> Instance:
@@ -86,7 +113,11 @@ def _materialize(source: dict, k: int | None) -> Instance:
         tau = spec.pop("tau_I", 0.0)
         if k is not None:
             spec["k"] = k
-        return generate_instance(SynthConfig(**spec), model=model, lam=lam, tau=tau)
+        try:
+            cfg = SynthConfig(**spec)
+        except TypeError as exc:  # an unknown or missing key
+            raise InstanceError(f"bad synth source: {exc}") from exc
+        return generate_instance(cfg, model=model, lam=lam, tau=tau)
     spec = dict(source["geodata"])
     with open(spec["checkins"], "r", encoding="utf-8") as fh:
         ingest = ingest_checkins(fh)

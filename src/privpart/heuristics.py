@@ -170,21 +170,23 @@ def _select_from_gain_matrix(gains: np.ndarray, params: SearchParams, rng) -> Mo
 
 
 def _select_from_gain_row(d: int, gains: np.ndarray, params: SearchParams, rng) -> Move | None:
+    """Pick an addition of entry d from its k gains; None when nothing
+    strictly improves. Runs on plain floats, which compare as numpy does."""
+    row = gains.tolist()
     if params.strategy == "greedy":
-        a = int(np.argmax(gains))
-        if not gains[a] > 0.0:
+        g_best = max(row)
+        if not g_best > 0.0:
             return None
-        return Move("add", d, to_adversary=a)
-    improving = np.nonzero(gains > 0.0)[0]
-    if improving.size == 0:
+        return Move("add", d, to_adversary=row.index(g_best))  # first max, as argmax
+    # (-gain, adversary) ascending is the list order; its value cut keeps
+    # a prefix, so cutting the first n is cutting the list.
+    ranked = sorted([(-g, a) for a, g in enumerate(row) if g > 0.0])
+    if not ranked:
         return None
-    vals = gains[improving]
-    g_max, g_min = vals.max(), vals.min()
-    keep = vals >= g_max - RCL_ALPHA * (g_max - g_min)
-    improving, vals = improving[keep], vals[keep]
-    order = improving[np.lexsort((improving, -vals))]
-    top = order[: params.n]
-    return Move("add", d, to_adversary=int(top[rng.integers(top.size)]))
+    g_max, g_min = -ranked[0][0], -ranked[-1][0]
+    cut = g_max - RCL_ALPHA * (g_max - g_min)
+    top = [a for neg, a in ranked[: params.n] if -neg >= cut]
+    return Move("add", d, to_adversary=top[rng.integers(len(top))])
 
 
 # -- construction phase --------------------------------------------------------

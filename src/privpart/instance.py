@@ -489,6 +489,14 @@ def _json_float(value, what: str) -> float:
     return float(value)
 
 
+def _json_label(value, what: str):
+    """A user or location field of a cosine payload: a string or an
+    integer, which the cosine tables use as a dictionary key."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise InstanceError(f"{what} must be a string or an integer, got {value!r}")
+    return value
+
+
 def instance_from_json(text: str) -> Instance:
     try:
         doc = json.loads(text)
@@ -508,7 +516,9 @@ def instance_from_json(text: str) -> Instance:
         entries = None
         if "entries" in doc:
             entries = [
-                DataEntry(i, (e[0], e[1], _json_int(e[2], f"entry {i} count")))
+                DataEntry(i, (_json_label(e[0], f"entry {i} user"),
+                              _json_label(e[1], f"entry {i} location"),
+                              _json_int(e[2], f"entry {i} count")))
                 for i, e in enumerate(doc["entries"])
             ]
         inst = Instance(

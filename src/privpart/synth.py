@@ -12,6 +12,7 @@ of times. Per-property disclosure weights are uniform over members.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -38,6 +39,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        counts = (self.num_entries, self.num_properties, self.k, self.t, self.seed)
+        if any(isinstance(v, bool) or not isinstance(v, Integral) for v in counts):
+            raise InstanceError("num_entries, num_properties, k, t and seed must be integers")
+        if any(isinstance(v, bool) or not isinstance(v, Real) for v in (self.p_f, self.p_u)):
+            raise InstanceError("p_f and p_u must be numbers")
         if not (0.0 <= self.p_f <= 1.0 and 0.0 <= self.p_u <= 1.0):
             raise InstanceError("p_f and p_u must lie in [0, 1]")
         if self.num_entries < 1 or self.num_properties < 0:

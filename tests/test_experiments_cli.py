@@ -245,3 +245,36 @@ def test_cli_entry_point_runs_as_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert "checks passed" in proc.stdout
+
+
+def _bench_config_text(tmp_path, **over):
+    cfg = {"source": synth_source(), "algorithms": ["greedy"], "seeds": [0],
+           "output_dir": str(tmp_path / "out")}
+    cfg.update(over)
+    return json.dumps(cfg)
+
+
+@pytest.mark.parametrize("case", ["invalid_json", "missing_source", "unknown_synth_key",
+                                  "params_not_an_object", "fractional_synth_count",
+                                  "geodata_without_paths", "string_seed",
+                                  "output_dir_not_a_path"])
+def test_cli_bench_rejects_malformed_config(tmp_path, capsys, case):
+    text = {
+        "invalid_json": lambda: '{"source": ',
+        "missing_source": lambda: json.dumps({"algorithms": ["greedy"], "seeds": [0],
+                                              "output_dir": str(tmp_path / "out")}),
+        "unknown_synth_key": lambda: _bench_config_text(
+            tmp_path, source=synth_source(entries=30)),
+        "params_not_an_object": lambda: _bench_config_text(tmp_path, params={"greedy": 5}),
+        "fractional_synth_count": lambda: _bench_config_text(
+            tmp_path, source=synth_source(num_entries=2.5)),
+        "geodata_without_paths": lambda: _bench_config_text(
+            tmp_path, source={"geodata": {"friends": "f.txt"}}, algorithms=["greedyl"]),
+        "string_seed": lambda: _bench_config_text(tmp_path, seeds=["a"]),
+        "output_dir_not_a_path": lambda: _bench_config_text(tmp_path, output_dir=5),
+    }[case]()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["bench", "--config", str(cfg_path)]) == EXIT_FAIL
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out" / "results.csv").exists()

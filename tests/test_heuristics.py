@@ -1,4 +1,5 @@
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -201,6 +202,177 @@ def test_grasp_myopic_selection_cuts_candidate_list_by_value():
     ]
     assert all(m.kind == "add" and m.entry == 4 for m in picks)
     assert {m.to_adversary for m in picks} == {0, 1}
+
+
+def _select_row_numpy(d, gains, params, rng):
+    """The numpy myopic selection the scalar one replaced."""
+    if params.strategy == "greedy":
+        a = int(np.argmax(gains))
+        if not gains[a] > 0.0:
+            return None
+        return Move("add", d, to_adversary=a)
+    improving = np.nonzero(gains > 0.0)[0]
+    if improving.size == 0:
+        return None
+    vals = gains[improving]
+    g_max, g_min = vals.max(), vals.min()
+    keep = vals >= g_max - RCL_ALPHA * (g_max - g_min)
+    improving, vals = improving[keep], vals[keep]
+    order = improving[np.lexsort((improving, -vals))]
+    top = order[: params.n]
+    return Move("add", d, to_adversary=int(top[rng.integers(top.size)]))
+
+
+def _other_max_numpy(fprime):
+    """The numpy ``_other_max`` the scalar one replaced."""
+    order = np.sort(fprime)
+    m1, m2 = order[-1], order[-2]
+    return np.where(fprime == m1, m2, m1)
+
+
+def _selection_rows():
+    """Gain rows on a grid of eighths, so ties at the max and at the value
+    cut are common (RCL_ALPHA = 0.5 keeps the cut on the grid), with -inf
+    cells, plus all-nonpositive rows."""
+    rng = np.random.default_rng(11)
+    rows = []
+    for _ in range(400):
+        k = int(rng.integers(2, 11))
+        gains = rng.integers(-4, 9, k) / 8.0
+        gains[rng.random(k) < 0.2] = -np.inf
+        rows.append(gains)
+    rows += [np.full(5, -np.inf), np.array([0.0, -0.0, -1.0]), np.full(4, 0.5),
+             np.array([1.0, 0.625, 0.25, 0.625, -np.inf])]
+    return rows
+
+
+def test_scalar_myopic_selection_matches_numpy_reference():
+    cut_ties = 0
+    for i, gains in enumerate(_selection_rows()):
+        k = gains.size
+        vals = gains[gains > 0.0]
+        if vals.size and (vals == vals.max() - RCL_ALPHA * (vals.max() - vals.min())).any():
+            cut_ties += 1
+        for strategy, n in [("greedy", 1)] + [("grasp", n) for n in sorted({1, 2, 3, k})]:
+            params = SearchParams(strategy, "myopic", n=n)
+            for seed in range(3):
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert _select_from_gain_row(i, gains, params, ours) == \
+                    _select_row_numpy(i, gains, params, ref)
+                assert ours.bit_generator.state == ref.bit_generator.state
+    assert cut_ties > 50
+
+
+def test_scalar_other_max_matches_numpy_reference():
+    for gains in _selection_rows():
+        fprime = np.where(np.isinf(gains), 0.0, np.abs(gains))  # aggregates are finite, >= 0
+        ours = IncrementalEvaluator._other_max(SimpleNamespace(fprime=fprime))
+        assert np.array_equal(ours, _other_max_numpy(fprime))
+
+
+# -- myopic construction commits the rows it scored ------------------------------------
+
+def _with_model(inst, aggregation):
+    return validate_instance(Instance(
+        inst.hypergraph, inst.utility_weights, inst.k, inst.t, inst.lam, inst.tau,
+        DisclosureModel(inst.model.family, aggregation), inst.entries,
+    ))
+
+
+def _recorded_construction(inst, params, seed, cross_check=False):
+    """Myopic construction that records its moves and the adversary rows
+    of every cosine add computation."""
+    ev = IncrementalEvaluator(inst, cross_check=cross_check)
+    moves, rows = [], []
+    apply, add_rows = ev.apply, ev._cosine_add_rows
+    ev.apply = lambda move: moves.append(move) or apply(move)
+    ev._cosine_add_rows = lambda d, props, sel: rows.append(sel) or add_rows(d, props, sel)
+    construction(inst, params, np.random.default_rng(seed), evaluator=ev)
+    return ev, moves, rows
+
+
+def _flip_cosine_reference(ev, d, a, on, log):
+    """The cosine flip as it was before add rows were kept: masked
+    ``np.add.at`` on the state, then the cosine of d's properties for row
+    a. Construction only adds, so ``log`` stays unused."""
+    cache = ev._cos
+    u = int(ev._e_user[d])
+    props = ev._pcols[ev._indptr[d]:ev._indptr[d + 1]]
+    pprops = cache["entry_pair_props"][d]
+    sq = ev._e_sq[d]
+    ev.norms[a, u] += sq if on else -sq
+    if pprops.size:
+        mask = ev.bits[cache["entry_pair_others"][d], a]
+        if mask.any():
+            delta = cache["entry_pair_prods"][d][mask]
+            np.add.at(ev.dots[a], pprops[mask], delta if on else -delta)
+    if props.size == 0:
+        return
+    denom = float(ev.norms[a, u]) * ev.norms[a][ev._partner[d]]
+    new_f = np.where(denom > 0.0,
+                     ev.dots[a, props] / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
+    delta_sum = float((new_f - ev.f_ap[a, props]).sum())
+    ev.f_ap[a, props] = new_f
+    ev._refresh_agg(a, delta_sum, may_decrease=True)
+
+
+def _cosine_cases():
+    loc = _small_location_instance()
+    desk = [random_small_instance(400 + s, "cosine") for s in range(12)]
+    return [loc, _with_model(loc, "worst")] + desk
+
+
+def test_myopic_construction_state_equals_replayed_flips_bitwise():
+    checked = 0
+    for i, inst in enumerate(_cosine_cases()):
+        for params in (SearchParams("greedy", "myopic"), SearchParams("grasp", "myopic", n=3)):
+            ev, moves, rows = _recorded_construction(inst, params, i)
+            # Every add committed a kept row: no single-adversary recompute.
+            assert all(sel == slice(None) for sel in rows)
+            # Replays that never score: through apply, and through the
+            # earlier flip arithmetic.
+            replay, reference = IncrementalEvaluator(inst), IncrementalEvaluator(inst)
+            reference._flip_cosine = (
+                lambda d, a, on, log, ev=reference: _flip_cosine_reference(ev, d, a, on, log))
+            for move in moves:
+                replay.apply(move)
+                reference.apply(move)
+            for other in (replay, reference):
+                for name in ("bits", "norms", "dots", "f_ap", "fprime"):
+                    assert np.array_equal(getattr(ev, name), getattr(other, name)), (i, name)
+                if not ev.worst:
+                    assert np.array_equal(ev.f_row_sum, other.f_row_sum)
+                assert ev.f == other.f
+            fresh = IncrementalEvaluator(inst, ev.assignment())
+            assert np.allclose(ev.f_ap, fresh.f_ap, rtol=0.0, atol=1e-12)
+            checked += len(moves)
+    assert checked > 1000
+
+
+def test_kept_row_is_dropped_by_any_flip():
+    inst = _small_location_instance()
+    ev = IncrementalEvaluator(inst, cross_check=True)
+    others = ev._cos["entry_pair_others"]
+    d = next(d for d in range(inst.num_entries) if others[d].size)
+    e = int(others[d][0])  # shares a location with d on one of d's properties
+    ev.add_gain_row(e)
+    ev.apply(Move("add", e, to_adversary=1))  # commits the kept row
+    assert ev._kept is None
+    ev.add_gain_row(d)
+    assert ev._kept[0] == d
+    ev.apply(Move("add", e, to_adversary=0))
+    assert ev._kept is None
+    # Rows kept before e joined adversary 0 lack the pair's dot product;
+    # cross_check compares the state after this add with a fresh one.
+    ev.apply(Move("add", d, to_adversary=0))
+    assert ev.dots[0, ev._cos["entry_pair_props"][d][0]] > 0.0
+
+
+def test_myopic_construction_passes_cross_check_on_location_instance():
+    inst = _small_location_instance(k=3)
+    for params in (SearchParams("greedy", "myopic"), SearchParams("grasp", "myopic", n=3)):
+        _, moves, _ = _recorded_construction(inst, params, 7, cross_check=True)
+        assert len(moves) >= inst.num_entries
 
 
 # -- local search ----------------------------------------------------------------

@@ -202,3 +202,16 @@ def test_json_loader_accepts_integer_valued_floats():
     # Many JSON writers emit 1.0 as 1: an integer is a number, not a coercion.
     back = instance_from_json(_mutated_document(("lambda",), 1))
     assert back.lam == 1.0 and isinstance(back.lam, float)
+
+
+@pytest.mark.parametrize("field, value", [(0, []), (1, {}), (1, None), (0, 1.5)],
+                         ids=["list-user", "object-location", "null-location", "float-user"])
+def test_json_loader_rejects_non_label_payload_fields(field, value):
+    entries = [DataEntry(0, ("u1", "L1", 2)), DataEntry(1, ("u2", "L1", 1))]
+    hg = DependencyHypergraph(2, [SensitiveProperty(0, (0, 1))])
+    doc = json.loads(instance_to_json(validate_instance(
+        Instance(hg, np.ones((2, 2)), 2, 1, model=DisclosureModel("cosine", "average"),
+                 entries=entries))))
+    doc["entries"][0][field] = value
+    with pytest.raises(InstanceError, match="string or an integer"):
+        instance_from_json(json.dumps(doc))
