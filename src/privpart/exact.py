@@ -9,15 +9,30 @@ best conceivable disclosure term. For the monotone families the current
 partial disclosure already lower-bounds the final one; cosine is not
 monotone, so its bound falls back to zero disclosure.
 
-Branch-and-bound does not recurse into the last entry's subsets. It
-flips that entry onto each adversary alone, reads the adversary's
-aggregate f'_a and undoes the flip, then scores every subset from the k
-values. This is exact: adversaries do not share state, so flipping the
-entry onto a changes only a's row and f'_a, whatever else the subset
-holds; and each subset's score repeats the per-leaf float operations in
-the same order (utility added in subset order, f the max of the
-aggregates, the same value and budget tests). Results and node counts
-are those of visiting each leaf.
+Branch-and-bound flips entries only down to entry d0 = |D| - j. At a
+node of d0 it builds one table per adversary a: for every subset of
+the last j entries (a bitmask), the aggregate f'_a once a also holds
+those entries. The table is filled by a depth-first walk that flips the
+entries onto a alone, in increasing order, reads f'_a and undoes the
+flip: k (2^j - 1) flips. Below d0 the search walks the subtree in the
+same subset order with lookups only. Each cell is bitwise the value a
+flip search would reach there: a's state (its sums or norms and dots,
+its row of f_ap, its running row sum) depends only on which entries a
+holds and on their order, never on other adversaries, and every route
+adds a's entries in increasing order by the same `_flip`. A node's f
+is the max of its k cells and its utility is `util_raw` plus the
+weights in subset order, so the budget test, the bound, the node count
+and the leaf scores (strict `>`, first best wins) are those of visiting
+each node. Entries are never flipped off for a table, since a removal
+takes a different float path than an addition.
+
+The depth j is the largest j <= |D| with k (2^j - 1) <= m^j, m the
+number of subsets, and at least 1: the table's flips may cost no more
+than the m^j nodes under one table would have cost. (k, t) = (2, 1)
+and k = 1 give j = 1, which scores the last entry's subsets from k
+single flips. Every other shape the size guard admits gives j = |D|:
+one table at the root serves the whole search, which makes no flip,
+and a table never exceeds 2^13 cells.
 
 Enumeration builds each chunk of subset indices with numpy's C-order
 ``unravel_index``, which is ``itertools.product`` order.
@@ -145,6 +160,20 @@ def _batch_values(instance: Instance, bits: np.ndarray, formulation: str):
     return values, None
 
 
+def _table_depth(k: int, m: int, num_d: int) -> int:
+    """How many trailing entries the tables cover: the largest j <= |D|
+    with k (2^j - 1) <= m^j. Filling the tables takes k (2^j - 1) flips;
+    the m^j nodes under one table are what a flip search would pay.
+
+    j = 1 always qualifies (m >= k). For m <= 2 nothing larger does; for
+    m >= 3 a qualifying j keeps qualifying, since (m - 2) m^j >= k. So
+    the first failure ends the search."""
+    j = 1
+    while j < num_d and k * ((2 << j) - 1) <= m ** (j + 1):
+        j += 1
+    return j
+
+
 def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResult:
     """Branch-and-bound over per-entry adversary subsets."""
     instance = validate_instance(instance)
@@ -158,62 +187,91 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
 
     subsets = _adversary_subsets(instance.k, instance.t)
     ev = IncrementalEvaluator(instance)
-    z = instance._normalizer
+    k, num_d, z = instance.k, instance.num_entries, instance._normalizer
     # Optimistic utility still collectible from entry d onward.
-    suffix = np.zeros(instance.num_entries + 1)
+    suffix = np.zeros(num_d + 1)
     suffix[:-1] = np.cumsum(instance._top_t_sum[::-1])[::-1]
+    suffix = suffix.tolist()
+    w = instance.utility_weights.tolist()
     lam, tau = instance.lam, instance.tau
     budget = formulation == "discbudget"
+    maxmin = formulation == "maxmin"
     monotone = instance.model.family != "cosine"
 
     best = {"value": -np.inf, "bits": None, "nodes": 0}
-    last = instance.num_entries - 1
-    w_last = instance.utility_weights[last].tolist()
+    last = num_d - 1
+    d0 = num_d - _table_depth(k, len(subsets), num_d)
+    # tables[a][mask]: f'_a once a also holds the entries d0 + i with bit
+    # i set in mask; path[i]: the subset of entry d0 + i on the walk.
+    tables: list[list[float]] = []
+    path: list[tuple[int, ...]] = [()] * (num_d - d0)
 
-    def bound(d: int) -> float:
-        util = (ev.util_raw + suffix[d]) / z
-        if budget:
-            return util
-        f_floor = ev.f if monotone else 0.0
-        return util + lam * (tau - f_floor)
+    def expand(d: int, util_raw: float, f: float) -> bool:
+        """Count the node at entry d; False if its subtree is pruned."""
+        best["nodes"] += 1
+        if budget and monotone and f >= tau:
+            return False
+        util = (util_raw + suffix[d]) / z
+        if not budget:
+            util += lam * (tau - (f if monotone else 0.0))
+        return not util <= best["value"]
 
-    def score_leaves() -> None:
-        # k single flips give every leaf's aggregates (module docstring).
-        base = ev.fprime.tolist()
-        single = []
-        for a in range(instance.k):
+    def fill(a: int, table: list[float], e: int, mask: int) -> None:
+        """Cells of a's table for mask plus entries from e on, added in
+        increasing order."""
+        for x in range(e, num_d):
             log: list = []
-            ev._flip(last, a, True, log)
-            single.append(float(ev.fprime[a]))
+            ev._flip(x, a, True, log)
+            held = mask | 1 << (x - d0)
+            table[held] = float(ev.fprime[a])
+            fill(a, table, x + 1, held)
             ev._undo(log)
+
+    def walk(d: int, masks: list[int], fprime: list[float], util_raw: float) -> None:
+        """The children of a node at entry d >= d0, from table lookups."""
+        bit = 1 << (d - d0)
+        on = [tables[a][masks[a] | bit] for a in range(k)]
+        w_d = w[d]
+        if d < last:
+            for sub in subsets:
+                util, fp, held = util_raw, fprime[:], masks[:]
+                for a in sub:
+                    util += w_d[a]
+                    fp[a] = on[a]
+                    held[a] |= bit
+                if expand(d + 1, util, max(fp)):
+                    path[d - d0] = sub
+                    walk(d + 1, held, fp, util)
+            return
+        best["nodes"] += len(subsets)
         for sub in subsets:
-            best["nodes"] += 1
-            util_raw, fprime = ev.util_raw, base[:]
+            util, fp = util_raw, fprime[:]
             for a in sub:
-                util_raw += w_last[a]
-                fprime[a] = single[a]
-            f = max(fprime)
+                util += w_d[a]
+                fp[a] = on[a]
             if budget:
-                if not f < tau:
+                if not max(fp) < tau:
                     continue
-                value = util_raw / z
-            elif formulation == "maxmin":
-                value = min(util_raw / z + lam * (tau - fp) for fp in fprime)
+                value = util / z
+            elif maxmin:
+                value = min(util / z + lam * (tau - x) for x in fp)
             else:
-                value = util_raw / z + lam * (tau - f)
+                value = util / z + lam * (tau - max(fp))
             if value > best["value"]:
-                best["value"] = value
-                best["bits"] = ev.bits.copy()
-                best["bits"][last, list(sub)] = True
+                path[d - d0] = sub
+                bits = ev.bits.copy()
+                for i, held_sub in enumerate(path):
+                    bits[d0 + i, list(held_sub)] = True
+                best["value"], best["bits"] = value, bits
 
     def dfs(d: int) -> None:
-        best["nodes"] += 1
-        if budget and monotone and ev.f >= tau:
+        if not expand(d, ev.util_raw, ev.f):
             return
-        if bound(d) <= best["value"]:
-            return
-        if d == last:
-            score_leaves()
+        if d == d0:
+            tables[:] = [[float(ev.fprime[a])] * (1 << (num_d - d0)) for a in range(k)]
+            for a in range(k):
+                fill(a, tables[a], d0, 0)
+            walk(d0, [0] * k, ev.fprime.tolist(), float(ev.util_raw))
             return
         for sub in subsets:
             log: list = []

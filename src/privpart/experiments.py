@@ -20,7 +20,14 @@ import numpy as np
 from .exact import solve_exact
 from .geodata import build_location_instance, ingest_checkins, read_friendships
 from .heuristics import SearchParams, SolveResult, rand_plus, solve
-from .instance import DisclosureModel, Instance, InstanceError, load_instance
+from .instance import (
+    DisclosureModel,
+    Instance,
+    InstanceError,
+    _json_float,
+    _json_int,
+    load_instance,
+)
 from .relaxation import round_and_repair, solve_lp_relaxation
 from .synth import SynthConfig, generate_instance
 
@@ -97,7 +104,8 @@ def _source_kind(source: dict) -> str:
     kind = kinds[0]
     if not isinstance(source[kind], str if kind == "file" else dict):
         raise InstanceError(f"source {kind} must be {'a path' if kind == 'file' else 'an object'}")
-    if kind == "geodata" and not {"checkins", "friends"} <= source[kind].keys():
+    if kind == "geodata" and not all(
+            isinstance(source[kind].get(path), str) for path in ("checkins", "friends")):
         raise InstanceError("geodata source needs checkins and friends paths")
     return kind
 
@@ -109,8 +117,8 @@ def _materialize(source: dict, k: int | None) -> Instance:
     if kind == "synth":
         spec = dict(source["synth"])
         model = DisclosureModel(spec.pop("family", "linear"), spec.pop("aggregation", "average"))
-        lam = spec.pop("lambda", 1.0)
-        tau = spec.pop("tau_I", 0.0)
+        lam = _json_float(spec.pop("lambda", 1.0), "synth lambda")
+        tau = _json_float(spec.pop("tau_I", 0.0), "synth tau_I")
         if k is not None:
             spec["k"] = k
         try:
@@ -118,22 +126,26 @@ def _materialize(source: dict, k: int | None) -> Instance:
         except TypeError as exc:  # an unknown or missing key
             raise InstanceError(f"bad synth source: {exc}") from exc
         return generate_instance(cfg, model=model, lam=lam, tau=tau)
-    spec = dict(source["geodata"])
+    spec = source["geodata"]
+
+    def field(key, default, read=_json_int):
+        return read(spec.get(key, default), f"geodata {key}")
+
+    # Checked before any file is read; the caps may be null (no cap).
+    params = dict(
+        k=k if k is not None else field("k", 2),
+        t=field("t", 1),
+        seed=field("seed", 0),
+        lam=field("lambda", 1.0, _json_float),
+        tau=field("tau_I", 0.0, _json_float),
+        max_users=None if spec.get("max_users") is None else field("max_users", None),
+        max_edges=None if spec.get("max_edges") is None else field("max_edges", None),
+    )
     with open(spec["checkins"], "r", encoding="utf-8") as fh:
         ingest = ingest_checkins(fh)
     with open(spec["friends"], "r", encoding="utf-8") as fh:
         friends = read_friendships(fh)
-    return build_location_instance(
-        ingest.entries,
-        friends,
-        k=k if k is not None else spec.get("k", 2),
-        t=spec.get("t", 1),
-        seed=spec.get("seed", 0),
-        lam=spec.get("lambda", 1.0),
-        tau=spec.get("tau_I", 0.0),
-        max_users=spec.get("max_users"),
-        max_edges=spec.get("max_edges"),
-    )
+    return build_location_instance(ingest.entries, friends, **params)
 
 
 def run_algorithm(name: str, instance: Instance, seed: int, overrides: dict | None = None) -> SolveResult:

@@ -10,9 +10,14 @@ from privpart import (
     InstanceError,
     Move,
     SensitiveProperty,
+    SynthConfig,
     aggregate_disclosure,
+    build_location_instance,
     disclosure_vector,
+    generate_instance,
+    ingest_checkins,
     random_small_instance,
+    synthetic_checkin_lines,
     validate_instance,
 )
 from privpart.evaluator import IncrementalEvaluator
@@ -209,6 +214,45 @@ def test_incremental_matches_scratch_on_random_walks():
                               to_adversary=int(rng.choice(unset))))
             elif unset.size:
                 ev.apply(Move("add", d, to_adversary=int(rng.choice(unset))))
+
+
+def _realistic_instance(shape):
+    if shape == "location":
+        lines, friends = synthetic_checkin_lines(
+            num_users=500, num_edges=800, num_entries=5000, seed=7)
+        return build_location_instance(ingest_checkins(lines).entries, friends,
+                                       k=5, t=2, seed=17)
+    return generate_instance(SynthConfig(400, 500, k=10, t=2, seed=1),
+                             DisclosureModel("linear", "worst"))
+
+
+@pytest.mark.parametrize("shape", ["location", "linear-worst"])
+def test_incremental_matches_scratch_on_long_walks_at_scale(shape):
+    # 5000-entry cosine/average (k=5, t=2) and 400x500 linear/worst
+    # (k=10, t=2); cross_check compares every move with a fresh evaluator.
+    inst = _realistic_instance(shape)
+    rng = np.random.default_rng(5)
+    ev = IncrementalEvaluator(inst, random_assignment(inst, rng), cross_check=True)
+    moves = 0
+    while moves < 300:
+        d = int(rng.integers(inst.num_entries))
+        held, free = np.flatnonzero(ev.bits[d]), np.flatnonzero(~ev.bits[d])
+        r = rng.random()
+        if held.size and r < 0.3:
+            ev.apply(Move("remove", d, from_adversary=int(rng.choice(held))))
+        elif held.size and r < 0.7:
+            ev.apply(Move("swap", d, from_adversary=int(rng.choice(held)),
+                          to_adversary=int(rng.choice(free))))
+        elif held.size < inst.t:
+            ev.apply(Move("add", d, to_adversary=int(rng.choice(free))))
+        else:
+            continue
+        moves += 1
+    fresh = IncrementalEvaluator(inst, ev.assignment())
+    if ev.worst:
+        assert np.abs(ev.fprime - fresh.fprime).max() <= 1e-9
+    else:
+        assert np.abs(ev.f_row_sum - fresh.f_row_sum).max() <= 1e-9
 
 
 @pytest.mark.parametrize("aggregation", ["worst", "average"])

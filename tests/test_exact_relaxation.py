@@ -14,7 +14,9 @@ from privpart import (
     SearchParams,
     SensitiveProperty,
     SizeGuardError,
+    SynthConfig,
     enumerate_optimum,
+    generate_instance,
     random_small_instance,
     round_and_repair,
     rounding_mean_objective,
@@ -23,6 +25,7 @@ from privpart import (
     solve_lp_relaxation,
     validate_instance,
 )
+import privpart.exact as exact
 from privpart.evaluator import IncrementalEvaluator
 from privpart.exact import FORMULATIONS, _adversary_subsets, _batch_values
 from privpart.heuristics import finalize_result
@@ -111,7 +114,8 @@ def test_discbudget_exact_maximizes_utility_under_budget():
 def _reference_solve_exact(instance, formulation):
     """Branch-and-bound that recurses into every leaf and scores it from
     the evaluator's state after its flips: the per-subset route that
-    ``solve_exact`` replaces with k single flips at the last entry."""
+    ``solve_exact`` replaces with per-adversary tables of the last
+    entries."""
     subsets = _adversary_subsets(instance.k, instance.t)
     ev = IncrementalEvaluator(instance)
     z = instance._normalizer
@@ -234,6 +238,73 @@ def test_leaf_scoring_matches_per_subset_branch_and_bound():
                 infeasible += ours[0] == "infeasible"
     assert len(seen) == 8
     assert infeasible > 0
+
+
+def _assert_matches_reference(cases):
+    for case in cases:
+        for formulation in FORMULATIONS:
+            assert _outcome(solve_exact, case, formulation) == _outcome(
+                _reference_solve_exact, case, formulation), (case.num_entries, formulation)
+
+
+def _deeper_instances():
+    """8-12 entries at (k, t) = (2, 1), where the table covers the last
+    entry and the search flips above it, and (3, 1), where one table at
+    the root covers all entries: every family and aggregation."""
+    cases = []
+    for i, (family, aggregation) in enumerate(product(
+            ("step", "linear", "quadratic"), ("worst", "average"))):
+        for num_d, k in ((10 + 2 * (i % 2), 2), (8 + i % 2, 3)):
+            inst = generate_instance(
+                SynthConfig(num_d, 4, k, 1, seed=i), DisclosureModel(family, aggregation),
+                lam=0.8, tau=0.3)
+            cases += [inst, _tied(inst)]
+    return cases
+
+
+def test_tail_tables_match_per_subset_branch_and_bound_beyond_desk_scale():
+    cases = _deeper_instances()
+    # t = 1, so there are m = k subsets.
+    assert {exact._table_depth(c.k, c.k, c.num_entries) for c in cases} == {1, 8, 9}
+    _assert_matches_reference(cases)
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_tables_of_any_depth_match_per_subset_branch_and_bound(monkeypatch, depth):
+    # The depth rule gives j = 1 or j = |D|; a forced depth in between
+    # runs flips above d0 and a walk of several levels below it.
+    monkeypatch.setattr(exact, "_table_depth", lambda k, m, num_d: min(depth, num_d))
+    cases = [random_small_instance(seed) for seed in range(40)]
+    cases = [c for c in cases if len(_adversary_subsets(c.k, c.t)) ** c.num_entries <= 6**4]
+    _assert_matches_reference(cases + [_tied(c) for c in cases[:12]])
+    _assert_matches_reference(_deeper_instances()[::5])
+
+
+def _count_flips(monkeypatch):
+    calls = [0]
+    flip = IncrementalEvaluator._flip
+
+    def counted(self, *args):
+        calls[0] += 1
+        return flip(self, *args)
+
+    monkeypatch.setattr(IncrementalEvaluator, "_flip", counted)
+    return calls
+
+
+def test_branch_and_bound_flip_count(monkeypatch):
+    calls = _count_flips(monkeypatch)
+    # (k, t) = (3, 2): one table at the root, k (2^|D| - 1) flips, and
+    # none in the search.
+    inst = generate_instance(SynthConfig(6, 4, 3, 2, seed=1), DisclosureModel("linear", "worst"))
+    solve_exact(inst)
+    assert calls[0] == 3 * (2**6 - 1)
+    # Criterion 1's desk set: 101780 flips with a flip per node above the
+    # last entry.
+    calls[0] = 0
+    for trial in range(200):
+        solve_exact(random_small_instance(1000 + trial))
+    assert calls[0] <= 15000
 
 
 def test_chunked_enumeration_matches_product_loop():

@@ -278,3 +278,28 @@ def test_cli_bench_rejects_malformed_config(tmp_path, capsys, case):
     assert main(["bench", "--config", str(cfg_path)]) == EXIT_FAIL
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("source, field, value", [
+    ("geodata", "t", 1.7),
+    ("geodata", "t", "2"),
+    ("geodata", "lambda", "0.5"),
+    ("geodata", "seed", True),
+    ("geodata", "checkins", 0),
+    ("synth", "lambda", "0.5"),
+    ("synth", "tau_I", True),
+])
+def test_cli_bench_rejects_mistyped_source_fields(tmp_path, capsys, source, field, value):
+    # int() and float() would run "t": 1.7 as t = 1 and "lambda": "0.5" as 0.5.
+    if source == "geodata":
+        checkins, friends_path = _ingest_files(tmp_path)
+        spec = {"checkins": str(checkins), "friends": str(friends_path), "k": 2, "t": 1}
+        src, algorithms = {"geodata": {**spec, field: value}}, ["greedyl"]
+    else:
+        src, algorithms = synth_source(**{field: value}), ["greedy"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_bench_config_text(tmp_path, source=src, algorithms=algorithms))
+    assert main(["bench", "--config", str(cfg_path)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (tmp_path / "out" / "results.csv").exists()
