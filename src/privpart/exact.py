@@ -5,9 +5,9 @@ Both enumerate per-entry adversary subsets of size 1..t, so the search
 space is (number of subsets)^|D|; a hard size guard keeps them on desk
 scale. Branch-and-bound prunes with an admissible bound: optimistic
 remaining utility (each remaining entry at its top-t weights) plus the
-best conceivable disclosure term. For the monotone families the current
-partial disclosure already lower-bounds the final one; cosine is not
-monotone, so its bound falls back to zero disclosure.
+best conceivable disclosure term. When the evaluator's kernel is
+monotone the current partial disclosure already lower-bounds the final
+one; otherwise the bound falls back to zero disclosure.
 
 Branch-and-bound flips entries only down to entry d0 = |D| - j. At a
 node of d0 it builds one table per adversary a: for every subset of
@@ -16,10 +16,12 @@ those entries. The table is filled by a depth-first walk that flips the
 entries onto a alone, in increasing order, reads f'_a and undoes the
 flip: k (2^j - 1) flips. Below d0 the search walks the subtree in the
 same subset order with lookups only. Each cell is bitwise the value a
-flip search would reach there: a's state (its sums or norms and dots,
-its row of f_ap, its running row sum) depends only on which entries a
-holds and on their order, never on other adversaries, and every route
-adds a's entries in increasing order by the same `_flip`. A node's f
+flip search would reach there: a's state (its kernel state, its row of
+f_ap, its row sum and aggregate) depends only on which entries a holds
+and on their order, never on other adversaries, and every route adds
+a's entries in increasing order by the same `_flip`. A logged `_flip`
+records exactly that state of a, plus the shared scalars, and `_undo`
+writes it back, so no other adversary's state is copied. A node's f
 is the max of its k cells and its utility is `util_raw` plus the
 weights in subset order, so the budget test, the bound, the node count
 and the leaf scores (strict `>`, first best wins) are those of visiting
@@ -196,7 +198,7 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
     lam, tau = instance.lam, instance.tau
     budget = formulation == "discbudget"
     maxmin = formulation == "maxmin"
-    monotone = instance.model.family != "cosine"
+    monotone = ev.kernel.monotone
 
     best = {"value": -np.inf, "bits": None, "nodes": 0}
     last = num_d - 1

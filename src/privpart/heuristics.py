@@ -38,10 +38,10 @@ ORSA J. Computing 4, 1992). The bound
 with the same float operations as ``neighborhood_gains``, with the new
 aggregate replaced by a lower bound on it: the largest aggregate of the
 adversaries the move does not touch, and for an addition to b also
-b's current aggregate, which adding an entry cannot lower for step,
-linear and quadratic disclosure (lam in [0, 1] and a_dp >= 0 are
-validated, and running sums are clamped at 0 on removal). Cosine gets no
-such floor: its components can fall when an entry is added. Float rounding
+b's current aggregate when the evaluator's kernel is monotone (step,
+linear and quadratic: lam in [0, 1] and a_dp >= 0 are validated, and
+running sums are clamped at 0 on removal, so adding an entry cannot
+lower it). Other kernels get no such floor. Float rounding
 is monotone, so the bound is at least every gain the entry would score, a
 skipped entry is one on which no move could have been accepted, and the
 moves are those of the unscreened pass.

@@ -242,7 +242,6 @@ def _build_cosine_cache(inst: Instance) -> dict:
     return {
         "num_users": len(users),
         "user_idx": user_idx,
-        "counts": counts,
         "sq_counts": counts**2,
         "prop_users": prop_users,
         "pair_prop": np.array(pair_prop, dtype=np.int64),

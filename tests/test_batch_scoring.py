@@ -86,7 +86,8 @@ def test_batched_scorer_agrees_with_evaluator_after_random_walks():
             elif unset.size:
                 ev.apply(Move("add", d, to_adversary=int(rng.choice(unset))))
         state, f_ap = batch_disclosure(inst, ev.bits[None])
-        ours = (ev.norms, ev.dots) if inst.model.family == "cosine" else (ev.sums,)
+        kernel = ev.kernel
+        ours = (kernel.norms, kernel.dots) if inst.model.family == "cosine" else (kernel.s,)
         for batched, incremental in zip(_states(state), ours):
             assert np.abs(batched[0] - incremental).max(initial=0.0) <= 1e-9
         assert np.abs(f_ap[0] - ev.f_ap).max(initial=0.0) <= 1e-9

@@ -288,3 +288,103 @@ def test_add_gain_matrix_matches_add_gain_row_on_random_walks(family, aggregatio
                               to_adversary=int(rng.choice(unset))))
             elif ev.counts[d] < t:
                 ev.apply(Move("add", d, to_adversary=int(rng.choice(unset))))
+
+
+def test_cosine_add_gain_matrix_equals_add_gain_row_bitwise():
+    # Cosine columns are read off add_rows, so each gain must be the bits
+    # of the row path, with every ineligible cell at -inf.
+    rng = np.random.default_rng(9)
+    lines, friends = synthetic_checkin_lines(num_users=20, num_edges=25, num_entries=100, seed=2)
+    loc = build_location_instance(ingest_checkins(lines).entries, friends, k=3, t=2, seed=2)
+    desk = [random_small_instance(600 + s, "cosine") for s in range(10)]
+    for inst in [loc, _with_aggregation(loc, "worst")] + desk + [
+            _with_aggregation(i, "worst" if i.model.aggregation == "average" else "average")
+            for i in desk]:
+        ev = IncrementalEvaluator(inst, random_assignment(inst, rng))
+        for _ in range(8):
+            gains = ev.add_gain_matrix()
+            eligible = ~ev.bits & (ev.counts < inst.t)[:, None]
+            assert np.all(gains[~eligible] == -np.inf)
+            for d in np.flatnonzero(eligible.any(axis=1)):
+                row = ev.add_gain_row(int(d))
+                assert np.array_equal(gains[d][eligible[d]], row[eligible[d]])
+            d = int(rng.integers(inst.num_entries))
+            held, free = np.flatnonzero(ev.bits[d]), np.flatnonzero(~ev.bits[d])
+            if held.size and rng.random() < 0.4:
+                ev.apply(Move("remove", d, from_adversary=int(rng.choice(held))))
+            elif free.size and held.size < inst.t:
+                ev.apply(Move("add", d, to_adversary=int(rng.choice(free))))
+
+
+def _with_aggregation(inst, aggregation):
+    return validate_instance(Instance(
+        inst.hypergraph, inst.utility_weights, inst.k, inst.t, inst.lam, inst.tau,
+        DisclosureModel(inst.model.family, aggregation), inst.entries,
+    ))
+
+
+def _evaluator_state(ev):
+    """Copies of the arrays and scalars of an evaluator and its kernel,
+    leaving out the kept cosine rows and the column scan's dirty flags."""
+    state = {}
+    for owner, attrs in (("ev", vars(ev)), ("kernel", vars(ev.kernel))):
+        for name, value in attrs.items():
+            if name in ("kept", "_col_dirty"):
+                continue
+            if isinstance(value, np.ndarray):
+                state[owner, name] = value.copy()
+            elif isinstance(value, (bool, int, float, np.number)):
+                state[owner, name] = value
+    return state
+
+
+def _undo_cases():
+    lines, friends = synthetic_checkin_lines(num_users=40, num_edges=50, num_entries=300, seed=4)
+    loc = build_location_instance(ingest_checkins(lines).entries, friends, k=5, t=2, seed=4)
+    cases = [loc, _with_aggregation(loc, "worst")]
+    for family in ("step", "linear", "quadratic", "cosine"):
+        for seed in range(6):
+            inst = random_small_instance(700 + seed, family)
+            cases += [_with_aggregation(inst, agg) for agg in ("worst", "average")]
+    return cases
+
+
+def test_undo_restores_the_evaluator_bitwise():
+    # Batches of 1-3 logged flips on one entry, as branch-and-bound makes
+    # them, from random states; for cosine an add may commit the rows a
+    # preceding add_gain_row kept. After _undo every array and scalar is
+    # bitwise the one before the batch, and no kept row remains.
+    rng = np.random.default_rng(13)
+    cases = _undo_cases()
+    seen, committed = set(), 0
+    for inst in cases:
+        seen.add((inst.model.family, inst.model.aggregation))
+        ev = IncrementalEvaluator(inst, random_assignment(inst, rng))
+        for _ in range(25):
+            d = int(rng.integers(inst.num_entries))
+            if inst.model.family == "cosine" and rng.random() < 0.6:
+                ev.add_gain_row(d)
+            before = _evaluator_state(ev)
+            kept = getattr(ev.kernel, "kept", None)
+            log = []
+            for a in rng.permutation(inst.k)[:int(rng.integers(1, min(3, inst.k) + 1))]:
+                on = not ev.bits[d, a]
+                committed += bool(on and kept is not None and kept[0] == d and not log)
+                ev._flip(d, int(a), on, log)
+            ev._undo(log)
+            after = _evaluator_state(ev)
+            assert after.keys() == before.keys()
+            for key, value in before.items():
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(after[key], value), key
+                else:
+                    assert after[key] == value, key
+            assert getattr(ev.kernel, "kept", None) is None
+            # Walk on, so the next batch starts from another state.
+            held, free = np.flatnonzero(ev.bits[d]), np.flatnonzero(~ev.bits[d])
+            if held.size and rng.random() < 0.4:
+                ev.apply(Move("remove", d, from_adversary=int(rng.choice(held))))
+            elif free.size and held.size < inst.t:
+                ev.apply(Move("add", d, to_adversary=int(rng.choice(free))))
+    assert len(seen) == 8
+    assert committed > 50, committed

@@ -1,4 +1,5 @@
 from itertools import product
+from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -284,9 +285,9 @@ def _recorded_construction(inst, params, seed, cross_check=False):
     of every cosine add computation."""
     ev = IncrementalEvaluator(inst, cross_check=cross_check)
     moves, rows = [], []
-    apply, add_rows = ev.apply, ev._cosine_add_rows
+    apply, add_rows = ev.apply, ev.kernel.add_values
     ev.apply = lambda move: moves.append(move) or apply(move)
-    ev._cosine_add_rows = lambda d, props, sel: rows.append(sel) or add_rows(d, props, sel)
+    ev.kernel.add_values = lambda ev, d, props, sel: rows.append(sel) or add_rows(ev, d, props, sel)
     construction(inst, params, np.random.default_rng(seed), evaluator=ev)
     return ev, moves, rows
 
@@ -295,22 +296,22 @@ def _flip_cosine_reference(ev, d, a, on, log):
     """The cosine flip as it was before add rows were kept: masked
     ``np.add.at`` on the state, then the cosine of d's properties for row
     a. Construction only adds, so ``log`` stays unused."""
-    cache = ev._cos
-    u = int(ev._e_user[d])
+    cache = ev.kernel.cache
+    u = int(ev.kernel.e_user[d])
     props = ev._pcols[ev._indptr[d]:ev._indptr[d + 1]]
     pprops = cache["entry_pair_props"][d]
-    sq = ev._e_sq[d]
-    ev.norms[a, u] += sq if on else -sq
+    sq = ev.kernel.e_sq[d]
+    ev.kernel.norms[a, u] += sq if on else -sq
     if pprops.size:
         mask = ev.bits[cache["entry_pair_others"][d], a]
         if mask.any():
             delta = cache["entry_pair_prods"][d][mask]
-            np.add.at(ev.dots[a], pprops[mask], delta if on else -delta)
+            np.add.at(ev.kernel.dots[a], pprops[mask], delta if on else -delta)
     if props.size == 0:
         return
-    denom = float(ev.norms[a, u]) * ev.norms[a][ev._partner[d]]
+    denom = float(ev.kernel.norms[a, u]) * ev.kernel.norms[a][ev.kernel.partner[d]]
     new_f = np.where(denom > 0.0,
-                     ev.dots[a, props] / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
+                     ev.kernel.dots[a, props] / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
     delta_sum = float((new_f - ev.f_ap[a, props]).sum())
     ev.f_ap[a, props] = new_f
     ev._refresh_agg(a, delta_sum, may_decrease=True)
@@ -332,14 +333,13 @@ def test_myopic_construction_state_equals_replayed_flips_bitwise():
             # Replays that never score: through apply, and through the
             # earlier flip arithmetic.
             replay, reference = IncrementalEvaluator(inst), IncrementalEvaluator(inst)
-            reference._flip_cosine = (
-                lambda d, a, on, log, ev=reference: _flip_cosine_reference(ev, d, a, on, log))
+            reference.kernel.flip = lambda ev, d, a, on: _flip_cosine_reference(ev, d, a, on, None)
             for move in moves:
                 replay.apply(move)
                 reference.apply(move)
             for other in (replay, reference):
-                for name in ("bits", "norms", "dots", "f_ap", "fprime"):
-                    assert np.array_equal(getattr(ev, name), getattr(other, name)), (i, name)
+                for name in ("bits", "kernel.norms", "kernel.dots", "f_ap", "fprime"):
+                    assert np.array_equal(attrgetter(name)(ev), attrgetter(name)(other)), (i, name)
                 if not ev.worst:
                     assert np.array_equal(ev.f_row_sum, other.f_row_sum)
                 assert ev.f == other.f
@@ -352,20 +352,20 @@ def test_myopic_construction_state_equals_replayed_flips_bitwise():
 def test_kept_row_is_dropped_by_any_flip():
     inst = _small_location_instance()
     ev = IncrementalEvaluator(inst, cross_check=True)
-    others = ev._cos["entry_pair_others"]
+    others = ev.kernel.cache["entry_pair_others"]
     d = next(d for d in range(inst.num_entries) if others[d].size)
     e = int(others[d][0])  # shares a location with d on one of d's properties
     ev.add_gain_row(e)
     ev.apply(Move("add", e, to_adversary=1))  # commits the kept row
-    assert ev._kept is None
+    assert ev.kernel.kept is None
     ev.add_gain_row(d)
-    assert ev._kept[0] == d
+    assert ev.kernel.kept[0] == d
     ev.apply(Move("add", e, to_adversary=0))
-    assert ev._kept is None
+    assert ev.kernel.kept is None
     # Rows kept before e joined adversary 0 lack the pair's dot product;
     # cross_check compares the state after this add with a fresh one.
     ev.apply(Move("add", d, to_adversary=0))
-    assert ev.dots[0, ev._cos["entry_pair_props"][d][0]] > 0.0
+    assert ev.kernel.dots[0, ev.kernel.cache["entry_pair_props"][d][0]] > 0.0
 
 
 def test_myopic_construction_passes_cross_check_on_location_instance():
@@ -493,7 +493,7 @@ def test_gain_bound_keeps_quadratic_floor_as_removed_sums_clamp_at_zero():
                  Move("remove", 1, from_adversary=0), Move("remove", 0, from_adversary=0),
                  Move("add", 2, to_adversary=0), Move("add", 1, to_adversary=1)):
         ev.apply(move)
-    assert ev.sums.min() >= 0.0
+    assert ev.kernel.s.min() >= 0.0
     bound = ev.neighborhood_gain_bounds()
     for d in range(inst.num_entries):
         best = max((g for _, g in ev.neighborhood_gains(d)), default=-np.inf)
