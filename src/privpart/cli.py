@@ -24,9 +24,15 @@ from .experiments import (
     run_algorithm,
     run_experiment,
 )
-from .geodata import GeodataError, build_location_instance, ingest_checkins, read_friendships
+from .geodata import (
+    GeodataError,
+    build_location_instance,
+    ingest_checkins,
+    read_friendships,
+    read_lines,
+)
 from .heuristics import SearchParams, solve
-from .instance import DisclosureModel, InstanceError, load_instance, save_instance
+from .instance import DisclosureModel, InstanceError, load_instance, read_text, save_instance
 from .relaxation import LpInfeasibleError, solve_lp_relaxation
 from .synth import SynthConfig, generate_instance, random_small_instance
 
@@ -102,18 +108,9 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _read_lines(path, parse):
-    """``parse`` applied to the lines of a UTF-8 text file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return parse(fh)
-        except UnicodeDecodeError as exc:
-            raise GeodataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
-
-
 def _cmd_ingest(args) -> int:
-    ingest = _read_lines(args.checkins, ingest_checkins)
-    friends = _read_lines(args.friends, read_friendships)
+    ingest = read_lines(args.checkins, ingest_checkins)
+    friends = read_lines(args.friends, read_friendships)
     inst = build_location_instance(
         ingest.entries, friends, k=args.k, t=args.t, seed=args.seed,
         lam=args.lam, tau=args.tau, max_users=args.max_users, max_edges=args.max_edges,
@@ -158,14 +155,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = ExperimentConfig.from_json(fh.read())
+    cfg = ExperimentConfig.from_json(read_text(args.config))
     out = run_experiment(cfg)
     print(f"wrote {out['results_csv']} ({len(out['rows'])} rows) and {out['summary_json']}")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    if args.count < 1:
+        raise InstanceError(f"--count must be at least 1, not {args.count}")
     failures = 0
     lp_checked = 0
     for i in range(args.count):

@@ -27,11 +27,14 @@ access paths on them:
 
 * ``add_gain_row(d)``   -- gains for adding entry d to each adversary
 * ``add_gain_matrix()`` -- gains for every eligible addition, from one
-                           column per adversary, cached until a flip
-                           touches that adversary
+                           column per adversary (``_columns``), cached
+                           until a flip touches that adversary
 * ``neighborhood_gains(d)`` / ``neighborhood_gain_bounds()`` -- gains of
                            entry d's local-search neighbors, and for every
-                           entry at once a float-exact upper bound on them
+                           entry at once a float-exact upper bound on them,
+                           which reads the same cached columns where the
+                           kernel's ``col_floor`` says they are bitwise
+                           ``add_rows``' values
 
 Worst or average aggregation is chosen only in ``_refresh_agg``,
 ``_row_aggregate`` and the add paths of the kernels.
@@ -61,25 +64,32 @@ _NEG_INF = -np.inf
 # when an entry joins: for entry d and every adversary (s: (k, deg) on
 # d's properties, w: d's weights), and for one adversary and every entry
 # (s: that adversary's (|P|,) sums). Summing g differences instead would
-# round differently and so change results.
+# round differently and so change results. The last field says whether
+# the two closed forms run the same operations in the same order, so
+# that a column entry is bitwise the row's value: step's counts and
+# linear's shared ``_entry_colsum`` are, quadratic's ``s @ w`` and
+# sparse matvec sum in different orders.
 _SUMS_FAMILIES = {
     "step": (
         True,
         lambda inst, s, props: (s == inst._sizes[props]).astype(np.float64),
         lambda inst, d, s, props, w: (s == inst._sizes[props] - 1.0).sum(axis=1),
         lambda inst, s: inst._entry_members @ (s == inst._sizes - 1.0).astype(np.float64),
+        True,
     ),
     "linear": (
         False,
         lambda inst, s, props: s,
         lambda inst, d, s, props, w: inst._entry_colsum[d],
         lambda inst, s: inst._entry_colsum,
+        True,
     ),
     "quadratic": (
         False,
         lambda inst, s, props: s**2,
         lambda inst, d, s, props, w: 2.0 * (s @ w) + inst._entry_sqsum[d],
         lambda inst, s: 2.0 * (inst._entry_weights @ s) + inst._entry_sqsum,
+        False,
     ),
 }
 
@@ -274,25 +284,35 @@ class IncrementalEvaluator:
 
         Each move's gain is written with the operations of
         ``neighborhood_gains`` in the same order, with its f_new replaced
-        by a lower bound that leaves out the moved entry's own disclosure
-        change: ``max_excluding`` of the adversaries it touches, and for
-        an addition to b also fprime[b] where adding an entry cannot lower
-        fprime[b] in floating point (running sums are clamped at 0, so
-        2 s.a + a.a >= 0 for average quadratic). Rounding is monotone, so
-        each bound is at least the float gain it stands for. A kernel that
-        is not monotone gets no such floor."""
+        by a lower bound: ``max_excluding`` of the adversaries it touches,
+        and for an addition or a swap to b also a floor on b's new
+        aggregate. Where the kernel's ``col_floor`` is set, the floor is
+        the entry's own ``add_col`` entry, bitwise the ``add_rows`` value
+        the move would read, so an addition's bound is its gain. Otherwise
+        a monotone kernel's floor is fprime[b] (running sums are clamped
+        at 0, so 2 s.a + a.a >= 0 for average quadratic), and any other
+        kernel gets none. The removed entry's own change is left out of a
+        swap's bound. Rounding is monotone, so each bound is at least the
+        float gain it stands for."""
         inst, k = self.inst, self.k
+        uz, w, bits, counts = self._uz, inst.utility_weights, self.bits, self.counts
         max_excluding = self._max_excluding()
-        floor = [float(v) for v in self.fprime] if self.kernel.monotone else [-np.inf] * k
+        if self.kernel.col_floor:
+            floor = self._columns()
+        else:
+            floor = np.broadcast_to(self.fprime if self.kernel.monotone else _NEG_INF, bits.shape)
         lam, f_cur = inst.lam, self.f
 
-        def term(low: float) -> float:
-            # lam * (f_cur - f_new) for any f_new >= low; lam may be 0.
-            return np.inf if low == -np.inf else lam * (f_cur - low)
+        def term(excl: list, floor: np.ndarray) -> np.ndarray:
+            # lam * (f_cur - f_new) for any f_new >= max(excl, floor). A low
+            # of -inf gives +inf, also for lam = 0 (not 0 * inf).
+            low = np.maximum(np.array(excl), floor)
+            if lam == 0.0:
+                return np.where(low == _NEG_INF, np.inf, 0.0)
+            return lam * (f_cur - low)
 
-        add_term = np.array([term(max(max_excluding((b,)), floor[b])) for b in range(k)])
-        rem_term = np.array([term(max_excluding((a,))) for a in range(k)])
-        uz, w, bits, counts = self._uz, inst.utility_weights, self.bits, self.counts
+        add_term = term([max_excluding((b,)) for b in range(k)], floor)
+        rem_term = term([max_excluding((a,)) for a in range(k)], _NEG_INF)
 
         bonus = (counts == 0).astype(np.float64)[:, None]
         can_add = ~bits & (counts < inst.t)[:, None]
@@ -304,7 +324,7 @@ class IncrementalEvaluator:
             rows = np.flatnonzero(bits[:, a])
             if rows.size == 0:
                 continue
-            swap_term = np.array([term(max(max_excluding((a, b)), floor[b])) for b in range(k)])
+            swap_term = term([max_excluding((a, b)) for b in range(k)], floor[rows])
             swap = (w[rows] - w[rows, a][:, None]) / self.z + swap_term
             swap[bits[rows]] = _NEG_INF  # only to a free adversary (b == a included)
             best[rows] = np.maximum(best[rows], swap.max(axis=1))
@@ -344,21 +364,26 @@ class IncrementalEvaluator:
                 out.append((Move("swap", d, from_adversary=a, to_adversary=b), gain))
         return out
 
+    def _columns(self) -> np.ndarray:
+        """(|D|, k) table of ``add_col`` for every adversary: its
+        aggregate once each entry joins it. Only the columns a flip has
+        touched since the last call are recomputed."""
+        if self._col_cache is None:
+            self._col_cache = np.empty((self.inst.num_entries, self.k))
+            self._col_dirty[:] = True
+        for a in np.flatnonzero(self._col_dirty).tolist():
+            # Without properties no addition moves an aggregate.
+            self._col_cache[:, a] = self.kernel.add_col(self, a) if self.num_p else self.fprime[a]
+            self._col_dirty[a] = False
+        return self._col_cache
+
     def add_gain_matrix(self) -> np.ndarray:
         """(|D|, k) matrix of addition gains; ineligible cells are -inf.
         Eligible means: bit unset and entry below the per-entry cap."""
         inst = self.inst
-        if self._col_cache is None:
-            self._col_cache = np.empty((inst.num_entries, self.k))
-            self._col_dirty[:] = True
-        for a in np.nonzero(self._col_dirty)[0]:
-            # Without properties no addition moves an aggregate.
-            col = self.kernel.add_col(self, int(a)) if self.num_p else self.fprime[a]
-            self._col_cache[:, a] = col
-            self._col_dirty[a] = False
         # Same operation order as add_gain_row, in one buffer:
         # uz + lam * (f - max(newfp, other_max)) + bonus.
-        gains = np.maximum(self._col_cache, self._other_max()[None, :])
+        gains = np.maximum(self._columns(), self._other_max()[None, :])
         np.subtract(self.f, gains, out=gains)
         np.multiply(inst.lam, gains, out=gains)
         np.add(self._uz, gains, out=gains)
@@ -378,12 +403,17 @@ class _SumsKernel:
 
     monotone = True
 
-    def __init__(self, inst: Instance, unit_weights: bool, g, average_row, average_col):
+    def __init__(self, inst: Instance, unit_weights: bool, g, average_row, average_col,
+                 average_exact: bool):
         self.inst = inst
         ew = inst._entry_weights
         self.indptr, self.pcols = ew.indptr, ew.indices
         self.w = np.ones(ew.indices.size) if unit_weights else ew.data
         self.g, self._average_row, self._average_col = g, average_row, average_col
+        # Whether add_col's entries are bitwise add_rows' values: always
+        # under worst (a max is exact in any order), under average where
+        # the family's two closed forms match operation for operation.
+        self.col_floor = inst.model.aggregation == "worst" or average_exact
         self._seg: tuple | None = None  # worst segmented-max tables, built on first use
 
     def reset(self, state) -> None:
@@ -461,8 +491,10 @@ class _CosineKernel:
     moves."""
 
     # Not monotone: an added entry inflates its user's norm without
-    # necessarily adding overlap, so a component can fall.
+    # necessarily adding overlap, so a component can fall. The gain bound
+    # reads no column: each costs |D| add_rows calls.
     monotone = False
+    col_floor = False
 
     def __init__(self, inst: Instance):
         self.cache = cache = _cosine_entry_tables(inst)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .exact import solve_exact
-from .geodata import build_location_instance, ingest_checkins, read_friendships
+from .geodata import build_location_instance, ingest_checkins, read_friendships, read_lines
 from .heuristics import SearchParams, SolveResult, rand_plus, solve
 from .instance import (
     DisclosureModel,
@@ -141,10 +141,8 @@ def _materialize(source: dict, k: int | None) -> Instance:
         max_users=None if spec.get("max_users") is None else field("max_users", None),
         max_edges=None if spec.get("max_edges") is None else field("max_edges", None),
     )
-    with open(spec["checkins"], "r", encoding="utf-8") as fh:
-        ingest = ingest_checkins(fh)
-    with open(spec["friends"], "r", encoding="utf-8") as fh:
-        friends = read_friendships(fh)
+    ingest = read_lines(spec["checkins"], ingest_checkins)
+    friends = read_lines(spec["friends"], read_friendships)
     return build_location_instance(ingest.entries, friends, **params)
 
 

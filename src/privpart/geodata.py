@@ -93,6 +93,16 @@ def ingest_checkins(lines: Iterable[str], delimiter: str | None = None) -> Inges
     return IngestResult(entries=entries, skipped_lines=skipped, total_lines=total)
 
 
+def read_lines(path, parse):
+    """``parse`` applied to the lines of a UTF-8 text file; a file that is
+    not UTF-8 is a ``GeodataError`` naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(fh)
+        except UnicodeDecodeError as exc:
+            raise GeodataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
 def read_friendships(lines: Iterable[str]) -> list[tuple[str, str]]:
     """Parse an edge list: two whitespace- or comma-separated user ids
     per line. Lines with one id and self-loops are skipped with a

@@ -37,11 +37,15 @@ ORSA J. Computing 4, 1992). The bound
 (``IncrementalEvaluator.neighborhood_gain_bounds``) writes each move's gain
 with the same float operations as ``neighborhood_gains``, with the new
 aggregate replaced by a lower bound on it: the largest aggregate of the
-adversaries the move does not touch, and for an addition to b also
-b's current aggregate when the evaluator's kernel is monotone (step,
-linear and quadratic: lam in [0, 1] and a_dp >= 0 are validated, and
-running sums are clamped at 0 on removal, so adding an entry cannot
-lower it). Other kernels get no such floor. Float rounding
+adversaries the move does not touch, and for an addition or a swap to b
+also a floor on b's new aggregate. Where the evaluator's column of b
+(``add_col``, cached for the global construction scan) is bitwise the
+value the move reads (step, linear and quadratic under worst aggregation,
+step and linear under average), the floor is the entry's own column
+entry, so an addition's bound is its gain. Average quadratic floors at
+b's current aggregate (lam in [0, 1] and a_dp >= 0 are validated, and
+running sums are clamped at 0 on removal, so adding an entry cannot lower
+it), and cosine, whose aggregate can fall, gets no floor. Float rounding
 is monotone, so the bound is at least every gain the entry would score, a
 skipped entry is one on which no move could have been accepted, and the
 moves are those of the unscreened pass.
@@ -243,7 +247,8 @@ def local_search(instance: Instance, assignment: Assignment, params: SearchParam
     Entries whose gain bound is not positive are skipped without scoring
     their neighbors; the moves stay those of a pass that scores every
     entry (see the module docstring). The bounds are recomputed after each
-    accepted move, since a move changes the aggregates every bound reads."""
+    accepted move, since a move changes the aggregates and columns every
+    bound reads."""
     instance = validate_instance(instance)
     ev = evaluator if evaluator is not None else IncrementalEvaluator(instance, assignment)
     applied = 0

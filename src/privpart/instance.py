@@ -540,9 +540,18 @@ def instance_from_json(text: str) -> Instance:
     return validate_instance(inst)
 
 
-def load_instance(path) -> Instance:
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; a file that is not UTF-8 is an
+    ``InstanceError`` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
+def load_instance(path) -> Instance:
+    return instance_from_json(read_text(path))
 
 
 def save_instance(instance: Instance, path) -> None:

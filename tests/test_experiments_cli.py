@@ -238,6 +238,14 @@ def test_cli_verify_passes():
     assert rc == 0
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_verify_rejects_count_below_one(capsys, count):
+    assert main(["verify", "--count", count]) == EXIT_FAIL
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and "--count" in out.err
+    assert "checks passed" not in out.out
+
+
 def test_cli_entry_point_runs_as_module():
     proc = subprocess.run(
         [sys.executable, "-m", "privpart.cli", "verify", "--count", "2", "--seed", "1"],
@@ -278,6 +286,35 @@ def test_cli_bench_rejects_malformed_config(tmp_path, capsys, case):
     assert main(["bench", "--config", str(cfg_path)]) == EXIT_FAIL
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+_NOT_UTF8 = b'\xff\xfe{"source": {}}\n'
+
+
+@pytest.mark.parametrize("bad_file", ["config", "checkins"])
+def test_cli_bench_non_utf8_file_is_an_error(tmp_path, capsys, bad_file):
+    checkins, friends_path = _ingest_files(tmp_path)
+    if bad_file == "checkins":
+        checkins.write_bytes(checkins.read_bytes() + _NOT_UTF8)
+    spec = {"checkins": str(checkins), "friends": str(friends_path), "k": 2, "t": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_bench_config_text(tmp_path, source={"geodata": spec},
+                                           algorithms=["greedyl"]))
+    bad = {"config": cfg_path, "checkins": checkins}[bad_file]
+    if bad_file == "config":
+        cfg_path.write_bytes(_NOT_UTF8 + cfg_path.read_bytes())
+    assert main(["bench", "--config", str(cfg_path)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "UTF-8" in err
+    assert not (tmp_path / "out" / "results.csv").exists()
+
+
+def test_cli_solve_non_utf8_instance_is_an_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_bytes(_NOT_UTF8)
+    assert main(["solve", "--instance", str(path), "--algorithm", "greedy"]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "UTF-8" in err
 
 
 @pytest.mark.parametrize("source, field, value", [

@@ -440,11 +440,20 @@ def _small_location_instance(k=5):
     return build_location_instance(ingest_checkins(lines).entries, friends, k=k, t=2, seed=4)
 
 
-def _screen_instances():
-    """Every family x aggregation at desk scale (also with lam = 0, where
-    an unbounded disclosure term must not turn into 0 * inf), a mid-size
-    linear/worst instance and a cosine location instance (k=2 has swaps
-    whose other-adversary max is empty)."""
+# Realistic shapes, reached by global greedy construction: its column
+# cache is current when it stops, and the walk that follows flips
+# adversaries after the columns were computed.
+_WORST_SHAPE = (SynthConfig(400, 500, k=10, t=2, seed=1), DisclosureModel("linear", "worst"))
+_AVERAGE_SHAPE = (SynthConfig(500, 50, k=5, t=1, seed=1), DisclosureModel("linear", "average"))
+
+
+def _screen_cases():
+    """(instance, construction scope) pairs: every family x aggregation at
+    desk scale (also with lam = 0, where an unbounded disclosure term must
+    not turn into 0 * inf), a mid-size linear/worst instance and cosine
+    location instances (k=2 has swaps whose other-adversary max is empty),
+    all built myopically, and the 400x500 linear/worst k=10 t=2 and
+    500x50 linear/average k=5 t=1 shapes built globally."""
     seen, insts = set(), []
     for family in ("step", "linear", "quadratic", "cosine"):
         for seed in range(12):
@@ -455,20 +464,21 @@ def _screen_instances():
     cfg = SynthConfig(num_entries=150, num_properties=30, k=5, t=2, seed=3)
     insts.append(generate_instance(cfg, model=DisclosureModel("linear", "worst")))
     insts += [_small_location_instance(), _small_location_instance(k=2)]
-    return insts
+    return ([(inst, "myopic") for inst in insts]
+            + [(generate_instance(*shape), "global") for shape in (_WORST_SHAPE, _AVERAGE_SHAPE)])
 
 
-def _walked_evaluator(inst, seed):
+def _walked_evaluator(inst, seed, scope):
     rng = np.random.default_rng(seed)
     ev = IncrementalEvaluator(inst)
-    construction(inst, SearchParams("greedy", "myopic"), rng, evaluator=ev)
+    construction(inst, SearchParams("greedy", scope), rng, evaluator=ev)
     _random_walk(ev, rng, max(4, inst.num_entries // 10))
     return ev
 
 
 def test_gain_bounds_cover_every_neighbor_gain():
-    for i, inst in enumerate(_screen_instances()):
-        ev = _walked_evaluator(inst, i)
+    for i, (inst, scope) in enumerate(_screen_cases()):
+        ev = _walked_evaluator(inst, i, scope)
         rng = np.random.default_rng(i)
         for _ in range(3):
             bound = ev.neighborhood_gain_bounds()
@@ -517,8 +527,8 @@ def _reference_local_search(ev, rng):
 def test_screened_local_search_matches_unscreened_reference():
     params = SearchParams("greedy", "myopic")
     total = 0
-    for i, inst in enumerate(_screen_instances()):
-        ours, ref = _walked_evaluator(inst, i), _walked_evaluator(inst, i)
+    for i, (inst, scope) in enumerate(_screen_cases()):
+        ours, ref = _walked_evaluator(inst, i, scope), _walked_evaluator(inst, i, scope)
         ours_rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
         _, value, moved = local_search(inst, None, params, ours_rng, evaluator=ours)
         assert moved == _reference_local_search(ref, ref_rng)
@@ -539,6 +549,21 @@ def test_local_search_skips_entries_on_location_instance():
     ev.neighborhood_gains = lambda d: scored.append(d) or scan(d)
     local_search(inst, None, SearchParams("greedy", "myopic"), rng, evaluator=ev)
     assert len(scored) < inst.num_entries
+
+
+def test_screen_skips_most_entries_after_global_construction_at_scale():
+    # Worst aggregation with t=2: without the column floor every entry
+    # holding one recipient has a positive addition bound.
+    inst = generate_instance(*_WORST_SHAPE)
+    rng = np.random.default_rng(1)
+    ev = IncrementalEvaluator(inst)
+    construction(inst, SearchParams("greedy", "global"), rng, evaluator=ev)
+    assert ev.kernel.col_floor
+    scored = []
+    scan = ev.neighborhood_gains
+    ev.neighborhood_gains = lambda d: scored.append(d) or scan(d)
+    local_search(inst, None, SearchParams("greedy", "global"), rng, evaluator=ev)
+    assert len(scored) <= inst.num_entries // 10
 
 
 # -- outer loop -------------------------------------------------------------------
