@@ -9,8 +9,7 @@ The package maximizes a utility/disclosure tradeoff over that structure:
 
 * ``instance``    -- data model, validation, serialization
 * ``disclosure``  -- step / linear / quadratic / cosine families, one batched scorer
-* ``utility``     -- additive utility with top-t normalization
-* ``objective``   -- penalized tradeoff and budget feasibility
+* ``objective``   -- penalized tradeoff with top-t normalized utility
 * ``heuristics``  -- greedy / randomized construction + local search
 * ``exact``       -- exhaustive oracle and branch-and-bound
 * ``relaxation``  -- LP relaxation and randomized rounding
@@ -23,7 +22,6 @@ from .disclosure import (
     aggregate_disclosure,
     batch_disclosure,
     disclosure_vector,
-    overall_disclosure,
     per_property_disclosure,
 )
 from .evaluator import IncrementalEvaluator
@@ -31,13 +29,11 @@ from .exact import InfeasibleError, SizeGuardError, enumerate_optimum, solve_exa
 from .experiments import (
     ExperimentConfig,
     count_fully_disclosed,
-    disclosure_level_curve,
     run_algorithm,
     run_experiment,
 )
 from .geodata import (
     AggregatedEntry,
-    CheckinRecord,
     GeodataError,
     IngestResult,
     build_location_instance,
@@ -63,16 +59,13 @@ from .instance import (
     Move,
     MoveError,
     SensitiveProperty,
-    apply_move,
-    bipartite_to_hypergraph,
-    hypergraph_to_edges,
     instance_from_json,
     instance_to_json,
     load_instance,
     save_instance,
     validate_instance,
 )
-from .objective import ObjectiveValue, discbudget_feasible, tradeoff_objective
+from .objective import ObjectiveValue, tradeoff_objective
 from .relaxation import (
     FractionalSolution,
     LpInfeasibleError,
@@ -81,7 +74,6 @@ from .relaxation import (
     solve_lp_relaxation,
 )
 from .synth import SynthConfig, generate_instance, random_small_instance
-from .utility import adversary_utility, total_utility
 
 __version__ = "0.1.0"
 

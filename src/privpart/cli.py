@@ -219,6 +219,8 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy seeds are non-negative
+            raise InstanceError(f"--seed must be non-negative, not {args.seed}")
         return handlers[args.command](args)
     except (InfeasibleError, LpInfeasibleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -34,7 +34,6 @@ __all__ = [
     "disclosure_vector",
     "aggregate_disclosure",
     "per_property_disclosure",
-    "overall_disclosure",
 ]
 
 
@@ -120,9 +119,3 @@ def per_property_disclosure(vector: np.ndarray) -> np.ndarray:
     if vector.size == 0:
         return np.zeros(vector.shape[1] if vector.ndim == 2 else 0)
     return vector.max(axis=0)
-
-
-def overall_disclosure(instance: Instance, assignment: Assignment) -> float:
-    return aggregate_disclosure(
-        disclosure_vector(instance, assignment), instance.model.aggregation
-    )

@@ -31,7 +31,11 @@ from .instance import (
 from .relaxation import round_and_repair, solve_lp_relaxation
 from .synth import SynthConfig, generate_instance
 
-ALGORITHMS = ("rand+", "lp", "ilp", "greedy", "greedyl", "grasp", "graspl")
+# The algorithms, each with the keys a config's params may override for it
+# (see run_algorithm).
+OVERRIDES = {"rand+": ("restarts",), "lp": ("restarts",), "ilp": ("formulation",),
+             "greedy": ("r",), "greedyl": ("r",), "grasp": ("n", "r"), "graspl": ("n", "r")}
+ALGORITHMS = tuple(OVERRIDES)
 LP_FAMILIES = ("step", "linear")
 
 FULL_DISCLOSURE_THRESHOLD = 1.0 - 1e-9
@@ -62,10 +66,24 @@ class ExperimentConfig:
         if any(isinstance(v, bool) or not isinstance(v, Integral)
                for v in [*self.seeds, *(self.k_values or [])]):
             raise InstanceError("seeds and k_values must be integers")
+        if any(v < 0 for v in self.seeds):
+            raise InstanceError(f"seeds must be non-negative, got {self.seeds}")
         if not isinstance(self.params, dict) or not all(
                 isinstance(v, dict) for v in self.params.values()):
             raise InstanceError("params must map algorithm names to objects of overrides")
+        for name, overrides in self.params.items():
+            if name not in OVERRIDES:
+                raise InstanceError(f"params names unknown algorithm {name!r}")
+            for key, value in overrides.items():
+                if key not in OVERRIDES[name]:
+                    raise InstanceError(f"params: {name} takes no override {key!r}, "
+                                        f"only {', '.join(OVERRIDES[name])}")
+                if key != "formulation":
+                    _json_int(value, f"params {name} {key}")
         kind = _source_kind(self.source)
+        if kind == "geodata" and _json_int(
+                self.source["geodata"].get("seed", 0), "geodata seed") < 0:
+            raise InstanceError("geodata seed must be non-negative")
         if kind == "file" and self.k_values is not None:
             raise InstanceError("k_values sweep requires a synth or geodata source")
 
@@ -175,19 +193,9 @@ def run_algorithm(name: str, instance: Instance, seed: int, overrides: dict | No
     return solve(instance, params)
 
 
-def count_fully_disclosed(result: SolveResult, threshold: float = FULL_DISCLOSURE_THRESHOLD) -> int:
+def count_fully_disclosed(result: SolveResult) -> int:
     """Properties whose max-over-adversaries disclosure reaches 1."""
-    return int(np.count_nonzero(result.per_property_disclosure >= threshold))
-
-
-def disclosure_level_curve(result: SolveResult, thresholds) -> np.ndarray:
-    """For each threshold, how many properties strictly exceed it;
-    thresholds must be ascending and the counts are non-increasing."""
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    if thresholds.size and np.any(np.diff(thresholds) < 0):
-        raise InstanceError("thresholds must be sorted ascending")
-    per_prop = result.per_property_disclosure
-    return np.array([int(np.count_nonzero(per_prop > th)) for th in thresholds])
+    return int(np.count_nonzero(result.per_property_disclosure >= FULL_DISCLOSURE_THRESHOLD))
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

@@ -39,13 +39,6 @@ class GeodataError(ValueError):
 
 
 @dataclass(frozen=True)
-class CheckinRecord:
-    user_id: str
-    timestamp: str
-    location_id: str
-
-
-@dataclass(frozen=True)
 class AggregatedEntry:
     user_id: str
     location_id: str
@@ -59,19 +52,19 @@ class IngestResult:
     total_lines: int
 
 
-def _parse_line(line: str, delimiter: str | None) -> CheckinRecord | None:
-    if delimiter is None:
-        delimiter = "\t" if "\t" in line else ","
-    fields = [f.strip() for f in line.rstrip("\n").split(delimiter)]
+def _parse_line(line: str) -> tuple[str, str] | None:
+    """The ``(user, location)`` key of a check-in line (tab-separated if
+    it holds a tab, else comma-separated), or None when it is malformed."""
+    fields = [f.strip() for f in line.rstrip("\n").split("\t" if "\t" in line else ",")]
     if len(fields) < 3:
         return None
-    user, stamp, loc = fields[0], fields[1], fields[-1]
+    user, loc = fields[0], fields[-1]
     if not user or not loc:
         return None
-    return CheckinRecord(user, stamp, loc)
+    return user, loc
 
 
-def ingest_checkins(lines: Iterable[str], delimiter: str | None = None) -> IngestResult:
+def ingest_checkins(lines: Iterable[str]) -> IngestResult:
     """Aggregate a check-in stream to unique (user, location) pairs in
     first-appearance order; malformed lines are counted and skipped."""
     counts: dict[tuple[str, str], int] = {}
@@ -81,11 +74,10 @@ def ingest_checkins(lines: Iterable[str], delimiter: str | None = None) -> Inges
         if not line.strip():
             continue
         total += 1
-        rec = _parse_line(line, delimiter)
-        if rec is None:
+        key = _parse_line(line)
+        if key is None:
             skipped += 1
             continue
-        key = (rec.user_id, rec.location_id)
         counts[key] = counts.get(key, 0) + 1
     if total - skipped == 0:
         raise GeodataError("no valid check-in lines in input")

@@ -76,7 +76,6 @@ class SearchParams:
     scope: str = "global"
     n: int = 1
     r: int = 1
-    t: int | None = None  # None: use the instance's cap
     seed: int = 0
 
     def __post_init__(self):
@@ -238,7 +237,7 @@ def _construct_myopic(ev: IncrementalEvaluator, params: SearchParams, rng) -> in
 
 # -- local search ---------------------------------------------------------------
 
-def local_search(instance: Instance, assignment: Assignment, params: SearchParams, rng,
+def local_search(instance: Instance, assignment: Assignment, rng,
                  evaluator: IncrementalEvaluator | None = None):
     """One pass over the entries in seeded random order, taking for each
     the best strictly-improving neighbor (stay / add / remove / swap).
@@ -272,21 +271,11 @@ def local_search(instance: Instance, assignment: Assignment, params: SearchParam
 
 # -- outer loop -------------------------------------------------------------------
 
-def _with_cap(instance: Instance, t: int) -> Instance:
-    clone = Instance(
-        instance.hypergraph, instance.utility_weights, instance.k, t,
-        instance.lam, instance.tau, instance.model, instance.entries,
-    )
-    return validate_instance(clone)
-
-
 def solve(instance: Instance, params: SearchParams) -> SolveResult:
     """Run construction + local search r times on independent seeded
     streams and return the best result; deterministic in (instance,
     params)."""
     instance = validate_instance(instance)
-    if params.t is not None and params.t != instance.t:
-        instance = _with_cap(instance, params.t)
     started = time.perf_counter()
     streams = np.random.SeedSequence(params.seed).spawn(params.r)
     best_bits = None
@@ -296,7 +285,7 @@ def solve(instance: Instance, params: SearchParams) -> SolveResult:
         rng = np.random.default_rng(streams[rep])
         ev = IncrementalEvaluator(instance)
         _, _, made = construction(instance, params, rng, evaluator=ev)
-        _, value, moved = local_search(instance, None, params, rng, evaluator=ev)
+        _, value, moved = local_search(instance, None, rng, evaluator=ev)
         total += made + moved
         if value > best_value:
             best_value = value

@@ -1,5 +1,10 @@
 """Problem data model: entries, sensitive properties, the dependency
-hypergraph, full problem instances and assignment-matrix mechanics.
+hypergraph, full problem instances, assignments and moves.
+
+The paper draws the dependencies as a bipartite graph with entries on
+one side and sensitive properties on the other; each property's
+neighbours are its member entries, so the graph is stored as one
+hyperedge (``SensitiveProperty.members``) per property.
 
 Everything downstream (disclosure evaluation, heuristics, exact solvers,
 the LP relaxation) works on the two central objects defined here:
@@ -9,8 +14,8 @@ the LP relaxation) works on the two central objects defined here:
   a dense entry-by-recipient utility weight matrix, the number of
   adversaries ``k``, the per-entry assignment cap ``t``, the tradeoff
   weight ``lam``, the disclosure budget ``tau`` and a disclosure model.
-* ``Assignment`` -- a boolean entry-by-adversary matrix with a cached
-  per-entry row-sum, mutated only through moves.
+* ``Assignment`` -- a boolean entry-by-adversary matrix with its
+  per-entry row sums.
 
 ``validate_instance`` checks all structural invariants and builds the
 caches (sparse weight matrices and their entry-major transposes, top-t
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,7 +42,7 @@ class InstanceError(ValueError):
 
 
 class MoveError(ValueError):
-    """A move is inconsistent with the current assignment bits."""
+    """A move's fields are inconsistent with its kind."""
 
 
 @dataclass(frozen=True)
@@ -101,31 +106,6 @@ class DependencyHypergraph:
         if not self.properties:
             return 0
         return max(len(p.members) for p in self.properties)
-
-
-def bipartite_to_hypergraph(
-    edges: Iterable[tuple[int, int]], num_entries: int, num_properties: int
-) -> DependencyHypergraph:
-    """Convert (entry, property) edges into the hyperedge representation,
-    mapping each property to the set of entries incident to it."""
-    members: list[set[int]] = [set() for _ in range(num_properties)]
-    for d, p in edges:
-        if not (0 <= d < num_entries):
-            raise InstanceError(f"entry id {d} out of range [0, {num_entries})")
-        if not (0 <= p < num_properties):
-            raise InstanceError(f"property id {p} out of range [0, {num_properties})")
-        members[p].add(d)
-    props = []
-    for pid, mem in enumerate(members):
-        if not mem:
-            raise InstanceError(f"property {pid} has no incident edge")
-        props.append(SensitiveProperty(pid, tuple(sorted(mem))))
-    return DependencyHypergraph(num_entries, props)
-
-
-def hypergraph_to_edges(hg: DependencyHypergraph) -> set[tuple[int, int]]:
-    """Flatten hyperedges back into the (entry, property) edge set."""
-    return {(d, p.id) for p in hg.properties for d in p.members}
 
 
 class Instance:
@@ -349,11 +329,9 @@ def validate_instance(raw: Instance) -> Instance:
 
 
 class Assignment:
-    """Boolean entry-by-adversary matrix with a per-entry count cache.
-
-    The cache is maintained by every mutation; a *feasible* assignment
-    additionally has every row count in [1, t], which callers enforce.
-    """
+    """Boolean entry-by-adversary matrix with its per-entry counts,
+    computed once from the bits. A *feasible* assignment has every count
+    in [1, t], which callers enforce."""
 
     def __init__(self, bits: np.ndarray):
         bits = np.asarray(bits, dtype=bool)
@@ -363,25 +341,6 @@ class Assignment:
     @classmethod
     def empty(cls, instance: Instance) -> "Assignment":
         return cls(np.zeros((instance.num_entries, instance.k), dtype=bool))
-
-    def copy(self) -> "Assignment":
-        return Assignment(self.bits.copy())
-
-    @property
-    def num_entries(self) -> int:
-        return self.bits.shape[0]
-
-    def set_bit(self, d: int, a: int) -> None:
-        if self.bits[d, a]:
-            raise MoveError(f"bit ({d}, {a}) already set")
-        self.bits[d, a] = True
-        self.per_entry_count[d] += 1
-
-    def clear_bit(self, d: int, a: int) -> None:
-        if not self.bits[d, a]:
-            raise MoveError(f"bit ({d}, {a}) not set")
-        self.bits[d, a] = False
-        self.per_entry_count[d] -= 1
 
     def is_cardinality_feasible(self, t: int) -> bool:
         return bool(
@@ -417,22 +376,6 @@ class Move:
             raise MoveError(f"unknown move kind {self.kind!r}")
         if not ok:
             raise MoveError(f"move fields inconsistent with kind {self.kind!r}")
-
-
-def apply_move(assignment: Assignment, move: Move) -> Assignment:
-    """Return a new assignment with exactly the bits named by the move
-    changed. Cardinality bounds are deliberately not enforced here: the
-    local-search neighborhood explores removals, so callers own the
-    bounds."""
-    out = assignment.copy()
-    if move.kind == "add":
-        out.set_bit(move.entry, move.to_adversary)
-    elif move.kind == "remove":
-        out.clear_bit(move.entry, move.from_adversary)
-    else:
-        out.clear_bit(move.entry, move.from_adversary)
-        out.set_bit(move.entry, move.to_adversary)
-    return out
 
 
 # -- serialization ----------------------------------------------------------

@@ -1,12 +1,14 @@
 """The search objective: utility/disclosure tradeoff with a penalty that
-makes the cardinality lower bound self-enforcing, plus the budgeted
-feasibility check.
+makes the cardinality lower bound self-enforcing.
 
     value = utility + lam * (tau - disclosure) - unassigned_count
 
-Subtracting the number of unassigned entries guarantees (for lam in
-[0, 1]) that assigning an orphan entry always beats leaving it, which is
-what lets the heuristics run unconstrained on the lower bound.
+Utility is the assigned weight divided by the best achievable total,
+the sum over entries of each entry's t largest weights, so a
+cardinality-feasible assignment scores utility in [0, 1]. Subtracting
+the number of unassigned entries guarantees (for lam in [0, 1]) that
+assigning an orphan entry always beats leaving it, which is what lets
+the heuristics run unconstrained on the lower bound.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disclosure import aggregate_disclosure, batch_disclosure, disclosure_vector
+from .disclosure import aggregate_disclosure, batch_disclosure
 from .instance import Assignment, Instance, InstanceError
 
 # Bits per chunk when many random draws are scored at once: a chunk holds
@@ -89,18 +91,3 @@ def best_draw(instance: Instance, draw, runs: int) -> np.ndarray:
         if values[i] > best_value:
             best_value, best_bits = values[i], bits[i].copy()
     return best_bits
-
-
-def discbudget_feasible(
-    instance: Instance, assignment: Assignment, tau: float | None = None
-) -> bool:
-    """True iff the assignment is cardinality-feasible and its overall
-    disclosure is strictly below the budget."""
-    if tau is None:
-        tau = instance.tau
-    if not assignment.is_cardinality_feasible(instance.t):
-        return False
-    f = aggregate_disclosure(
-        disclosure_vector(instance, assignment), instance.model.aggregation
-    )
-    return f < tau

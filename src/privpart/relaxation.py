@@ -50,11 +50,10 @@ class FractionalSolution:
             raise InstanceError("fractional row sums must lie in [1, t]")
 
 
-def solve_lp_relaxation(instance: Instance, family: str | None = None) -> FractionalSolution:
-    """Solve the relaxation for the step or linear family; the family
-    defaults to the instance's own."""
+def solve_lp_relaxation(instance: Instance) -> FractionalSolution:
+    """Solve the relaxation for the instance's family, step or linear."""
     instance = validate_instance(instance)
-    family = family or instance.model.family
+    family = instance.model.family
     if family not in ("step", "linear"):
         raise InstanceError(f"LP relaxation supports step|linear, not {family!r}")
     num_d, k = instance.num_entries, instance.k
@@ -131,14 +130,9 @@ def solve_lp_relaxation(instance: Instance, family: str | None = None) -> Fracti
     return FractionalSolution(x_hat=x_hat, lp_objective=lp_objective)
 
 
-def _roundings(instance: Instance, frac: FractionalSolution, rng, c: int,
-               apply_repair: bool) -> np.ndarray:
-    """c independent Bernoulli roundings of every component, (c, |D|, k),
-    each repaired if asked."""
-    bits = rng.random((c,) + frac.x_hat.shape) < frac.x_hat
-    if apply_repair:
-        bits = np.stack([repair(instance, b, frac) for b in bits])
-    return bits
+def _roundings(frac: FractionalSolution, rng, c: int) -> np.ndarray:
+    """c independent Bernoulli roundings of every component, (c, |D|, k)."""
+    return rng.random((c,) + frac.x_hat.shape) < frac.x_hat
 
 
 def repair(instance: Instance, bits: np.ndarray, frac: FractionalSolution) -> np.ndarray:
@@ -163,27 +157,30 @@ def round_and_repair(instance: Instance, frac: FractionalSolution,
         raise InstanceError("runs must be >= 1")
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    best_bits = best_draw(instance, lambda c: _roundings(instance, frac, rng, c, True), runs)
+
+    def draw(c: int) -> np.ndarray:
+        return np.stack([repair(instance, b, frac) for b in _roundings(frac, rng, c)])
+
+    best_bits = best_draw(instance, draw, runs)
     return finalize_result(instance, Assignment(best_bits), runs, started, seed)
 
 
 def rounding_mean_objective(instance: Instance, frac: FractionalSolution,
-                            draws: int, seed: int = 0, apply_repair: bool = False,
-                            penalize_unassigned: bool = False):
-    """Monte-Carlo mean and standard error of the rounded objective.
+                            draws: int, seed: int = 0):
+    """Monte-Carlo mean and standard error of the unrepaired rounded
+    objective.
 
-    Without repair, cardinality holds only in expectation, so the
-    default scores the plain tradeoff (no unassigned-entry penalty);
-    that is the quantity whose expectation the relaxation value bounds.
+    Without repair, cardinality holds only in expectation, so each draw
+    scores the plain tradeoff (no unassigned-entry penalty); that is the
+    quantity whose expectation the relaxation value bounds.
     """
     instance = validate_instance(instance)
     rng = np.random.default_rng(seed)
     values = np.empty(draws)
     start = 0
     for c in draw_chunks(instance, draws):
-        obj = batch_objective(instance, _roundings(instance, frac, rng, c, apply_repair))[0]
-        values[start:start + c] = (
-            obj.value if penalize_unassigned else obj.value + obj.unassigned_count)
+        obj = batch_objective(instance, _roundings(frac, rng, c))[0]
+        values[start:start + c] = obj.value + obj.unassigned_count
         start += c
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0

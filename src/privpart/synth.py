@@ -42,6 +42,8 @@ class SynthConfig:
         counts = (self.num_entries, self.num_properties, self.k, self.t, self.seed)
         if any(isinstance(v, bool) or not isinstance(v, Integral) for v in counts):
             raise InstanceError("num_entries, num_properties, k, t and seed must be integers")
+        if self.seed < 0:
+            raise InstanceError(f"seed must be non-negative, got {self.seed}")
         if any(isinstance(v, bool) or not isinstance(v, Real) for v in (self.p_f, self.p_u)):
             raise InstanceError("p_f and p_u must be numbers")
         if not (0.0 <= self.p_f <= 1.0 and 0.0 <= self.p_u <= 1.0):

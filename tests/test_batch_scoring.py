@@ -127,15 +127,13 @@ def _round_and_repair_per_draw(instance, frac, runs, seed):
         instance, runs, lambda: repair(instance, rng.random(frac.x_hat.shape) < frac.x_hat, frac))
 
 
-def _rounding_values_per_draw(instance, frac, draws, seed, apply_repair, penalize):
+def _rounding_values_per_draw(instance, frac, draws, seed):
     rng = np.random.default_rng(seed)
     values = np.empty(draws)
     for i in range(draws):
         bits = rng.random(frac.x_hat.shape) < frac.x_hat
-        if apply_repair:
-            bits = repair(instance, bits, frac)
         obj = tradeoff_objective(instance, Assignment(bits))
-        values[i] = obj.value if penalize else obj.value + obj.unassigned_count
+        values[i] = obj.value + obj.unassigned_count
     stderr = float(values.std(ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
     return float(values.mean()), stderr
 
@@ -169,8 +167,5 @@ def test_lp_rounding_chunks_match_per_draw_loop(family, aggregation):
     for seed in (0, 3):
         _same_result(round_and_repair(inst, frac, runs=runs, seed=seed),
                      _round_and_repair_per_draw(inst, frac, runs, seed), inst)
-        for apply_repair, penalize in ((False, False), (True, True)):
-            assert rounding_mean_objective(
-                inst, frac, runs, seed=seed, apply_repair=apply_repair,
-                penalize_unassigned=penalize,
-            ) == _rounding_values_per_draw(inst, frac, runs, seed, apply_repair, penalize)
+        assert (rounding_mean_objective(inst, frac, runs, seed=seed)
+                == _rounding_values_per_draw(inst, frac, runs, seed))

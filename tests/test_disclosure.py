@@ -156,8 +156,9 @@ def test_monotone_families_never_decrease_on_additions():
         if free.size == 0:
             continue
         d, adv = free[rng.integers(len(free))]
-        a.set_bit(int(d), int(adv))
-        after = disclosure_vector(inst, a)
+        bits = a.bits.copy()
+        bits[d, adv] = True
+        after = disclosure_vector(inst, Assignment(bits))
         assert np.all(after >= before - 1e-12)
 
 

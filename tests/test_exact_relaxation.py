@@ -336,7 +336,7 @@ def test_lp_without_properties_uses_top_t():
     rng = np.random.default_rng(8)
     w = rng.random((4, 3))
     inst = validate_instance(Instance(DependencyHypergraph(4, []), w, 3, 2))
-    frac = solve_lp_relaxation(inst, family="step")
+    frac = solve_lp_relaxation(inst)
     top2 = np.argsort(w, axis=1)[:, ::-1][:, :2]
     for d in range(4):
         assert frac.x_hat[d].sum() == pytest.approx(2.0, abs=1e-6)

@@ -12,7 +12,6 @@ from privpart import (
     InstanceError,
     SearchParams,
     count_fully_disclosed,
-    disclosure_level_curve,
     run_algorithm,
     run_experiment,
     solve,
@@ -97,26 +96,6 @@ def test_count_fully_disclosed():
     assert 0 <= n <= inst.num_properties
     manual = int(np.sum(res.per_property_disclosure >= 1 - 1e-9))
     assert n == manual
-
-
-def test_disclosure_level_curve():
-    class FakeResult:
-        per_property_disclosure = np.array([0.2, 0.7])
-
-    counts = disclosure_level_curve(FakeResult(), [0.0, 0.5, 1.0])
-    assert counts.tolist() == [2, 1, 0]
-    zeros = FakeResult()
-    zeros.per_property_disclosure = np.zeros(3)
-    assert disclosure_level_curve(zeros, [0.0, 0.5]).tolist() == [0, 0]
-    with pytest.raises(InstanceError, match="sorted"):
-        disclosure_level_curve(FakeResult(), [1.0, 0.0])
-
-
-def test_curve_is_monotone_on_solver_output():
-    inst = random_small_instance(17, family="linear")
-    res = solve(inst, SearchParams("grasp", "myopic", n=2, r=2, seed=1))
-    counts = disclosure_level_curve(res, np.linspace(0, 1, 11))
-    assert np.all(np.diff(counts) <= 0)
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -246,6 +225,29 @@ def test_cli_verify_rejects_count_below_one(capsys, count):
     assert "checks passed" not in out.out
 
 
+@pytest.mark.parametrize("verb", ["gen", "ingest", "solve", "verify"])
+def test_cli_rejects_negative_seed(tmp_path, capsys, verb):
+    # numpy seeds are non-negative; a negative one used to end in a traceback.
+    inst_path = tmp_path / "inst.json"
+    assert main(["gen", "--entries", "5", "--properties", "2", "--k", "2", "--t", "1",
+                 "-o", str(inst_path)]) == EXIT_OK
+    checkins, friends_path = _ingest_files(tmp_path)
+    out = str(tmp_path / "out.json")
+    argv = {
+        "gen": ["gen", "--entries", "5", "--properties", "2", "--k", "2", "--t", "1",
+                "-o", out],
+        "ingest": ["ingest", "--checkins", str(checkins), "--friends", str(friends_path),
+                   "--k", "2", "--t", "1", "-o", out],
+        "solve": ["solve", "--instance", str(inst_path), "--algorithm", "greedy"],
+        "verify": ["verify", "--count", "1"],
+    }[verb]
+    capsys.readouterr()
+    assert main(argv + ["--seed", "-1"]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seed" in err and "Traceback" not in err
+    assert not Path(out).exists()
+
+
 def test_cli_entry_point_runs_as_module():
     proc = subprocess.run(
         [sys.executable, "-m", "privpart.cli", "verify", "--count", "2", "--seed", "1"],
@@ -265,7 +267,9 @@ def _bench_config_text(tmp_path, **over):
 @pytest.mark.parametrize("case", ["invalid_json", "missing_source", "unknown_synth_key",
                                   "params_not_an_object", "fractional_synth_count",
                                   "geodata_without_paths", "string_seed",
-                                  "output_dir_not_a_path"])
+                                  "output_dir_not_a_path", "negative_seed",
+                                  "string_override", "float_override",
+                                  "unknown_override_key", "override_of_unknown_algorithm"])
 def test_cli_bench_rejects_malformed_config(tmp_path, capsys, case):
     text = {
         "invalid_json": lambda: '{"source": ',
@@ -280,6 +284,13 @@ def test_cli_bench_rejects_malformed_config(tmp_path, capsys, case):
             tmp_path, source={"geodata": {"friends": "f.txt"}}, algorithms=["greedyl"]),
         "string_seed": lambda: _bench_config_text(tmp_path, seeds=["a"]),
         "output_dir_not_a_path": lambda: _bench_config_text(tmp_path, output_dir=5),
+        "negative_seed": lambda: _bench_config_text(tmp_path, seeds=[0, -3]),
+        "string_override": lambda: _bench_config_text(tmp_path, params={"grasp": {"n": "5"}}),
+        "float_override": lambda: _bench_config_text(tmp_path, params={"grasp": {"r": 2.5}}),
+        "unknown_override_key": lambda: _bench_config_text(
+            tmp_path, params={"rand+": {"restart": 5}}),
+        "override_of_unknown_algorithm": lambda: _bench_config_text(
+            tmp_path, params={"grsap": {"n": 5}}),
     }[case]()
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -322,12 +333,15 @@ def test_cli_solve_non_utf8_instance_is_an_error(tmp_path, capsys):
     ("geodata", "t", "2"),
     ("geodata", "lambda", "0.5"),
     ("geodata", "seed", True),
+    ("geodata", "seed", -1),
     ("geodata", "checkins", 0),
     ("synth", "lambda", "0.5"),
     ("synth", "tau_I", True),
+    ("synth", "seed", -1),
 ])
 def test_cli_bench_rejects_mistyped_source_fields(tmp_path, capsys, source, field, value):
-    # int() and float() would run "t": 1.7 as t = 1 and "lambda": "0.5" as 0.5.
+    # int() and float() would run "t": 1.7 as t = 1 and "lambda": "0.5" as 0.5;
+    # numpy would end a negative seed in a traceback.
     if source == "geodata":
         checkins, friends_path = _ingest_files(tmp_path)
         spec = {"checkins": str(checkins), "friends": str(friends_path), "k": 2, "t": 1}

@@ -380,9 +380,7 @@ def test_myopic_construction_passes_cross_check_on_location_instance():
 def test_local_search_takes_improving_swap():
     inst = plain([[0.1, 0.9]], t=1)
     start = Assignment(np.array([[True, False]]))
-    a, g, moved = local_search(
-        inst, start, SearchParams("greedy", "global"), np.random.default_rng(0)
-    )
+    a, g, moved = local_search(inst, start, np.random.default_rng(0))
     assert moved == 1
     assert a.bits.tolist() == [[False, True]]
     assert g == pytest.approx(1.0)
@@ -391,9 +389,7 @@ def test_local_search_takes_improving_swap():
 def test_local_search_keeps_local_optimum():
     inst = plain([[0.9, 0.1], [0.1, 0.8]], t=1)
     start = Assignment(np.array([[True, False], [False, True]]))
-    a, _, moved = local_search(
-        inst, start, SearchParams("greedy", "global"), np.random.default_rng(1)
-    )
+    a, _, moved = local_search(inst, start, np.random.default_rng(1))
     assert moved == 0
     assert a == start
 
@@ -404,8 +400,7 @@ def test_local_search_never_decreases_objective():
         rng = np.random.default_rng(trial)
         ev = IncrementalEvaluator(inst)
         _, g_con, _ = construction(inst, SearchParams("grasp", "myopic", n=2), rng, evaluator=ev)
-        _, g_ls, _ = local_search(inst, None, SearchParams("grasp", "myopic", n=2), rng,
-                                  evaluator=ev)
+        _, g_ls, _ = local_search(inst, None, rng, evaluator=ev)
         assert g_ls >= g_con - 1e-12
 
 
@@ -525,12 +520,11 @@ def _reference_local_search(ev, rng):
 
 
 def test_screened_local_search_matches_unscreened_reference():
-    params = SearchParams("greedy", "myopic")
     total = 0
     for i, (inst, scope) in enumerate(_screen_cases()):
         ours, ref = _walked_evaluator(inst, i, scope), _walked_evaluator(inst, i, scope)
         ours_rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
-        _, value, moved = local_search(inst, None, params, ours_rng, evaluator=ours)
+        _, value, moved = local_search(inst, None, ours_rng, evaluator=ours)
         assert moved == _reference_local_search(ref, ref_rng)
         assert np.array_equal(ours.bits, ref.bits)
         assert value == ref.objective
@@ -547,7 +541,7 @@ def test_local_search_skips_entries_on_location_instance():
     scored = []
     scan = ev.neighborhood_gains
     ev.neighborhood_gains = lambda d: scored.append(d) or scan(d)
-    local_search(inst, None, SearchParams("greedy", "myopic"), rng, evaluator=ev)
+    local_search(inst, None, rng, evaluator=ev)
     assert len(scored) < inst.num_entries
 
 
@@ -562,7 +556,7 @@ def test_screen_skips_most_entries_after_global_construction_at_scale():
     scored = []
     scan = ev.neighborhood_gains
     ev.neighborhood_gains = lambda d: scored.append(d) or scan(d)
-    local_search(inst, None, SearchParams("greedy", "global"), rng, evaluator=ev)
+    local_search(inst, None, rng, evaluator=ev)
     assert len(scored) <= inst.num_entries // 10
 
 
@@ -602,9 +596,3 @@ def test_solve_result_is_recomputable():
     again = tradeoff_objective(inst, res.assignment)
     assert res.objective.value == pytest.approx(again.value, abs=1e-9)
     assert res.per_property_disclosure.shape == (inst.num_properties,)
-
-
-def test_solve_honors_cap_override():
-    inst = plain([[0.9, 0.1], [0.1, 0.8]], t=1)
-    res = solve(inst, SearchParams("greedy", "global", t=2, seed=0))
-    assert res.assignment.per_entry_count.max() == 2

@@ -13,9 +13,6 @@ from privpart import (
     Move,
     MoveError,
     SensitiveProperty,
-    apply_move,
-    bipartite_to_hypergraph,
-    hypergraph_to_edges,
     instance_from_json,
     instance_to_json,
     validate_instance,
@@ -75,37 +72,6 @@ def test_property_free_instance_is_valid():
     assert validate_instance(inst).num_properties == 0
 
 
-def test_bipartite_roundtrip():
-    edges = {(0, 0), (1, 0), (1, 1), (2, 1)}
-    hg = bipartite_to_hypergraph(edges, 3, 2)
-    assert hg.properties[0].members == (0, 1)
-    assert hg.properties[1].members == (1, 2)
-    assert hg.dimension == 2
-    assert hypergraph_to_edges(hg) == edges
-
-
-def test_bipartite_rejects_empty_property():
-    with pytest.raises(InstanceError, match="no incident edge"):
-        bipartite_to_hypergraph({(0, 0)}, 1, 2)
-
-
-def test_bipartite_rejects_out_of_range():
-    with pytest.raises(InstanceError, match="out of range"):
-        bipartite_to_hypergraph({(5, 0)}, 2, 1)
-
-
-def test_apply_move_swap_remove_add():
-    a = Assignment(np.array([[True, False]]))
-    swapped = apply_move(a, Move("swap", 0, from_adversary=0, to_adversary=1))
-    assert swapped.bits.tolist() == [[False, True]]
-    removed = apply_move(a, Move("remove", 0, from_adversary=0))
-    assert removed.per_entry_count[0] == 0
-    with pytest.raises(MoveError, match="already set"):
-        apply_move(a, Move("add", 0, to_adversary=0))
-    # original untouched
-    assert a.bits.tolist() == [[True, False]]
-
-
 def test_move_field_consistency():
     with pytest.raises(MoveError):
         Move("swap", 0, from_adversary=1, to_adversary=1)
@@ -113,26 +79,6 @@ def test_move_field_consistency():
         Move("add", 0, from_adversary=1)
     with pytest.raises(MoveError):
         Move("remove", 0, to_adversary=1)
-
-
-def test_count_cache_tracks_random_move_sequences():
-    rng = np.random.default_rng(0)
-    a = Assignment(np.zeros((5, 3), dtype=bool))
-    for _ in range(300):
-        d = int(rng.integers(5))
-        setbits = np.nonzero(a.bits[d])[0]
-        unset = np.nonzero(~a.bits[d])[0]
-        if setbits.size and rng.random() < 0.4:
-            a = apply_move(a, Move("remove", d, from_adversary=int(rng.choice(setbits))))
-        elif setbits.size and unset.size and rng.random() < 0.5:
-            a = apply_move(
-                a,
-                Move("swap", d, from_adversary=int(rng.choice(setbits)),
-                     to_adversary=int(rng.choice(unset))),
-            )
-        elif unset.size:
-            a = apply_move(a, Move("add", d, to_adversary=int(rng.choice(unset))))
-        assert np.array_equal(a.per_entry_count, a.bits.sum(axis=1))
 
 
 def test_json_roundtrip_is_exact():

@@ -10,8 +10,8 @@ from privpart import (
     generate_instance,
     ingest_checkins,
     instance_to_json,
-    overall_disclosure,
     synthetic_checkin_lines,
+    tradeoff_objective,
 )
 from privpart.geodata import AggregatedEntry
 from privpart.instance import Assignment
@@ -126,16 +126,16 @@ def test_identical_single_location_users_fully_disclose_when_colocated():
     entries = entries_for([("u1", "A", 3), ("u2", "A", 3)])
     inst = build_location_instance(entries, [("u1", "u2")], k=2, t=1, seed=0)
     together = Assignment(np.array([[True, False], [True, False]]))
-    assert overall_disclosure(inst, together) == pytest.approx(1.0)
+    assert tradeoff_objective(inst, together).disclosure == pytest.approx(1.0)
     apart = Assignment(np.array([[True, False], [False, True]]))
-    assert overall_disclosure(inst, apart) == 0.0
+    assert tradeoff_objective(inst, apart).disclosure == 0.0
 
 
 def test_disjoint_locations_never_disclose():
     entries = entries_for([("u1", "A", 2), ("u2", "B", 5)])
     inst = build_location_instance(entries, [("u1", "u2")], k=2, t=2, seed=0)
     full = Assignment(np.ones((2, 2), dtype=bool))
-    assert overall_disclosure(inst, full) == 0.0
+    assert tradeoff_objective(inst, full).disclosure == 0.0
 
 
 def test_build_is_deterministic_in_seed():

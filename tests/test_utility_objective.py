@@ -8,13 +8,7 @@ from privpart import (
     DependencyHypergraph,
     DisclosureModel,
     Instance,
-    Move,
-    SensitiveProperty,
-    adversary_utility,
-    apply_move,
-    discbudget_feasible,
     random_small_instance,
-    total_utility,
     tradeoff_objective,
     validate_instance,
 )
@@ -37,21 +31,15 @@ def assign(inst, pairs):
 W = [[0.9, 0.1], [0.1, 0.8]]
 
 
-def test_adversary_utility_sums_weights():
-    inst = plain_instance(W)
-    assert adversary_utility(inst, assign(inst, [(0, 0)]), 0) == pytest.approx(0.9)
-    assert adversary_utility(inst, assign(inst, []), 0) == 0.0
-    both = assign(inst, [(0, 0), (1, 0)])
-    assert adversary_utility(inst, both, 0) == pytest.approx(1.0)
-
-
 def test_total_utility_top_t_normalization():
     inst = plain_instance(W, t=1)
-    assert total_utility(inst, assign(inst, [(0, 0), (1, 1)])) == pytest.approx(1.0)
-    assert total_utility(inst, assign(inst, [(0, 1), (1, 0)])) == pytest.approx(0.2 / 1.7)
+    split = tradeoff_objective(inst, assign(inst, [(0, 0), (1, 1)]))
+    assert split.utility == pytest.approx(1.0)
+    crossed = tradeoff_objective(inst, assign(inst, [(0, 1), (1, 0)]))
+    assert crossed.utility == pytest.approx(0.2 / 1.7)
     inst2 = plain_instance(W, t=2)
     full = assign(inst2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    assert total_utility(inst2, full) == pytest.approx(1.0)
+    assert tradeoff_objective(inst2, full).utility == pytest.approx(1.0)
 
 
 def test_total_utility_never_exceeds_one_exhaustively():
@@ -66,18 +54,20 @@ def test_total_utility_never_exceeds_one_exhaustively():
             b = np.zeros((num_d, k), dtype=bool)
             for d, ci in enumerate(combo):
                 b[d, list(options[ci])] = True
-            assert total_utility(inst, Assignment(b)) <= 1.0 + 1e-12
+            assert tradeoff_objective(inst, Assignment(b)).utility <= 1.0 + 1e-12
 
 
 def test_additive_marginals_are_constant():
     rng = np.random.default_rng(9)
     inst = plain_instance(rng.random((4, 3)), k=3, t=2)
-    mv = Move("add", 2, to_adversary=1)
     small = assign(inst, [(0, 0)])
     large = assign(inst, [(0, 0), (1, 2), (3, 1)])
 
     def marginal(a):
-        return total_utility(inst, apply_move(a, mv)) - total_utility(inst, a)
+        bits = a.bits.copy()
+        bits[2, 1] = True
+        return (tradeoff_objective(inst, Assignment(bits)).utility
+                - tradeoff_objective(inst, a).utility)
 
     assert marginal(small) == pytest.approx(marginal(large))
     assert marginal(small) == pytest.approx(inst.utility_weights[2, 1] / inst._normalizer)
@@ -126,18 +116,7 @@ def test_removing_last_assignment_never_improves():
         before = tradeoff_objective(inst, a).value
         d = int(rng.integers(inst.num_entries))
         adv = int(np.nonzero(a.bits[d])[0][0])
-        a.clear_bit(d, adv)
-        after = tradeoff_objective(inst, a).value
+        bits = a.bits.copy()
+        bits[d, adv] = False
+        after = tradeoff_objective(inst, Assignment(bits)).value
         assert after <= before + 1e-12
-
-
-def test_discbudget_feasibility():
-    prop = [SensitiveProperty(0, (0, 1))]
-    inst = plain_instance(W, t=1, props=prop, tau=0.5)
-    assert discbudget_feasible(inst, assign(inst, [(0, 0), (1, 1)]))
-    # one monochromatic property fully disclosed: f = 1 is not < 1
-    inst2 = plain_instance(W, t=1, props=prop, tau=1.0)
-    mono = assign(inst2, [(0, 0), (1, 0)])
-    assert not discbudget_feasible(inst2, mono, tau=1.0)
-    # unassigned entry fails regardless of disclosure
-    assert not discbudget_feasible(inst, assign(inst, [(0, 0)]), tau=0.9)
