@@ -20,6 +20,7 @@ from .exact import InfeasibleError, SizeGuardError, enumerate_optimum, solve_exa
 from .experiments import (
     ALGORITHMS,
     ExperimentConfig,
+    check_overrides,
     count_fully_disclosed,
     run_algorithm,
     run_experiment,
@@ -123,14 +124,10 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    overrides = {key: getattr(args, key) for key in ("n", "r", "restarts")
+                 if getattr(args, key) is not None}
+    check_overrides(args.algorithm, overrides)
     inst = load_instance(args.instance)
-    overrides = {}
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.r is not None:
-        overrides["r"] = args.r
-    if args.restarts is not None:
-        overrides["restarts"] = args.restarts
     result = run_algorithm(args.algorithm, inst, args.seed, overrides)
     obj = result.objective
     print(f"{args.algorithm}: objective={obj.value:.6f} utility={obj.utility:.6f} "

@@ -44,9 +44,7 @@ change of adversary a alone: its kernel state and ``f_ap`` row on d's
 properties, ``fprime[a]`` and ``f_row_sum[a]``, plus the shared scalars.
 ``_undo(log)`` writes the records back in reverse. Restoring snapshots
 rather than undoing the arithmetic keeps the state bit-exact across
-millions of branch-and-bound trials. A ``cross_check`` mode recomputes
-everything from scratch after each applied move and asserts agreement to
-1e-9; the test suite runs it on random move sequences.
+millions of branch-and-bound trials.
 """
 
 from __future__ import annotations
@@ -95,14 +93,12 @@ _SUMS_FAMILIES = {
 
 
 class IncrementalEvaluator:
-    def __init__(self, instance: Instance, assignment: Assignment | None = None,
-                 cross_check: bool = False):
+    def __init__(self, instance: Instance, assignment: Assignment | None = None):
         if not instance.validated:
             raise InstanceError("instance must be validated first")
         if instance._normalizer <= 0.0:
             raise InstanceError("degenerate instance: all utility weights are zero")
         self.inst = instance
-        self.cross_check = cross_check
         self.k = instance.k
         self.num_p = instance.num_properties
         self.z = instance._normalizer
@@ -216,18 +212,6 @@ class IncrementalEvaluator:
             self._flip(move.entry, move.from_adversary, False, None)
         if move.kind != "remove":
             self._flip(move.entry, move.to_adversary, True, None)
-        if self.cross_check:
-            self._assert_consistent()
-
-    def _assert_consistent(self) -> None:
-        fresh = IncrementalEvaluator(self.inst, self.assignment())
-        if abs(fresh.objective - self.objective) > 1e-9:
-            raise AssertionError(
-                f"incremental objective {self.objective!r} drifted from "
-                f"scratch value {fresh.objective!r}"
-            )
-        if self.num_p and np.abs(fresh.f_ap - self.f_ap).max() > 1e-9:
-            raise AssertionError("incremental disclosure state drifted")
 
     # -- vectorized candidate gains -----------------------------------------
     def _other_max(self) -> np.ndarray:

@@ -9,32 +9,31 @@ best conceivable disclosure term. When the evaluator's kernel is
 monotone the current partial disclosure already lower-bounds the final
 one; otherwise the bound falls back to zero disclosure.
 
-Branch-and-bound flips entries only down to entry d0 = |D| - j. At a
-node of d0 it builds one table per adversary a: for every subset of
-the last j entries (a bitmask), the aggregate f'_a once a also holds
-those entries. The table is filled by a depth-first walk that flips the
-entries onto a alone, in increasing order, reads f'_a and undoes the
-flip: k (2^j - 1) flips. Below d0 the search walks the subtree in the
-same subset order with lookups only. Each cell is bitwise the value a
-flip search would reach there: a's state (its kernel state, its row of
-f_ap, its row sum and aggregate) depends only on which entries a holds
-and on their order, never on other adversaries, and every route adds
-a's entries in increasing order by the same `_flip`. A logged `_flip`
-records exactly that state of a, plus the shared scalars, and `_undo`
-writes it back, so no other adversary's state is copied. A node's f
-is the max of its k cells and its utility is `util_raw` plus the
-weights in subset order, so the budget test, the bound, the node count
-and the leaf scores (strict `>`, first best wins) are those of visiting
-each node. Entries are never flipped off for a table, since a removal
-takes a different float path than an addition.
+Branch-and-bound walks the search tree from the root. For each
+adversary a, the entries a holds at a node form a bitmask, and the node
+needs only a's aggregate f'_a at that mask, one cell per adversary. The
+walk reads each cell from a memo filled on first use. Each adversary
+keeps a stack of its flips (entry, undo log, mask held after the flip)
+in increasing entry order; on a miss the walk undoes a's stack down to
+the longest prefix of the mask, flips the missing entries onto a in
+increasing order by `_flip`, and memoizes every cell it passes.
 
-The depth j is the largest j <= |D| with k (2^j - 1) <= m^j, m the
-number of subsets, and at least 1: the table's flips may cost no more
-than the m^j nodes under one table would have cost. (k, t) = (2, 1)
-and k = 1 give j = 1, which scores the last entry's subsets from k
-single flips. Every other shape the size guard admits gives j = |D|:
-one table at the root serves the whole search, which makes no flip,
-and a table never exceeds 2^13 cells.
+Each cell is bitwise the value a search that flips at every node would
+read there: a's state (its kernel state, its row of f_ap, its row sum
+and aggregate) depends only on which entries a holds and on their
+order, never on other adversaries, and every route adds a's entries in
+increasing order by the same `_flip`. A logged `_flip` records exactly
+that state of a, plus the shared scalars, and `_undo` writes it back,
+so undoing one adversary's stack out of global order leaves every other
+adversary's state exact. Entries leave a only through `_undo`, never by
+a removing flip, since a removal takes a different float path than an
+addition. The shared state (`util_raw`, `counts`, `c_unassigned`, `f`)
+goes stale under such undos, so the walk reads only `fprime[a]`
+mid-search: a node's f is the max of its k cells, its utility is the
+root's `util_raw` plus the weights in subset order, and a new best's
+bits come from the walk's path of subsets alone. So the budget test,
+the bound, the node count and the leaf scores (strict `>`, first best
+wins) are those of flipping at every node.
 
 Enumeration builds each chunk of subset indices with numpy's C-order
 ``unravel_index``, which is ``itertools.product`` order.
@@ -162,20 +161,6 @@ def _batch_values(instance: Instance, bits: np.ndarray, formulation: str):
     return values, None
 
 
-def _table_depth(k: int, m: int, num_d: int) -> int:
-    """How many trailing entries the tables cover: the largest j <= |D|
-    with k (2^j - 1) <= m^j. Filling the tables takes k (2^j - 1) flips;
-    the m^j nodes under one table are what a flip search would pay.
-
-    j = 1 always qualifies (m >= k). For m <= 2 nothing larger does; for
-    m >= 3 a qualifying j keeps qualifying, since (m - 2) m^j >= k. So
-    the first failure ends the search."""
-    j = 1
-    while j < num_d and k * ((2 << j) - 1) <= m ** (j + 1):
-        j += 1
-    return j
-
-
 def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResult:
     """Branch-and-bound over per-entry adversary subsets."""
     instance = validate_instance(instance)
@@ -202,11 +187,12 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
 
     best = {"value": -np.inf, "bits": None, "nodes": 0}
     last = num_d - 1
-    d0 = num_d - _table_depth(k, len(subsets), num_d)
-    # tables[a][mask]: f'_a once a also holds the entries d0 + i with bit
-    # i set in mask; path[i]: the subset of entry d0 + i on the walk.
-    tables: list[list[float]] = []
-    path: list[tuple[int, ...]] = [()] * (num_d - d0)
+    # cells[a][mask]: f'_a once a holds the entries whose bits are set in
+    # mask; stacks[a]: a's flips as (entry, log, mask held after it);
+    # path[d]: the subset of entry d on the walk.
+    cells = [{0: float(ev.fprime[a])} for a in range(k)]
+    stacks: list[list[tuple[int, list, int]]] = [[] for _ in range(k)]
+    path: list[tuple[int, ...]] = [()] * num_d
 
     def expand(d: int, util_raw: float, f: float) -> bool:
         """Count the node at entry d; False if its subtree is pruned."""
@@ -218,21 +204,35 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
             util += lam * (tau - (f if monotone else 0.0))
         return not util <= best["value"]
 
-    def fill(a: int, table: list[float], e: int, mask: int) -> None:
-        """Cells of a's table for mask plus entries from e on, added in
-        increasing order."""
-        for x in range(e, num_d):
+    def cell(a: int, mask: int) -> float:
+        """Cell (a, mask). On a miss, keep the longest prefix of mask on
+        a's stack, then flip the rest of mask onto a in increasing order."""
+        stack, memo = stacks[a], cells[a]
+        if mask in memo:
+            return memo[mask]
+        while stack and stack[-1][2] != mask & ((2 << stack[-1][0]) - 1):
+            ev._undo(stack.pop()[1])
+        held = stack[-1][2] if stack else 0
+        rest = mask ^ held
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            x = low.bit_length() - 1
             log: list = []
             ev._flip(x, a, True, log)
-            held = mask | 1 << (x - d0)
-            table[held] = float(ev.fprime[a])
-            fill(a, table, x + 1, held)
-            ev._undo(log)
+            held |= low
+            stack.append((x, log, held))
+            memo[held] = float(ev.fprime[a])
+        return memo[mask]
 
     def walk(d: int, masks: list[int], fprime: list[float], util_raw: float) -> None:
-        """The children of a node at entry d >= d0, from table lookups."""
-        bit = 1 << (d - d0)
-        on = [tables[a][masks[a] | bit] for a in range(k)]
+        """The children of a node at entry d."""
+        bit = 1 << d
+        # k plain lookups; a KeyError sends the node's cells through cell().
+        try:
+            on = [memo[mask | bit] for memo, mask in zip(cells, masks)]
+        except KeyError:
+            on = [cell(a, mask | bit) for a, mask in enumerate(masks)]
         w_d = w[d]
         if d < last:
             for sub in subsets:
@@ -242,7 +242,7 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
                     fp[a] = on[a]
                     held[a] |= bit
                 if expand(d + 1, util, max(fp)):
-                    path[d - d0] = sub
+                    path[d] = sub
                     walk(d + 1, held, fp, util)
             return
         best["nodes"] += len(subsets)
@@ -260,29 +260,14 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
             else:
                 value = util / z + lam * (tau - max(fp))
             if value > best["value"]:
-                path[d - d0] = sub
-                bits = ev.bits.copy()
-                for i, held_sub in enumerate(path):
-                    bits[d0 + i, list(held_sub)] = True
+                path[d] = sub
+                bits = np.zeros((num_d, k), dtype=bool)
+                for e, held_sub in enumerate(path):
+                    bits[e, list(held_sub)] = True
                 best["value"], best["bits"] = value, bits
 
-    def dfs(d: int) -> None:
-        if not expand(d, ev.util_raw, ev.f):
-            return
-        if d == d0:
-            tables[:] = [[float(ev.fprime[a])] * (1 << (num_d - d0)) for a in range(k)]
-            for a in range(k):
-                fill(a, tables[a], d0, 0)
-            walk(d0, [0] * k, ev.fprime.tolist(), float(ev.util_raw))
-            return
-        for sub in subsets:
-            log: list = []
-            for a in sub:
-                ev._flip(d, a, True, log)
-            dfs(d + 1)
-            ev._undo(log)
-
-    dfs(0)
+    if expand(0, ev.util_raw, ev.f):
+        walk(0, [0] * k, ev.fprime.tolist(), ev.util_raw)
     if best["bits"] is None:
         if budget:
             raise InfeasibleError("no assignment meets the disclosure budget")

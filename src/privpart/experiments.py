@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exact import solve_exact
+from .exact import _check_formulation, solve_exact
 from .geodata import build_location_instance, ingest_checkins, read_friendships, read_lines
 from .heuristics import SearchParams, SolveResult, rand_plus, solve
 from .instance import (
@@ -74,12 +74,7 @@ class ExperimentConfig:
         for name, overrides in self.params.items():
             if name not in OVERRIDES:
                 raise InstanceError(f"params names unknown algorithm {name!r}")
-            for key, value in overrides.items():
-                if key not in OVERRIDES[name]:
-                    raise InstanceError(f"params: {name} takes no override {key!r}, "
-                                        f"only {', '.join(OVERRIDES[name])}")
-                if key != "formulation":
-                    _json_int(value, f"params {name} {key}")
+            check_overrides(name, overrides)
         kind = _source_kind(self.source)
         if kind == "geodata" and _json_int(
                 self.source["geodata"].get("seed", 0), "geodata seed") < 0:
@@ -111,6 +106,19 @@ class ExperimentConfig:
             params=doc.get("params", {}),
             k_values=doc.get("k_values"),
         )
+
+
+def check_overrides(name: str, overrides: dict) -> None:
+    """Reject an override that algorithm ``name`` does not take, a count
+    that is not an integer and an unknown ilp formulation."""
+    for key, value in overrides.items():
+        if key not in OVERRIDES[name]:
+            raise InstanceError(f"{name} takes no override {key!r}, "
+                                f"only {', '.join(OVERRIDES[name])}")
+        if key == "formulation":
+            _check_formulation(value)
+        else:
+            _json_int(value, f"{name} override {key}")
 
 
 def _source_kind(source: dict) -> str:

@@ -1,0 +1,21 @@
+"""A test-side evaluator that checks itself after every applied move."""
+
+import numpy as np
+
+from privpart.evaluator import IncrementalEvaluator
+
+
+class CheckedEvaluator(IncrementalEvaluator):
+    """Recomputes everything from scratch after each applied move and
+    asserts that the objective and ``f_ap`` agree to 1e-9."""
+
+    def apply(self, move):
+        super().apply(move)
+        fresh = IncrementalEvaluator(self.inst, self.assignment())
+        if abs(fresh.objective - self.objective) > 1e-9:
+            raise AssertionError(
+                f"incremental objective {self.objective!r} drifted from "
+                f"scratch value {fresh.objective!r}"
+            )
+        if self.num_p and np.abs(fresh.f_ap - self.f_ap).max() > 1e-9:
+            raise AssertionError("incremental disclosure state drifted")

@@ -22,6 +22,8 @@ from privpart import (
 )
 from privpart.evaluator import IncrementalEvaluator
 
+from checked_evaluator import CheckedEvaluator
+
 
 def build(members_list, num_entries, k=2, t=1, family="step", aggregation="worst",
           weights_list=None, entries=None):
@@ -203,7 +205,7 @@ def test_incremental_matches_scratch_on_random_walks():
     rng = np.random.default_rng(11)
     for trial in range(40):
         inst = random_small_instance(trial)
-        ev = IncrementalEvaluator(inst, cross_check=True)
+        ev = CheckedEvaluator(inst)
         for _ in range(20):
             d = int(rng.integers(inst.num_entries))
             setbits = np.nonzero(ev.bits[d])[0]
@@ -230,10 +232,10 @@ def _realistic_instance(shape):
 @pytest.mark.parametrize("shape", ["location", "linear-worst"])
 def test_incremental_matches_scratch_on_long_walks_at_scale(shape):
     # 5000-entry cosine/average (k=5, t=2) and 400x500 linear/worst
-    # (k=10, t=2); cross_check compares every move with a fresh evaluator.
+    # (k=10, t=2); CheckedEvaluator compares every move with a fresh evaluator.
     inst = _realistic_instance(shape)
     rng = np.random.default_rng(5)
-    ev = IncrementalEvaluator(inst, random_assignment(inst, rng), cross_check=True)
+    ev = CheckedEvaluator(inst, random_assignment(inst, rng))
     moves = 0
     while moves < 300:
         d = int(rng.integers(inst.num_entries))

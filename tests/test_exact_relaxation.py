@@ -25,7 +25,6 @@ from privpart import (
     solve_lp_relaxation,
     validate_instance,
 )
-import privpart.exact as exact
 from privpart.evaluator import IncrementalEvaluator
 from privpart.exact import FORMULATIONS, _adversary_subsets, _batch_values
 from privpart.heuristics import finalize_result
@@ -112,10 +111,9 @@ def test_discbudget_exact_maximizes_utility_under_budget():
 # -- leaf scoring and chunked enumeration against per-subset references -------
 
 def _reference_solve_exact(instance, formulation):
-    """Branch-and-bound that recurses into every leaf and scores it from
-    the evaluator's state after its flips: the per-subset route that
-    ``solve_exact`` replaces with per-adversary tables of the last
-    entries."""
+    """Branch-and-bound that flips at every node and scores each leaf from
+    the evaluator's state after its flips: the per-node route that
+    ``solve_exact`` replaces with memoized per-adversary cells."""
     subsets = _adversary_subsets(instance.k, instance.t)
     ev = IncrementalEvaluator(instance)
     z = instance._normalizer
@@ -248,9 +246,8 @@ def _assert_matches_reference(cases):
 
 
 def _deeper_instances():
-    """8-12 entries at (k, t) = (2, 1), where the table covers the last
-    entry and the search flips above it, and (3, 1), where one table at
-    the root covers all entries: every family and aggregation."""
+    """8-12 entries at (k, t) = (2, 1) and (3, 1), every family and
+    aggregation."""
     cases = []
     for i, (family, aggregation) in enumerate(product(
             ("step", "linear", "quadratic"), ("worst", "average"))):
@@ -263,21 +260,7 @@ def _deeper_instances():
 
 
 def test_tail_tables_match_per_subset_branch_and_bound_beyond_desk_scale():
-    cases = _deeper_instances()
-    # t = 1, so there are m = k subsets.
-    assert {exact._table_depth(c.k, c.k, c.num_entries) for c in cases} == {1, 8, 9}
-    _assert_matches_reference(cases)
-
-
-@pytest.mark.parametrize("depth", [2, 3])
-def test_tables_of_any_depth_match_per_subset_branch_and_bound(monkeypatch, depth):
-    # The depth rule gives j = 1 or j = |D|; a forced depth in between
-    # runs flips above d0 and a walk of several levels below it.
-    monkeypatch.setattr(exact, "_table_depth", lambda k, m, num_d: min(depth, num_d))
-    cases = [random_small_instance(seed) for seed in range(40)]
-    cases = [c for c in cases if len(_adversary_subsets(c.k, c.t)) ** c.num_entries <= 6**4]
-    _assert_matches_reference(cases + [_tied(c) for c in cases[:12]])
-    _assert_matches_reference(_deeper_instances()[::5])
+    _assert_matches_reference(_deeper_instances())
 
 
 def _count_flips(monkeypatch):
@@ -294,17 +277,25 @@ def _count_flips(monkeypatch):
 
 def test_branch_and_bound_flip_count(monkeypatch):
     calls = _count_flips(monkeypatch)
-    # (k, t) = (3, 2): one table at the root, k (2^|D| - 1) flips, and
-    # none in the search.
-    inst = generate_instance(SynthConfig(6, 4, 3, 2, seed=1), DisclosureModel("linear", "worst"))
-    solve_exact(inst)
-    assert calls[0] == 3 * (2**6 - 1)
-    # Criterion 1's desk set: 101780 flips with a flip per node above the
-    # last entry.
+    # Strongly pruned (k, t) = (3, 1) instances: cells are filled only where
+    # the search goes, so it flips no more than a search that flips at every
+    # node.
+    for family, aggregation in product(("step", "linear", "quadratic"),
+                                       ("worst", "average")):
+        inst = generate_instance(SynthConfig(8, 4, 3, 1, seed=8),
+                                 DisclosureModel(family, aggregation))
+        calls[0] = 0
+        solve_exact(inst)
+        ours = calls[0]
+        calls[0] = 0
+        _reference_solve_exact(inst, "tradeoff")
+        assert ours <= calls[0], (family, aggregation)
+    # Criterion 1's desk set: 9350 flips; the bound is the 11276 of eager
+    # tables (with a flip per node above the last entry for (2, 1)).
     calls[0] = 0
     for trial in range(200):
         solve_exact(random_small_instance(1000 + trial))
-    assert calls[0] <= 15000
+    assert calls[0] <= 11276
 
 
 def test_chunked_enumeration_matches_product_loop():

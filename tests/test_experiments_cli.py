@@ -354,3 +354,47 @@ def test_cli_bench_rejects_mistyped_source_fields(tmp_path, capsys, source, fiel
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
     assert not (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("algorithm, flags", [
+    ("greedy", ["--n", "7", "--restarts", "3"]),
+    ("greedy", ["--n", "7"]),
+    ("rand+", ["--r", "0"]),
+    ("ilp", ["--restarts", "5"]),
+])
+def test_cli_solve_rejects_flags_the_algorithm_does_not_take(tmp_path, capsys, algorithm, flags):
+    # run_algorithm reads only its own keys, so such a flag would be ignored.
+    inst_path = tmp_path / "inst.json"
+    assert main(["gen", "--entries", "6", "--properties", "2", "--k", "2", "--t", "1",
+                 "-o", str(inst_path)]) == EXIT_OK
+    out = tmp_path / "res.json"
+    capsys.readouterr()
+    argv = ["solve", "--instance", str(inst_path), "--algorithm", algorithm, "-o", str(out)]
+    assert main(argv + flags) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {algorithm} takes no override {flags[0][2:]!r}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_solve_accepts_the_flags_the_algorithm_takes(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    assert main(["gen", "--entries", "6", "--properties", "2", "--k", "2", "--t", "1",
+                 "-o", str(inst_path)]) == EXIT_OK
+    for algorithm, flags in (("grasp", ["--n", "2", "--r", "2"]), ("greedy", ["--r", "1"]),
+                             ("rand+", ["--restarts", "3"]), ("lp", ["--restarts", "3"])):
+        argv = ["solve", "--instance", str(inst_path), "--algorithm", algorithm]
+        assert main(argv + flags) == EXIT_OK, algorithm
+
+
+def test_bench_checks_the_ilp_formulation_before_running(tmp_path, capsys):
+    # Checked when the config is parsed: no output directory, no cell run.
+    with pytest.raises(InstanceError, match="unknown formulation 'bogus'"):
+        small_config(tmp_path, algorithms=["ilp"], params={"ilp": {"formulation": "bogus"}})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_bench_config_text(
+        tmp_path, algorithms=["grasp", "ilp"], params={"ilp": {"formulation": "bogus"}}))
+    assert main(["bench", "--config", str(cfg_path)]) == EXIT_FAIL
+    assert "unknown formulation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    small_config(tmp_path, algorithms=["ilp"], params={"ilp": {"formulation": "maxmin"}})

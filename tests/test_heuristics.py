@@ -29,6 +29,8 @@ from privpart import (
 from privpart.evaluator import IncrementalEvaluator
 from privpart.heuristics import RCL_ALPHA, _select_from_gain_matrix, _select_from_gain_row
 
+from checked_evaluator import CheckedEvaluator
+
 
 def plain(w, k=2, t=1, props=(), model=DisclosureModel("step", "worst")):
     w = np.asarray(w, dtype=float)
@@ -280,10 +282,10 @@ def _with_model(inst, aggregation):
     ))
 
 
-def _recorded_construction(inst, params, seed, cross_check=False):
+def _recorded_construction(inst, params, seed, evaluator=IncrementalEvaluator):
     """Myopic construction that records its moves and the adversary rows
     of every cosine add computation."""
-    ev = IncrementalEvaluator(inst, cross_check=cross_check)
+    ev = evaluator(inst)
     moves, rows = [], []
     apply, add_rows = ev.apply, ev.kernel.add_values
     ev.apply = lambda move: moves.append(move) or apply(move)
@@ -351,7 +353,7 @@ def test_myopic_construction_state_equals_replayed_flips_bitwise():
 
 def test_kept_row_is_dropped_by_any_flip():
     inst = _small_location_instance()
-    ev = IncrementalEvaluator(inst, cross_check=True)
+    ev = CheckedEvaluator(inst)
     others = ev.kernel.cache["entry_pair_others"]
     d = next(d for d in range(inst.num_entries) if others[d].size)
     e = int(others[d][0])  # shares a location with d on one of d's properties
@@ -363,7 +365,7 @@ def test_kept_row_is_dropped_by_any_flip():
     ev.apply(Move("add", e, to_adversary=0))
     assert ev.kernel.kept is None
     # Rows kept before e joined adversary 0 lack the pair's dot product;
-    # cross_check compares the state after this add with a fresh one.
+    # CheckedEvaluator compares the state after this add with a fresh one.
     ev.apply(Move("add", d, to_adversary=0))
     assert ev.kernel.dots[0, ev.kernel.cache["entry_pair_props"][d][0]] > 0.0
 
@@ -371,7 +373,7 @@ def test_kept_row_is_dropped_by_any_flip():
 def test_myopic_construction_passes_cross_check_on_location_instance():
     inst = _small_location_instance(k=3)
     for params in (SearchParams("greedy", "myopic"), SearchParams("grasp", "myopic", n=3)):
-        _, moves, _ = _recorded_construction(inst, params, 7, cross_check=True)
+        _, moves, _ = _recorded_construction(inst, params, 7, CheckedEvaluator)
         assert len(moves) >= inst.num_entries
 
 
@@ -493,7 +495,7 @@ def test_gain_bound_keeps_quadratic_floor_as_removed_sums_clamp_at_zero():
     w = np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
     inst = validate_instance(Instance(DependencyHypergraph(4, props), w, k=2, t=2,
                                       model=DisclosureModel("quadratic", "average")))
-    ev = IncrementalEvaluator(inst, cross_check=True)
+    ev = CheckedEvaluator(inst)
     for move in (Move("add", 1, to_adversary=0), Move("add", 0, to_adversary=0),
                  Move("remove", 1, from_adversary=0), Move("remove", 0, from_adversary=0),
                  Move("add", 2, to_adversary=0), Move("add", 1, to_adversary=1)):
