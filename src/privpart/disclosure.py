@@ -66,10 +66,9 @@ def batch_disclosure(instance: Instance, bits: np.ndarray):
         denom = norms[:, :, ui] * norms[:, :, uj]
         f_ap = np.where(denom > 0.0, dots / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
         return (norms, dots), f_ap
+    sums = product(instance._weight_matrix, cols)  # member counts for step
     if family == "step":
-        counts = product(instance._member_matrix, cols)
-        return counts, (counts == instance._sizes).astype(np.float64)
-    sums = product(instance._weight_matrix, cols)
+        return sums, (sums == instance._sizes).astype(np.float64)
     return sums, (sums if family == "linear" else sums**2)
 
 

@@ -23,17 +23,23 @@ state it reads: ``flip`` one (d, a); ``add_rows``, the aggregates once d
 joins each adversary; ``remove_row``, d's values on a once d leaves it;
 ``add_col``, a's aggregate once each entry joins it; and
 ``snapshot``/``restore`` of one adversary. The evaluator builds its
-access paths on them:
+access paths on them. Each scores a move with one expression, ``_gain``,
+from the move's utility change, its orphan term and f_new, the new
+overall disclosure: the max of the ``_excluded_max`` table's entry for
+the adversaries the move touches (the largest fprime outside them) and
+their new aggregates.
 
 * ``add_gain_row(d)``   -- gains for adding entry d to each adversary
 * ``add_gain_matrix()`` -- gains for every eligible addition, from one
                            column per adversary (``_columns``), cached
                            until a flip touches that adversary
-* ``neighborhood_gains(d)`` / ``neighborhood_gain_bounds()`` -- gains of
-                           entry d's local-search neighbors, and for every
-                           entry at once a float-exact upper bound on them,
-                           which reads the same cached columns where the
-                           kernel's ``col_floor`` says they are bitwise
+* ``neighborhood_gains(d)`` -- gains of entry d's local-search neighbors,
+                           on Python floats
+* ``neighborhood_gain_bounds()`` -- for every entry at once, the same
+                           expression at lower bounds on f_new, hence an
+                           upper bound on its neighbors' gains; it reads
+                           the cached columns where the kernel's
+                           ``col_floor`` says they are bitwise
                            ``add_rows``' values
 
 Worst or average aggregation is chosen only in ``_refresh_agg``,
@@ -56,34 +62,30 @@ from .instance import Assignment, Instance, InstanceError, Move
 
 _NEG_INF = -np.inf
 
-# Per family of the sums kernel: whether every member weighs 1.0 (step
-# counts members), the value g(inst, s, props) of sums s on properties
-# props, and the closed forms of the average aggregate's row-sum change
-# when an entry joins: for entry d and every adversary (s: (k, deg) on
-# d's properties, w: d's weights), and for one adversary and every entry
-# (s: that adversary's (|P|,) sums). Summing g differences instead would
-# round differently and so change results. The last field says whether
-# the two closed forms run the same operations in the same order, so
-# that a column entry is bitwise the row's value: step's counts and
-# linear's shared ``_entry_colsum`` are, quadratic's ``s @ w`` and
-# sparse matvec sum in different orders.
+# Per family of the sums kernel: the value g(inst, s, props) of sums s
+# on properties props, and the closed forms of the average aggregate's
+# row-sum change when an entry joins: for entry d and every adversary
+# (s: (k, deg) on d's properties, w: d's weights), and for one adversary
+# and every entry (s: that adversary's (|P|,) sums). Summing g
+# differences instead would round differently and so change results.
+# The last field says whether the two closed forms run the same
+# operations in the same order, so that a column entry is bitwise the
+# row's value: step's counts and linear's shared ``_entry_colsum`` are,
+# quadratic's ``s @ w`` and sparse matvec sum in different orders.
 _SUMS_FAMILIES = {
     "step": (
-        True,
         lambda inst, s, props: (s == inst._sizes[props]).astype(np.float64),
         lambda inst, d, s, props, w: (s == inst._sizes[props] - 1.0).sum(axis=1),
-        lambda inst, s: inst._entry_members @ (s == inst._sizes - 1.0).astype(np.float64),
+        lambda inst, s: inst._entry_weights @ (s == inst._sizes - 1.0).astype(np.float64),
         True,
     ),
     "linear": (
-        False,
         lambda inst, s, props: s,
         lambda inst, d, s, props, w: inst._entry_colsum[d],
         lambda inst, s: inst._entry_colsum,
         True,
     ),
     "quadratic": (
-        False,
         lambda inst, s, props: s**2,
         lambda inst, d, s, props, w: 2.0 * (s @ w) + inst._entry_sqsum[d],
         lambda inst, s: 2.0 * (inst._entry_weights @ s) + inst._entry_sqsum,
@@ -139,7 +141,7 @@ class IncrementalEvaluator:
         self.f_row_sum = self.f_ap.sum(axis=1)
         self.fprime = np.zeros(self.k)
         for a in range(self.k if self.num_p else 0):
-            self._refresh_agg(a, 0.0, may_decrease=True)
+            self._refresh_agg(a, 0.0)
         self.f = max(self.fprime.tolist())
 
     # -- objective views --------------------------------------------------
@@ -188,19 +190,17 @@ class IncrementalEvaluator:
             self.kernel.restore(a, props, snap)
             self._col_dirty[a] = True
 
-    def _set_row(self, a: int, props: np.ndarray, new_f: np.ndarray,
-                 may_decrease: bool) -> None:
+    def _set_row(self, a: int, props: np.ndarray, new_f: np.ndarray) -> None:
         """Write a's new values on props and refresh its aggregates. The
         worst aggregate rescans the row; only average needs the delta."""
         f_row = self.f_ap[a]
         delta_sum = 0.0 if self.worst else float((new_f - f_row[props]).sum())
         f_row[props] = new_f
-        self._refresh_agg(a, delta_sum, may_decrease)
+        self._refresh_agg(a, delta_sum)
 
-    def _refresh_agg(self, a: int, delta_sum: float, may_decrease: bool) -> None:
+    def _refresh_agg(self, a: int, delta_sum: float) -> None:
         if self.worst:
-            row_max = float(self.f_ap[a].max())
-            self.fprime[a] = row_max if may_decrease else max(self.fprime[a], row_max)
+            self.fprime[a] = float(self.f_ap[a].max())
         else:
             self.f_row_sum[a] += delta_sum
             self.fprime[a] = self.f_row_sum[a] / self.num_p
@@ -213,32 +213,60 @@ class IncrementalEvaluator:
         if move.kind != "remove":
             self._flip(move.entry, move.to_adversary, True, None)
 
-    # -- vectorized candidate gains -----------------------------------------
-    def _other_max(self) -> np.ndarray:
-        """For each adversary, the max aggregate among the others. Plain
-        floats: over k values this is cheaper than a numpy sort."""
-        fp = self.fprime.tolist()
-        m2, m1 = sorted(fp)[-2:]
-        return np.array([m2 if v == m1 else m1 for v in fp])
+    # -- move gains ---------------------------------------------------------
+    def _gain(self, u, low, bonus):
+        """The gain ``u + lam * (f - low) + bonus`` of a move with utility
+        change u and orphan term bonus that leaves the overall disclosure
+        at ``low``, on Python floats or on numpy arrays; an array ``low``
+        has the shape of the result. Every gain of this class is this
+        expression. Rounding is monotone, so at a lower bound on the new
+        disclosure it is an upper bound on the move's gain. A low of -inf
+        bounds nothing and gives +inf, also for lam = 0 (not 0 * inf).
+        Arrays get one new buffer; the rest of the expression runs in it."""
+        lam = self.inst.lam
+        if lam == 0.0:
+            gain = np.where(low == _NEG_INF, np.inf, 0.0)[()]
+        else:
+            gain = self.f - low
+            gain *= lam
+        gain += u
+        gain += bonus
+        return gain
+
+    def _excluded_max(self) -> tuple[np.ndarray, list[list[float]]]:
+        """The (k, k) excluded-max table: ``excl[a][b]`` is the largest
+        fprime outside {a, b}, -inf where none is left. Returns its
+        diagonal (the largest fprime outside each adversary) as an array
+        and the table as lists of floats, which k values build faster
+        than numpy. Each row of an adversary outside the top two is the
+        diagonal list, shared: read only."""
+        fp, k = self.fprime.tolist(), self.k
+        top = sorted(fp)
+        v0, v1, v2 = top[-1], top[-2], top[-3] if k > 2 else _NEG_INF
+        i0 = fp.index(v0)
+        i1 = fp.index(v1, i0 + 1) if v1 == v0 else fp.index(v1)  # a tie: v0's next index
+        diag = [v0] * k
+        diag[i0] = v1
+        excl = [diag] * k
+        excl[i0], excl[i1] = [v1] * k, diag.copy()
+        excl[i0][i1] = excl[i1][i0] = v2
+        return np.array(diag), excl
 
     def add_gain_row(self, d: int) -> np.ndarray:
         """Gains for Move('add', d, to=a) for every adversary a; already
         set bits come back as -inf. Callers check the per-entry cap."""
-        inst = self.inst
-        new_f = np.maximum(self._other_max(), self.kernel.add_rows(self, d))
-        bonus = 1.0 if self.counts[d] == 0 else 0.0
-        gains = self._uz[d] + inst.lam * (self.f - new_f) + bonus
+        low = np.maximum(self._excluded_max()[0], self.kernel.add_rows(self, d))
+        gains = self._gain(self._uz[d], low, 1.0 if self.counts[d] == 0 else 0.0)
         gains[self.bits[d]] = _NEG_INF
         return gains
 
-    def _new_fprime_remove_row(self, d: int, asg: np.ndarray) -> dict[int, float]:
-        """fprime[a] after removing entry d from adversary a, for each
-        currently assigned a."""
-        props = self._props(d)
-        if props.size == 0:
-            return {int(a): float(self.fprime[a]) for a in asg}
-        return {a: self._row_aggregate(a, props, self.kernel.remove_row(self, d, a))
-                for a in asg.tolist()}
+    def add_gain_matrix(self) -> np.ndarray:
+        """(|D|, k) matrix of addition gains; ineligible cells are -inf.
+        Eligible means: bit unset and entry below the per-entry cap."""
+        low = np.maximum(self._columns(), self._excluded_max()[0])
+        gains = self._gain(self._uz, low, (self.counts == 0).astype(np.float64)[:, None])
+        np.copyto(gains, _NEG_INF, where=self.bits | (self.counts >= self.inst.t)[:, None])
+        return gains
 
     def _row_aggregate(self, a: int, props: np.ndarray, new_vals: np.ndarray) -> float:
         if not self.worst:
@@ -248,105 +276,74 @@ class IncrementalEvaluator:
         row[props] = new_vals
         return float(row.max())
 
-    def _max_excluding(self):
-        """A function of a tuple of at most two adversaries: the largest
-        fprime among the others, -inf if none is left. Reads the top 3."""
-        order = np.argsort(-self.fprime, kind="stable")[: min(3, self.k)]
-        top = [(int(i), float(self.fprime[i])) for i in order]
-
-        def max_excluding(excl: tuple) -> float:
-            for idx, val in top:
-                if idx not in excl:
-                    return val
-            return -np.inf
-
-        return max_excluding
+    def neighborhood_gains(self, d: int) -> list[tuple[Move, float]]:
+        """Gains for every single-entry neighbor of the current state:
+        additions (if below the cap), then per assigned adversary its
+        removal and swaps. Composes per-adversary row updates, which is
+        exact because a move touches each adversary's state independently.
+        Runs on Python floats: one entry's moves are too few for numpy."""
+        inst, gain = self.inst, self._gain
+        uz, w = self._uz[d].tolist(), inst.utility_weights[d].tolist()
+        count = int(self.counts[d])
+        held = self.bits[d].tolist()
+        free = [b for b in range(self.k) if not held[b]]
+        add_f = self.kernel.add_rows(self, d).tolist() if free else None
+        excl = self._excluded_max()[1]
+        props = self._props(d)
+        out: list[tuple[Move, float]] = []
+        if count < inst.t:
+            bonus = 1.0 if count == 0 else 0.0
+            for b in free:
+                out.append((Move("add", d, to_adversary=b),
+                            gain(uz[b], max(excl[b][b], add_f[b]), bonus)))
+        for a in range(self.k):
+            if not held[a]:
+                continue
+            rem_f = (self._row_aggregate(a, props, self.kernel.remove_row(self, d, a))
+                     if props.size else float(self.fprime[a]))
+            out.append((Move("remove", d, from_adversary=a),
+                        gain(-uz[a], max(excl[a][a], rem_f), -1.0 if count == 1 else 0.0)))
+            for b in free:
+                out.append((Move("swap", d, from_adversary=a, to_adversary=b),
+                            gain((w[b] - w[a]) / self.z, max(excl[a][b], rem_f, add_f[b]), 0.0)))
+        return out
 
     def neighborhood_gain_bounds(self) -> np.ndarray:
         """(|D|,) upper bounds on each entry's best ``neighborhood_gains``
         value; -inf for an entry with no neighbor.
 
-        Each move's gain is written with the operations of
-        ``neighborhood_gains`` in the same order, with its f_new replaced
-        by a lower bound: ``max_excluding`` of the adversaries it touches,
-        and for an addition or a swap to b also a floor on b's new
-        aggregate. Where the kernel's ``col_floor`` is set, the floor is
-        the entry's own ``add_col`` entry, bitwise the ``add_rows`` value
-        the move would read, so an addition's bound is its gain. Otherwise
-        a monotone kernel's floor is fprime[b] (running sums are clamped
-        at 0, so 2 s.a + a.a >= 0 for average quadratic), and any other
-        kernel gets none. The removed entry's own change is left out of a
-        swap's bound. Rounding is monotone, so each bound is at least the
-        float gain it stands for."""
-        inst, k = self.inst, self.k
-        uz, w, bits, counts = self._uz, inst.utility_weights, self.bits, self.counts
-        max_excluding = self._max_excluding()
+        Each bound is the gain expression (``_gain``) of the entry's
+        moves at lower bounds on their new disclosure: the excluded max
+        of the adversaries a move touches, and for an addition or a swap
+        to b also a floor on b's new aggregate. Where the kernel's
+        ``col_floor`` is set, the floor is the entry's own ``add_col``
+        entry, bitwise the ``add_rows`` value the move would read, so an
+        addition's bound is its gain. Otherwise a monotone kernel's floor
+        is fprime[b] (running sums are clamped at 0, so 2 s.a + a.a >= 0
+        for average quadratic), and any other kernel gets none. The
+        removed entry's own change is left out of a swap's bound."""
+        inst, bits, counts = self.inst, self.bits, self.counts
+        diag, excl = self._excluded_max()
         if self.kernel.col_floor:
             floor = self._columns()
         else:
             floor = np.broadcast_to(self.fprime if self.kernel.monotone else _NEG_INF, bits.shape)
-        lam, f_cur = inst.lam, self.f
-
-        def term(excl: list, floor: np.ndarray) -> np.ndarray:
-            # lam * (f_cur - f_new) for any f_new >= max(excl, floor). A low
-            # of -inf gives +inf, also for lam = 0 (not 0 * inf).
-            low = np.maximum(np.array(excl), floor)
-            if lam == 0.0:
-                return np.where(low == _NEG_INF, np.inf, 0.0)
-            return lam * (f_cur - low)
-
-        add_term = term([max_excluding((b,)) for b in range(k)], floor)
-        rem_term = term([max_excluding((a,)) for a in range(k)], _NEG_INF)
-
-        bonus = (counts == 0).astype(np.float64)[:, None]
-        can_add = ~bits & (counts < inst.t)[:, None]
-        best = np.where(can_add, uz + add_term + bonus, _NEG_INF).max(axis=1)
-        penalty = (counts == 1).astype(np.float64)[:, None]
-        np.maximum(best, np.where(bits, -uz + rem_term - penalty, _NEG_INF).max(axis=1),
-                   out=best)
-        for a in range(k):
+        add = self._gain(self._uz, np.maximum(diag, floor),
+                         (counts == 0).astype(np.float64)[:, None])
+        best = np.where(~bits & (counts < inst.t)[:, None], add, _NEG_INF).max(axis=1)
+        rem = self._gain(-self._uz, np.broadcast_to(diag, bits.shape),
+                         -(counts == 1).astype(np.float64)[:, None])
+        np.maximum(best, np.where(bits, rem, _NEG_INF).max(axis=1), out=best)
+        w = inst.utility_weights
+        for a in range(self.k):
             rows = np.flatnonzero(bits[:, a])
             if rows.size == 0:
                 continue
-            swap_term = term([max_excluding((a, b)) for b in range(k)], floor[rows])
-            swap = (w[rows] - w[rows, a][:, None]) / self.z + swap_term
+            swap = self._gain((w[rows] - w[rows, a][:, None]) / self.z,
+                              np.maximum(excl[a], floor[rows]), 0.0)
             swap[bits[rows]] = _NEG_INF  # only to a free adversary (b == a included)
             best[rows] = np.maximum(best[rows], swap.max(axis=1))
         return best
-
-    def neighborhood_gains(self, d: int) -> list[tuple[Move, float]]:
-        """Gains for every single-entry neighbor of the current state:
-        additions (if below the cap), then per assigned adversary its
-        removal and swaps. Composes per-adversary row updates, which is
-        exact because a move touches each adversary's state independently."""
-        inst = self.inst
-        w = inst.utility_weights[d]
-        count = int(self.counts[d])
-        asg = np.nonzero(self.bits[d])[0]
-        free = [int(b) for b in range(self.k) if not self.bits[d, b]]
-        add_newfp = self.kernel.add_rows(self, d) if free else None
-        rem_newfp = self._new_fprime_remove_row(d, asg)
-        max_excluding = self._max_excluding()
-
-        lam = inst.lam
-        f_cur = self.f
-        out: list[tuple[Move, float]] = []
-        if count < inst.t:
-            for b in free:
-                f_new = max(max_excluding((b,)), float(add_newfp[b]))
-                gain = w[b] / self.z + lam * (f_cur - f_new) + (1.0 if count == 0 else 0.0)
-                out.append((Move("add", d, to_adversary=b), gain))
-        for a in asg:
-            a = int(a)
-            f_after_rem = rem_newfp[a]
-            f_new = max(max_excluding((a,)), f_after_rem)
-            gain = -w[a] / self.z + lam * (f_cur - f_new) - (1.0 if count == 1 else 0.0)
-            out.append((Move("remove", d, from_adversary=a), gain))
-            for b in free:
-                f_new = max(max_excluding((a, b)), f_after_rem, float(add_newfp[b]))
-                gain = (w[b] - w[a]) / self.z + lam * (f_cur - f_new)
-                out.append((Move("swap", d, from_adversary=a, to_adversary=b), gain))
-        return out
 
     def _columns(self) -> np.ndarray:
         """(|D|, k) table of ``add_col`` for every adversary: its
@@ -361,20 +358,6 @@ class IncrementalEvaluator:
             self._col_dirty[a] = False
         return self._col_cache
 
-    def add_gain_matrix(self) -> np.ndarray:
-        """(|D|, k) matrix of addition gains; ineligible cells are -inf.
-        Eligible means: bit unset and entry below the per-entry cap."""
-        inst = self.inst
-        # Same operation order as add_gain_row, in one buffer:
-        # uz + lam * (f - max(newfp, other_max)) + bonus.
-        gains = np.maximum(self._columns(), self._other_max()[None, :])
-        np.subtract(self.f, gains, out=gains)
-        np.multiply(inst.lam, gains, out=gains)
-        np.add(self._uz, gains, out=gains)
-        gains += (self.counts == 0).astype(np.float64)[:, None]
-        np.copyto(gains, _NEG_INF, where=self.bits | (self.counts >= inst.t)[:, None])
-        return gains
-
 
 class _SumsKernel:
     """Step, linear and quadratic: ``s[a, p]``, the sum of the member
@@ -387,12 +370,10 @@ class _SumsKernel:
 
     monotone = True
 
-    def __init__(self, inst: Instance, unit_weights: bool, g, average_row, average_col,
-                 average_exact: bool):
+    def __init__(self, inst: Instance, g, average_row, average_col, average_exact: bool):
         self.inst = inst
         ew = inst._entry_weights
-        self.indptr, self.pcols = ew.indptr, ew.indices
-        self.w = np.ones(ew.indices.size) if unit_weights else ew.data
+        self.indptr, self.pcols, self.w = ew.indptr, ew.indices, ew.data
         self.g, self._average_row, self._average_col = g, average_row, average_col
         # Whether add_col's entries are bitwise add_rows' values: always
         # under worst (a max is exact in any order), under average where
@@ -418,7 +399,7 @@ class _SumsKernel:
         # count is exact and never clamps.
         new_s = old_s + w if on else np.maximum(old_s - w, 0.0)
         s_row[props] = new_s
-        ev._set_row(a, props, self.g(self.inst, new_s, props), may_decrease=not on)
+        ev._set_row(a, props, self.g(self.inst, new_s, props))
 
     def add_rows(self, ev: IncrementalEvaluator, d: int) -> np.ndarray:
         props, w = self._props_w(d)
@@ -515,7 +496,7 @@ class _CosineKernel:
             if props.size == 0:
                 return
             new_f = self._values(self.norms[a], self.dots[a, props], d, float(self.norms[a, u]))
-        ev._set_row(a, props, new_f, may_decrease=True)
+        ev._set_row(a, props, new_f)
 
     def add_values(self, ev: IncrementalEvaluator, d: int, props: np.ndarray, rows):
         """For adding entry d to adversary ``rows`` (an int), or to every

@@ -177,10 +177,7 @@ def run_algorithm(name: str, instance: Instance, seed: int, overrides: dict | No
     greedy variants run once, randomized variants repeat (r=10 for the
     searches, 100 restarts for the sampling baselines)."""
     o = dict(overrides or {})
-    if name in ("lp", "ilp") and instance.model.family not in LP_FAMILIES:
-        raise InstanceError(
-            f"{name} supports step|linear families, not {instance.model.family!r}"
-        )
+    _check_family(name, instance)
     if name == "rand+":
         return rand_plus(instance, runs=o.get("restarts", 100), seed=seed)
     if name == "lp":
@@ -201,6 +198,13 @@ def run_algorithm(name: str, instance: Instance, seed: int, overrides: dict | No
     return solve(instance, params)
 
 
+def _check_family(name: str, instance: Instance) -> None:
+    if name in ("lp", "ilp") and instance.model.family not in LP_FAMILIES:
+        raise InstanceError(
+            f"{name} supports step|linear families, not {instance.model.family!r}"
+        )
+
+
 def count_fully_disclosed(result: SolveResult) -> int:
     """Properties whose max-over-adversaries disclosure reaches 1."""
     return int(np.count_nonzero(result.per_property_disclosure >= FULL_DISCLOSURE_THRESHOLD))
@@ -208,12 +212,15 @@ def count_fully_disclosed(result: SolveResult) -> int:
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute every (algorithm, k, seed) cell and write the report files.
-    Returns {"rows": ..., "results_csv": path, "summary_json": path}."""
+    Returns {"rows": ..., "results_csv": path, "summary_json": path}.
+    Every instance is built and every cell's family checked before
+    ``output_dir`` is made, so a bad config leaves no directory."""
+    ks = cfg.k_values if cfg.k_values is not None else [None]
+    instances = {k: _materialize(cfg.source, k) for k in ks}
+    for alg, inst in product(cfg.algorithms, instances.values()):
+        _check_family(alg, inst)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ks = cfg.k_values if cfg.k_values is not None else [None]
-
-    instances = {k: _materialize(cfg.source, k) for k in ks}
 
     rows = []
     walls = {}

@@ -34,21 +34,22 @@ up with between 1 and t adversaries.
 Local search skips an entry without scoring its neighbors when its gain
 bound is not positive (an exact form of the "don't-look bits" of Bentley,
 ORSA J. Computing 4, 1992). The bound
-(``IncrementalEvaluator.neighborhood_gain_bounds``) writes each move's gain
-with the same float operations as ``neighborhood_gains``, with the new
-aggregate replaced by a lower bound on it: the largest aggregate of the
-adversaries the move does not touch, and for an addition or a swap to b
-also a floor on b's new aggregate. Where the evaluator's column of b
-(``add_col``, cached for the global construction scan) is bitwise the
-value the move reads (step, linear and quadratic under worst aggregation,
-step and linear under average), the floor is the entry's own column
-entry, so an addition's bound is its gain. Average quadratic floors at
-b's current aggregate (lam in [0, 1] and a_dp >= 0 are validated, and
-running sums are clamped at 0 on removal, so adding an entry cannot lower
-it), and cosine, whose aggregate can fall, gets no floor. Float rounding
-is monotone, so the bound is at least every gain the entry would score, a
-skipped entry is one on which no move could have been accepted, and the
-moves are those of the unscreened pass.
+(``IncrementalEvaluator.neighborhood_gain_bounds``) is the gain
+expression every move is scored with, evaluated at lower bounds on the
+move's new overall disclosure: the largest aggregate of the adversaries
+the move does not touch, and for an addition or a swap to b also a floor
+on b's new aggregate. Where the evaluator's column of b (``add_col``,
+cached for the global construction scan) is bitwise the value the move
+reads (step, linear and quadratic under worst aggregation, step and
+linear under average), the floor is the entry's own column entry, so an
+addition's bound is its gain. Average quadratic floors at b's current
+aggregate (lam in [0, 1] and a_dp >= 0 are validated, and running sums
+are clamped at 0 on removal, so adding an entry cannot lower it), and
+cosine, whose aggregate can fall, gets no floor. The expression does not
+increase with the disclosure, also after float rounding, so the bound is
+at least every gain the entry would score, a skipped entry is one on
+which no move could have been accepted, and the moves are those of the
+unscreened pass.
 """
 
 from __future__ import annotations

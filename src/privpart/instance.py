@@ -18,14 +18,17 @@ the LP relaxation) works on the two central objects defined here:
   per-entry row sums.
 
 ``validate_instance`` checks all structural invariants and builds the
-caches (sparse weight matrices and their entry-major transposes, top-t
-utility normalizer, cosine pair tables) that the evaluators rely on.
+caches (the sparse property-by-entry incidence matrix and its entry-major
+transpose, top-t utility normalizer, cosine pair tables) that the
+evaluators rely on.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -143,26 +146,23 @@ class Instance:
     def num_properties(self) -> int:
         return self.hypergraph.num_properties
 
-    def property_sizes(self) -> np.ndarray:
-        return np.array([len(p.members) for p in self.hypergraph.properties], dtype=np.int64)
-
 
 def _build_weight_matrix(inst: Instance) -> sp.csr_matrix:
-    """|P| x |D| sparse matrix of per-(property, entry) weights; for the
-    step family each membership gets weight 1 (pure counting)."""
-    rows, cols, data = [], [], []
-    for p in inst.hypergraph.properties:
-        if p.weights is not None:
-            w = p.weights
-        else:
-            w = [1.0] * len(p.members)
-        for d, a_dp in zip(p.members, w):
-            rows.append(p.id)
-            cols.append(d)
-            data.append(float(a_dp))
-    return sp.csr_matrix(
-        (data, (rows, cols)), shape=(inst.num_properties, inst.num_entries), dtype=np.float64
-    )
+    """|P| x |D| incidence matrix, one row per property with its members'
+    columns sorted. It holds a_dp for the linear and quadratic families
+    and 1 for the others (step counts members; cosine reads only the
+    pattern)."""
+    props = inst.hypergraph.properties
+    indptr = np.zeros(len(props) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(p.members) for p in props])
+    indices = np.fromiter(chain.from_iterable(p.members for p in props), np.int64, indptr[-1])
+    if inst.model.family in ("linear", "quadratic"):
+        data = np.fromiter(chain.from_iterable(p.weights for p in props), np.float64, indptr[-1])
+    else:
+        data = np.ones(indptr[-1])
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(props), inst.num_entries))
+    matrix.sort_indices()
+    return matrix
 
 
 def _build_cosine_cache(inst: Instance) -> dict:
@@ -290,6 +290,8 @@ def validate_instance(raw: Instance) -> Instance:
         if p.weights is not None:
             if len(p.weights) != len(p.members):
                 raise InstanceError(f"property {p.id}: weights not aligned with members")
+            if not all(math.isfinite(w) for w in p.weights):
+                raise InstanceError(f"property {p.id}: non-finite weight")
             if any(w < 0 for w in p.weights):
                 raise InstanceError(f"property {p.id}: negative weight")
             total = float(sum(p.weights))
@@ -303,13 +305,10 @@ def validate_instance(raw: Instance) -> Instance:
             )
 
     # Caches shared by every evaluator.
-    raw._sizes = raw.property_sizes()
-    raw._weight_matrix = _build_weight_matrix(raw)           # |P| x |D|, a_dp
-    raw._member_matrix = raw._weight_matrix.copy()
-    raw._member_matrix.data = np.ones_like(raw._member_matrix.data)
-    # Entry-major views for candidate scans.
+    raw._weight_matrix = _build_weight_matrix(raw)           # |P| x |D|
+    raw._sizes = np.diff(raw._weight_matrix.indptr)
+    # Entry-major view for candidate scans.
     raw._entry_weights = sp.csr_matrix(raw._weight_matrix.T)  # |D| x |P|
-    raw._entry_members = sp.csr_matrix(raw._member_matrix.T)
     raw._entry_colsum = np.asarray(raw._entry_weights.sum(axis=1)).ravel()
     raw._entry_sqsum = np.asarray(raw._entry_weights.multiply(raw._entry_weights).sum(axis=1)).ravel()
 

@@ -398,3 +398,35 @@ def test_bench_checks_the_ilp_formulation_before_running(tmp_path, capsys):
     assert "unknown formulation" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     small_config(tmp_path, algorithms=["ilp"], params={"ilp": {"formulation": "maxmin"}})
+
+
+def test_cli_solve_rejects_non_finite_property_weight(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    doc = {"num_entries": 2, "num_adversaries": 2, "t": 1, "lambda": 1.0, "tau_I": 0.0,
+           "model": {"family": "linear", "aggregation": "worst"},
+           "properties": [{"id": 0, "members": [0, 1], "weights": [float("nan"), 1.0]}],
+           "utility_weights": [[0.9, 0.1], [0.1, 0.8]]}
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--instance", str(path), "--algorithm", "greedy"]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite weight" in err
+
+
+@pytest.mark.parametrize("source, algorithms, message", [
+    (synth_source(family="quadratic"), ["grasp", "lp"], "lp supports step|linear"),
+    (synth_source(num_entries=2.5), ["greedy"], "num_entries"),
+], ids=["lp-on-quadratic", "fractional-entry-count"])
+def test_bench_leaves_no_output_directory_on_a_bad_config(tmp_path, capsys, monkeypatch,
+                                                         source, algorithms, message):
+    # Every instance is built and every cell's family checked before the
+    # output directory is made, so no cell runs and no directory is left.
+    ran = []
+    monkeypatch.setattr("privpart.experiments.run_algorithm",
+                        lambda *args, **kw: ran.append(args))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_bench_config_text(tmp_path, source=source, algorithms=algorithms))
+    assert main(["bench", "--config", str(cfg_path)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert ran == []
+    assert not (tmp_path / "out").exists()

@@ -227,7 +227,8 @@ def _select_row_numpy(d, gains, params, rng):
 
 
 def _other_max_numpy(fprime):
-    """The numpy ``_other_max`` the scalar one replaced."""
+    """For each adversary, the largest aggregate among the others, in
+    numpy."""
     order = np.sort(fprime)
     m1, m2 = order[-1], order[-2]
     return np.where(fprime == m1, m2, m1)
@@ -267,10 +268,17 @@ def test_scalar_myopic_selection_matches_numpy_reference():
 
 
 def test_scalar_other_max_matches_numpy_reference():
+    # The excluded-max table's diagonal is the other-adversary max; every
+    # other cell is the max outside its pair, -inf when none is left.
     for gains in _selection_rows():
         fprime = np.where(np.isinf(gains), 0.0, np.abs(gains))  # aggregates are finite, >= 0
-        ours = IncrementalEvaluator._other_max(SimpleNamespace(fprime=fprime))
-        assert np.array_equal(ours, _other_max_numpy(fprime))
+        k = fprime.size
+        diag, excl = IncrementalEvaluator._excluded_max(SimpleNamespace(fprime=fprime, k=k))
+        assert np.array_equal(diag, _other_max_numpy(fprime))
+        for a, b in product(range(k), repeat=2):
+            rest = [fprime[c] for c in range(k) if c not in (a, b)]
+            assert excl[a][b] == max(rest, default=-np.inf), (fprime, a, b)
+        assert [excl[a][a] for a in range(k)] == diag.tolist()
 
 
 # -- myopic construction commits the rows it scored ------------------------------------
@@ -316,7 +324,7 @@ def _flip_cosine_reference(ev, d, a, on, log):
                      ev.kernel.dots[a, props] / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
     delta_sum = float((new_f - ev.f_ap[a, props]).sum())
     ev.f_ap[a, props] = new_f
-    ev._refresh_agg(a, delta_sum, may_decrease=True)
+    ev._refresh_agg(a, delta_sum)
 
 
 def _cosine_cases():
@@ -483,6 +491,29 @@ def test_gain_bounds_cover_every_neighbor_gain():
                 best = max((g for _, g in ev.neighborhood_gains(d)), default=-np.inf)
                 assert bound[d] >= best, (i, d)  # exact: the skip must be safe in float
             _random_walk(ev, rng, 3)
+
+
+def test_addition_gains_are_one_expression_on_every_path():
+    # neighborhood_gains scores its additions on Python floats, add_gain_row
+    # on a numpy row and the bound on the (|D|, k) matrix; all three must
+    # evaluate the same expression to the same bits.
+    rows = tight = 0
+    for i, (inst, scope) in enumerate(_screen_cases()):
+        ev = _walked_evaluator(inst, i, scope)
+        bound = ev.neighborhood_gain_bounds()
+        for d in range(inst.num_entries):
+            moves = ev.neighborhood_gains(d)
+            adds = [(m.to_adversary, g) for m, g in moves if m.kind == "add"]
+            if adds:
+                row = ev.add_gain_row(d)
+                assert [float(g).hex() for _, g in adds] == \
+                    [float(row[b]).hex() for b, _ in adds], (i, d)
+                rows += 1
+            if ev.kernel.col_floor and moves and len(adds) == len(moves):
+                # An entry with no adversary: its bound is its best gain.
+                assert bound[d] == max(g for _, g in adds), (i, d)
+                tight += 1
+    assert rows > 500 and tight > 40
 
 
 def test_gain_bound_keeps_quadratic_floor_as_removed_sums_clamp_at_zero():

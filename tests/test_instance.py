@@ -15,6 +15,7 @@ from privpart import (
     SensitiveProperty,
     instance_from_json,
     instance_to_json,
+    random_small_instance,
     validate_instance,
 )
 
@@ -55,6 +56,61 @@ def test_validate_rejects_empty_entries_negative_weights_empty_members():
     inst.utility_weights[0, 0] = -0.5
     with pytest.raises(InstanceError, match="nonnegative"):
         validate_instance(inst)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_validate_rejects_non_finite_property_weights(bad):
+    # NaN passes both the sign and the sum check, as every comparison with
+    # it is False; the evaluator would then fail deep inside a solve.
+    inst = small_instance(model=DisclosureModel("linear", "worst"), weights=(bad, 1.0))
+    with pytest.raises(InstanceError, match="non-finite weight"):
+        validate_instance(inst)
+    doc = json.loads(instance_to_json(validate_instance(
+        small_instance(model=DisclosureModel("linear", "worst"), weights=(0.5, 0.5)))))
+    doc["properties"][0]["weights"] = [bad, 1.0]
+    with pytest.raises(InstanceError, match="non-finite weight"):
+        instance_from_json(json.dumps(doc))  # the json module reads NaN and Infinity
+
+
+def _incidence_documents():
+    """Instance documents whose members are listed out of order, with zero
+    weights and, for step, weights that the step family ignores."""
+    base = {"num_entries": 6, "num_adversaries": 2, "t": 1, "lambda": 1.0, "tau_I": 0.0,
+            "utility_weights": [[0.5, 0.5]] * 6}
+    props = [{"id": 0, "members": [4, 0, 2], "weights": [0.25, 0.0, 0.75]},
+             {"id": 1, "members": [5, 3, 1, 0], "weights": [0.0, 0.5, 0.5, 0.0]},
+             {"id": 2, "members": [2], "weights": [1.0]}]
+    for family in ("step", "linear", "quadratic"):
+        yield json.dumps({**base, "model": {"family": family, "aggregation": "worst"},
+                          "properties": props})
+    yield json.dumps({**base, "model": {"family": "step", "aggregation": "average"},
+                      "properties": [{**p, "weights": None} for p in props]})
+
+
+def test_incidence_matrix_matches_per_membership_reference():
+    insts = [instance_from_json(text) for text in _incidence_documents()]
+    insts += [random_small_instance(seed, family) for seed in range(10)
+              for family in ("step", "linear", "quadratic", "cosine")]
+    for inst in insts:
+        num_p, num_d = inst.num_properties, inst.num_entries
+        member = np.zeros((num_p, num_d), dtype=bool)
+        value = np.zeros((num_p, num_d))
+        for p in inst.hypergraph.properties:
+            weights = p.weights if p.weights is not None else [1.0] * len(p.members)
+            for d, a_dp in zip(p.members, weights):
+                member[p.id, d] = True
+                value[p.id, d] = a_dp if inst.model.family in ("linear", "quadratic") else 1.0
+        for matrix, member_of, value_of in ((inst._weight_matrix, member, value),
+                                            (inst._entry_weights, member.T, value.T)):
+            assert matrix.shape == member_of.shape and matrix.has_sorted_indices
+            for row in range(member_of.shape[0]):
+                cols = matrix.indices[matrix.indptr[row]:matrix.indptr[row + 1]]
+                assert cols.tolist() == np.flatnonzero(member_of[row]).tolist()
+                # Zero weights stay in the pattern: a member with a_dp = 0
+                # is still one of the entry's properties.
+                assert matrix.data[matrix.indptr[row]:matrix.indptr[row + 1]].tolist() == \
+                    value_of[row, cols].tolist()
+        assert inst._sizes.tolist() == member.sum(axis=1).tolist()
 
 
 def test_validate_requires_weights_for_linear():
