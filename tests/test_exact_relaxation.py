@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from privpart import (
     Assignment,
@@ -10,6 +15,7 @@ from privpart import (
     FractionalSolution,
     InfeasibleError,
     Instance,
+    InstanceError,
     LpInfeasibleError,
     SearchParams,
     SensitiveProperty,
@@ -28,7 +34,8 @@ from privpart import (
 from privpart.evaluator import IncrementalEvaluator
 from privpart.exact import FORMULATIONS, _adversary_subsets, _batch_values
 from privpart.heuristics import finalize_result
-from privpart.relaxation import repair
+from privpart import relaxation
+from privpart.relaxation import _lp_model, repair
 
 
 def pair_instance(lam=1.0, tau=0.0, family="step", weights=None, t=1, k=2):
@@ -352,6 +359,136 @@ def test_lp_bounds_exact_for_linear_any_lambda():
             continue
         exact = solve_exact(inst)
         assert frac.lp_objective >= exact.objective.value - 1e-9
+
+
+def _reference_lp_model(instance):
+    """The relaxation built row by row with Python lists: the loops that
+    ``_lp_model`` replaces with numpy."""
+    num_d, k = instance.num_entries, instance.k
+    nx = num_d * k
+    family = instance.model.family
+    rows, cols, data, b_ub = [], [], [], []
+
+    def add_row(col_idx, col_val, rhs):
+        r = len(b_ub)
+        rows.extend([r] * len(col_idx))
+        cols.extend(col_idx)
+        data.extend(col_val)
+        b_ub.append(rhs)
+
+    for d in range(num_d):
+        idx = [d * k + a for a in range(k)]
+        add_row(idx, [-1.0] * k, -1.0)
+        add_row(idx, [1.0] * k, float(instance.t))
+    n_vars = nx + (1 if family == "linear" else 0)
+    if family == "step":
+        for p in instance.hypergraph.properties:
+            for a in range(k):
+                idx = [d * k + a for d in p.members]
+                add_row(idx, [1.0] * len(idx), float(len(p.members) - 1))
+    elif instance.num_properties > 0:
+        y = nx
+        if instance.model.aggregation == "worst":
+            for p in instance.hypergraph.properties:
+                for a in range(k):
+                    idx = [d * k + a for d in p.members] + [y]
+                    add_row(idx, list(p.weights) + [-1.0], 0.0)
+        else:
+            per_entry = np.zeros(num_d)
+            for p in instance.hypergraph.properties:
+                for d, w in zip(p.members, p.weights):
+                    per_entry[d] += w / instance.num_properties
+            for a in range(k):
+                idx = [d * k + a for d in range(num_d) if per_entry[d] > 0] + [y]
+                vals = [per_entry[d] for d in range(num_d) if per_entry[d] > 0] + [-1.0]
+                add_row(idx, vals, 0.0)
+    c = np.zeros(n_vars)
+    c[:nx] = -(instance.utility_weights / instance._normalizer).ravel()
+    if family == "linear":
+        c[nx] = instance.lam
+    a_ub = sp.csr_matrix((data, (rows, cols)), shape=(len(b_ub), n_vars), dtype=np.float64)
+    return c, a_ub, np.array(b_ub), nx
+
+
+def _lp_instances():
+    """Criterion 1's step and linear desk instances, 500x50 synthetic
+    instances (linear/average, linear/worst, step) and two without
+    properties."""
+    cases = [random_small_instance(1000 + trial) for trial in range(200)]
+    cases = [inst for inst in cases if inst.model.family in ("step", "linear")]
+    for family, aggregation in (("linear", "average"), ("linear", "worst"), ("step", "worst")):
+        cases.append(generate_instance(SynthConfig(500, 50, 5, 1, seed=3),
+                                       DisclosureModel(family, aggregation)))
+    w = np.random.default_rng(8).random((4, 3))
+    for family in ("step", "linear"):
+        cases.append(validate_instance(Instance(DependencyHypergraph(4, []), w, 3, 2,
+                                                model=DisclosureModel(family, "worst"))))
+    return cases
+
+
+def test_lp_model_equals_row_by_row_build():
+    for inst in _lp_instances():
+        c, a_ub, b_ub, nx = _lp_model(inst)
+        ref_c, ref_a, ref_b, ref_nx = _reference_lp_model(inst)
+        assert nx == ref_nx
+        assert np.array_equal(c, ref_c)
+        assert np.array_equal(b_ub, ref_b)
+        assert a_ub.shape == ref_a.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a_ub, attr), getattr(ref_a, attr)), attr
+
+
+def _lp_outcome(inst):
+    try:
+        frac = solve_lp_relaxation(inst)
+    except LpInfeasibleError:
+        return "infeasible"
+    return frac.x_hat.tobytes(), frac.lp_objective
+
+
+def test_lp_solve_matches_linprog_highs_bitwise(monkeypatch):
+    from scipy.optimize import linprog
+
+    def highs(c, a_ub, b_ub):
+        return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs")
+
+    cases = _lp_instances()
+    ours = [_lp_outcome(inst) for inst in cases]
+    monkeypatch.setattr(relaxation, "linprog", highs)
+    assert ours == [_lp_outcome(inst) for inst in cases]
+    assert "infeasible" in ours
+
+
+def test_lp_solver_is_imported_on_the_first_lp_only():
+    script = """
+import sys
+from privpart import (DisclosureModel, SearchParams, SynthConfig, enumerate_optimum,
+                      generate_instance, rand_plus, random_small_instance, solve,
+                      solve_exact, solve_lp_relaxation)
+inst = generate_instance(SynthConfig(30, 5, 3, 1, seed=0), DisclosureModel("linear", "average"))
+rand_plus(inst, runs=5)
+solve(inst, SearchParams("greedy", "global"))
+solve(inst, SearchParams("grasp", "myopic", n=2, r=2))
+small = random_small_instance(1000, family="linear")
+solve_exact(small)
+enumerate_optimum(small)
+assert "scipy.optimize" not in sys.modules, "loaded before any LP"
+solve_lp_relaxation(small)
+assert "scipy.optimize" in sys.modules, "not loaded by an LP"
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_fractional_row_sums_are_checked_against_k():
+    with pytest.raises(InstanceError, match=r"row sums must lie in \[1, k\]"):
+        FractionalSolution(np.array([[0.3, 0.3]]), 0.0)
+    # A row may hold up to k: the relaxation's cardinality rows enforce t.
+    assert FractionalSolution(np.array([[1.0, 1.0]]), 0.0).x_hat.sum() == 2.0
 
 
 # -- rounding -----------------------------------------------------------------
