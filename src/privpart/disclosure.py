@@ -24,7 +24,6 @@ clip to [0, 1].
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .instance import AGGREGATIONS, Assignment, Instance, DisclosureModel, InstanceError
 
@@ -59,10 +58,10 @@ def batch_disclosure(instance: Instance, bits: np.ndarray):
 
     family = instance.model.family
     if family == "cosine":
-        cache = _cosine_matrices(instance)
-        norms = product(cache["norm_matrix"], cols)
-        dots = product(cache["pair_matrix"], cols[cache["pair_e1"]] * cols[cache["pair_e2"]])
-        ui, uj = cache["prop_users"].T
+        tables = instance._cosine
+        norms = product(tables.norm_matrix, cols)
+        dots = product(tables.pair_matrix, cols[tables.pair_e1] * cols[tables.pair_e2])
+        ui, uj = tables.prop_users.T
         denom = norms[:, :, ui] * norms[:, :, uj]
         f_ap = np.where(denom > 0.0, dots / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
         return (norms, dots), f_ap
@@ -70,22 +69,6 @@ def batch_disclosure(instance: Instance, bits: np.ndarray):
     if family == "step":
         return sums, (sums == instance._sizes).astype(np.float64)
     return sums, (sums if family == "linear" else sums**2)
-
-
-def _cosine_matrices(instance: Instance) -> dict:
-    """The instance's cosine cache with two sparse tables added on first
-    use: users x entries (squared counts) and properties x pairs (count
-    products). Their rows list entries and pairs in order."""
-    cache = instance._cosine
-    if "norm_matrix" not in cache:
-        num_d, num_pairs = instance.num_entries, cache["pair_prop"].size
-        cache["norm_matrix"] = sp.csr_matrix(
-            (cache["sq_counts"], (cache["user_idx"], np.arange(num_d))),
-            shape=(cache["num_users"], num_d))
-        cache["pair_matrix"] = sp.csr_matrix(
-            (cache["pair_prod"], (cache["pair_prop"], np.arange(num_pairs))),
-            shape=(instance.num_properties, num_pairs))
-    return cache
 
 
 def disclosure_vector(instance: Instance, assignment: Assignment) -> np.ndarray:

@@ -373,7 +373,8 @@ class _SumsKernel:
     def __init__(self, inst: Instance, g, average_row, average_col, average_exact: bool):
         self.inst = inst
         ew = inst._entry_weights
-        self.indptr, self.pcols, self.w = ew.indptr, ew.indices, ew.data
+        # intp, or np.take converts the int32 indices on every add_col call.
+        self.indptr, self.pcols, self.w = ew.indptr, ew.indices.astype(np.intp), ew.data
         self.g, self._average_row, self._average_col = g, average_row, average_col
         # Whether add_col's entries are bitwise add_rows' values: always
         # under worst (a max is exact in any order), under average where
@@ -462,17 +463,14 @@ class _CosineKernel:
     col_floor = False
 
     def __init__(self, inst: Instance):
-        self.cache = cache = _cosine_entry_tables(inst)
-        self.partner = cache["entry_partner"]
-        self.e_user = cache["user_idx"]
-        self.e_sq = cache["sq_counts"]
+        self.tables = t = inst._cosine
+        self.partner, self.e_user, self.e_sq = t.entry_partner, t.user_idx, t.sq_counts
 
     def reset(self, state) -> None:
         self.norms, self.dots = state[0][0], state[1][0]
         self.kept = None
 
     def flip(self, ev: IncrementalEvaluator, d: int, a: int, on: bool) -> None:
-        cache = self.cache
         kept, self.kept = self.kept, None
         u = int(self.e_user[d])
         props = ev._props(d)
@@ -488,11 +486,11 @@ class _CosineKernel:
             self.dots[a][props] = dots_new
         else:
             self.norms[a, u] -= self.e_sq[d]
-            pprops = cache["entry_pair_props"][d]
+            pprops = self.tables.entry_props[d]
             if pprops.size:
-                mask = ev.bits[cache["entry_pair_others"][d], a]
+                mask = ev.bits[self.tables.entry_others[d], a]
                 if mask.any():
-                    np.subtract.at(self.dots[a], pprops[mask], cache["entry_pair_prods"][d][mask])
+                    np.subtract.at(self.dots[a], pprops[mask], self.tables.entry_prods[d][mask])
             if props.size == 0:
                 return
             new_f = self._values(self.norms[a], self.dots[a, props], d, float(self.norms[a, u]))
@@ -507,15 +505,14 @@ class _CosineKernel:
         Each of d's properties holds at most one pair with d, so every dot
         gets one addition; an inactive pair adds 0.0, which leaves it as a
         flip that skips the pair would."""
-        cache = self.cache
         new_norm_u = self.norms[rows, self.e_user[d]] + self.e_sq[d]
         # take() on the last axis serves one row and k rows alike, and is
         # cheaper than fancy indexing on arrays this small.
         dots_new = self.dots[rows].take(props, axis=-1)
-        others = cache["entry_pair_others"][d]
+        others = self.tables.entry_others[d]
         if others.size:
-            active = ev.bits[:, rows].take(others, axis=0).T * cache["entry_pair_prods"][d]
-            np.add.at(dots_new.T, cache["entry_pair_cols"][d], active.T)
+            active = ev.bits[:, rows].take(others, axis=0).T * self.tables.entry_prods[d]
+            np.add.at(dots_new.T, self.tables.entry_cols[d], active.T)
         new_f = self._values(self.norms[rows], dots_new, d, new_norm_u[..., None])
         return new_norm_u, dots_new, new_f
 
@@ -545,14 +542,12 @@ class _CosineKernel:
         return out
 
     def remove_row(self, ev: IncrementalEvaluator, d: int, a: int) -> np.ndarray:
-        cache = self.cache
-        props = ev._props(d)
+        tables, props = self.tables, ev._props(d)
         dots_new = self.dots[a, props]
-        others = cache["entry_pair_others"][d]
+        others = tables.entry_others[d]
         if others.size:
             mask = ev.bits[others, a]
-            np.subtract.at(dots_new, cache["entry_pair_cols"][d][mask],
-                           cache["entry_pair_prods"][d][mask])
+            np.subtract.at(dots_new, tables.entry_cols[d][mask], tables.entry_prods[d][mask])
         norm_u = float(self.norms[a, self.e_user[d]]) - float(self.e_sq[d])
         return self._values(self.norms[a], dots_new, d, norm_u)
 
@@ -562,7 +557,7 @@ class _CosineKernel:
 
     def snapshot(self, d: int, a: int, props: np.ndarray):
         u = int(self.e_user[d])
-        pprops = self.cache["entry_pair_props"][d]
+        pprops = self.tables.entry_props[d]
         return u, float(self.norms[a, u]), pprops, self.dots[a, pprops]
 
     def restore(self, a: int, props: np.ndarray, snap) -> None:
@@ -571,43 +566,3 @@ class _CosineKernel:
         if pprops.size:
             self.dots[a, pprops] = old_dots
 
-
-def _cosine_entry_tables(inst: Instance) -> dict:
-    """The instance's cosine cache with per-entry pair tables added on
-    first use: for each entry, the other entry, count product, property
-    and position among the entry's properties of each pair it is in, and
-    the other user of each of its properties."""
-    cache = inst._cosine
-    if "entry_pair_others" in cache:
-        return cache
-    num_e = inst.num_entries
-    by_entry: list[list[tuple[int, float, int]]] = [[] for _ in range(num_e)]
-    for row in range(cache["pair_prop"].size):
-        p = int(cache["pair_prop"][row])
-        e1 = int(cache["pair_e1"][row])
-        e2 = int(cache["pair_e2"][row])
-        prod = float(cache["pair_prod"][row])
-        by_entry[e1].append((e2, prod, p))
-        by_entry[e2].append((e1, prod, p))
-    others, prods, props, cols = [], [], [], []
-    indptr = inst._entry_weights.indptr
-    pcols = inst._entry_weights.indices
-    for d in range(num_e):
-        others.append(np.array([o for (o, _, _) in by_entry[d]], dtype=np.int64))
-        prods.append(np.array([w for (_, w, _) in by_entry[d]]))
-        pp = np.array([p for (_, _, p) in by_entry[d]], dtype=np.int64)
-        props.append(pp)
-        own = pcols[indptr[d]:indptr[d + 1]]
-        lookup = {int(q): i for i, q in enumerate(own)}
-        cols.append(np.array([lookup[int(q)] for q in pp], dtype=np.int64))
-    cache["entry_pair_others"] = others
-    cache["entry_pair_prods"] = prods
-    cache["entry_pair_props"] = props
-    cache["entry_pair_cols"] = cols
-    # Per entry, aligned with its properties: the other user of each
-    # property's pair.
-    prop_u = cache["prop_users"]
-    ui, uj = prop_u[pcols, 0], prop_u[pcols, 1]
-    own_u = np.repeat(cache["user_idx"], np.diff(indptr))
-    cache["entry_partner"] = np.split(np.where(ui == own_u, uj, ui), indptr[1:-1])
-    return cache

@@ -68,6 +68,10 @@ class ExperimentConfig:
             raise InstanceError("seeds and k_values must be integers")
         if any(v < 0 for v in self.seeds):
             raise InstanceError(f"seeds must be non-negative, got {self.seeds}")
+        for name, values in (("algorithms", self.algorithms), ("seeds", self.seeds),
+                             ("k_values", self.k_values or [])):
+            if len(set(values)) != len(values):
+                raise InstanceError(f"config {name} repeat a value: {values}")
         if not isinstance(self.params, dict) or not all(
                 isinstance(v, dict) for v in self.params.values()):
             raise InstanceError("params must map algorithm names to objects of overrides")

@@ -28,6 +28,7 @@ from .instance import (
     DisclosureModel,
     Instance,
     SensitiveProperty,
+    check_k_t,
     validate_instance,
 )
 
@@ -129,15 +130,17 @@ def build_location_instance(
     """Build a cosine-disclosure instance from aggregated check-ins and a
     friendship edge list. Friendships whose endpoints have no check-ins
     are dropped with a warning; optional caps subsample users and edges
-    deterministically in the seed."""
+    deterministically in the seed. k, t and the caps are checked before
+    anything is drawn."""
+    check_k_t(k, t)
+    for name, cap in (("max_users", max_users), ("max_edges", max_edges)):
+        if cap is not None and cap < 0:
+            raise GeodataError(f"{name} must be non-negative, got {cap}")
     rng = np.random.default_rng(seed)
     entries = list(entries)
 
     if max_users is not None:
-        keep = set()
-        for e in entries:
-            keep.add(e.user_id)
-        ordered = sorted(keep)
+        ordered = sorted({e.user_id for e in entries})
         if len(ordered) > max_users:
             chosen = set(
                 ordered[i] for i in rng.choice(len(ordered), size=max_users, replace=False)

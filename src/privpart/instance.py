@@ -17,10 +17,12 @@ the LP relaxation) works on the two central objects defined here:
 * ``Assignment`` -- a boolean entry-by-adversary matrix with its
   per-entry row sums.
 
-``validate_instance`` checks all structural invariants and builds the
-caches (the sparse property-by-entry incidence matrix and its entry-major
-transpose, top-t utility normalizer, cosine pair tables) that the
-evaluators rely on.
+``validate_instance`` checks all structural invariants and is the one
+place that derives tables from the properties: the sparse
+property-by-entry incidence matrix and its entry-major transpose, the
+top-t utility normalizer, and for the cosine family a ``CosineTables``
+record. The batched scorer, the evaluator kernels and the LP relaxation
+read these; no module adds anything to a validated instance.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ class DependencyHypergraph:
 
 class Instance:
     """One partitioning problem. Treat as immutable after validation;
-    the solver-facing caches are attached by :func:`validate_instance`."""
+    the solver-facing tables are attached by :func:`validate_instance`."""
 
     def __init__(
         self,
@@ -165,81 +167,125 @@ def _build_weight_matrix(inst: Instance) -> sp.csr_matrix:
     return matrix
 
 
-def _build_cosine_cache(inst: Instance) -> dict:
-    """Pair tables for trajectory-similarity evaluation.
+@dataclass(frozen=True)
+class CosineTables:
+    """The cosine family's tables, built once by :func:`validate_instance`.
 
-    Each property must reference exactly two users; the cache stores, per
-    property, the user pair plus the list of (entry, entry) pairs that
-    share a location across the two users, with the count product.
-    """
-    if inst.entries is None or any(e.payload is None for e in inst.entries):
+    Users are numbered by first appearance. Pair i joins entry
+    ``pair_e1[i]`` of a property's lower user with entry ``pair_e2[i]`` of
+    the other at a location both visited; pairs run by property, then by
+    ``pair_e1``. Per entry d, the ``entry_*`` lists hold over d's pairs
+    the other entry, the count product, the property and its position
+    among d's properties, and ``entry_partner[d]`` the other user of each
+    of d's properties."""
+
+    user_idx: np.ndarray          # (|D|,) user of each entry
+    sq_counts: np.ndarray         # (|D|,) squared check-in counts
+    prop_users: np.ndarray        # (|P|, 2) each property's users, lower first
+    pair_e1: np.ndarray
+    pair_e2: np.ndarray
+    norm_matrix: sp.csr_matrix    # users x entries, squared counts
+    pair_matrix: sp.csr_matrix    # properties x pairs, count products
+    entry_others: list[np.ndarray]
+    entry_prods: list[np.ndarray]
+    entry_props: list[np.ndarray]
+    entry_cols: list[np.ndarray]
+    entry_partner: list[np.ndarray]
+
+
+def _cosine_tables(inst: Instance) -> CosineTables:
+    """Check the cosine payloads and build the family's tables. Each entry
+    needs a positive count and a (user, location) pair of its own, each
+    property all entries of exactly two users; the first faulty entry
+    (count first), else the first faulty property (user count first) is
+    reported. Labels are coded through dicts: they may mix str and int."""
+    entries = inst.entries
+    if entries is None or any(e.payload is None for e in entries):
         raise InstanceError("cosine family requires (user, location, count) payloads")
-
-    users: dict = {}
-    user_idx = np.empty(inst.num_entries, dtype=np.int64)
-    counts = np.empty(inst.num_entries, dtype=np.float64)
-    by_user_loc: dict = {}
-    for e in inst.entries:
+    users, locs, entry_at = {}, {}, {}  # entry_at: (user, location) codes -> entry
+    for e in entries:
         u, loc, c = e.payload
         if c <= 0:
             raise InstanceError(f"entry {e.id}: check-in count must be positive")
-        uid = users.setdefault(u, len(users))
-        user_idx[e.id] = uid
-        counts[e.id] = float(c)
-        if (uid, loc) in by_user_loc:
+        code = (users.setdefault(u, len(users)), locs.setdefault(loc, len(locs)))
+        if entry_at.setdefault(code, e.id) != e.id:
             raise InstanceError(f"duplicate (user, location) pair for entry {e.id}")
-        by_user_loc[(uid, loc)] = e.id
+    user_idx, loc_idx = np.array(list(entry_at), dtype=np.int64).T.copy()
+    counts = np.array([e.payload[2] for e in entries], dtype=np.float64)
 
-    locs_of_user: dict[int, list] = {}
-    for (uid, loc) in by_user_loc:
-        locs_of_user.setdefault(uid, []).append(loc)
+    # A property's users are the least and the largest user of its members.
+    wm, ew, sizes = inst._weight_matrix, inst._entry_weights, inst._sizes
+    num_d, num_p, starts = inst.num_entries, inst.num_properties, wm.indptr[:-1]
+    member_user = user_idx[wm.indices]
+    lo, hi = np.minimum.reduceat(member_user, starts), np.maximum.reduceat(member_user, starts)
+    at_lo = member_user == np.repeat(lo, sizes)
+    in_pair = np.add.reduceat(at_lo | (member_user == np.repeat(hi, sizes)), starts)
+    user_entries = np.bincount(user_idx)
+    bad = np.flatnonzero((lo == hi) | (in_pair != sizes)
+                         | (sizes != user_entries[lo] + user_entries[hi]))
+    if bad.size:
+        p = int(bad[0])
+        n_users = len(set(member_user[wm.indptr[p]:wm.indptr[p + 1]].tolist()))
+        if n_users != 2:
+            raise InstanceError(f"property {p} references {n_users} users, expected exactly 2")
+        raise InstanceError(f"property {p} members must be the union of both users' entries")
 
-    prop_users = np.empty((inst.num_properties, 2), dtype=np.int64)
-    pair_prop, pair_e1, pair_e2, pair_prod = [], [], [], []
-    for p in inst.hypergraph.properties:
-        pair_users = sorted({int(user_idx[d]) for d in p.members})
-        if len(pair_users) != 2:
-            raise InstanceError(
-                f"property {p.id} references {len(pair_users)} users, expected exactly 2"
-            )
-        ui, uj = pair_users
-        prop_users[p.id] = (ui, uj)
-        member_set = set(p.members)
-        expected = {d for u in (ui, uj) for d in _entries_of(by_user_loc, locs_of_user, u)}
-        if member_set != expected:
-            raise InstanceError(
-                f"property {p.id} members must be the union of both users' entries"
-            )
-        for loc in locs_of_user[ui]:
-            other = by_user_loc.get((uj, loc))
-            if other is not None:
-                e1 = by_user_loc[(ui, loc)]
-                pair_prop.append(p.id)
-                pair_e1.append(e1)
-                pair_e2.append(other)
-                pair_prod.append(counts[e1] * counts[other])
+    # An entry of a property's lower user pairs with the other's at its location.
+    pair_e1 = wm.indices[at_lo].astype(np.int64)
+    pair_prop = np.repeat(np.arange(num_p), sizes)[at_lo]
+    key = user_idx * len(locs) + loc_idx
+    by_key = np.argsort(key)
+    wanted = hi[pair_prop] * len(locs) + loc_idx[pair_e1]
+    pair_e2 = by_key[np.minimum(np.searchsorted(key[by_key], wanted), num_d - 1)]
+    found = key[pair_e2] == wanted
+    pair_e1, pair_e2, pair_prop = pair_e1[found], pair_e2[found], pair_prop[found]
+    pair_prod, sq_counts, num_pairs = counts[pair_e1] * counts[pair_e2], counts**2, pair_e1.size
 
-    return {
-        "num_users": len(users),
-        "user_idx": user_idx,
-        "sq_counts": counts**2,
-        "prop_users": prop_users,
-        "pair_prop": np.array(pair_prop, dtype=np.int64),
-        "pair_e1": np.array(pair_e1, dtype=np.int64),
-        "pair_e2": np.array(pair_e2, dtype=np.int64),
-        "pair_prod": np.array(pair_prod, dtype=np.float64),
-    }
+    # Pair i's ends sit at 2i and 2i + 1, so a stable sort by entry keeps
+    # each entry's pairs in pair order.
+    ends = np.array([pair_e1, pair_e2]).T.ravel()
+    by_end = np.argsort(ends, kind="stable")
+    entry_of, pair_of = ends[by_end], by_end // 2
+    end_ptr = np.searchsorted(entry_of, np.arange(num_d + 1))
+    # Each entry's properties are sorted, so (entry, property) keys are too.
+    degree = np.diff(ew.indptr)
+    own_key = np.repeat(np.arange(num_d), degree) * num_p + ew.indices
+    cols = np.searchsorted(own_key, entry_of * num_p + pair_prop[pair_of]) - ew.indptr[entry_of]
+    partner = (lo + hi)[ew.indices] - np.repeat(user_idx, degree)
+
+    def per_entry(values, ptr):  # entries with none share one empty array
+        empty, bounds = values[:0], zip(ptr[:-1].tolist(), ptr[1:].tolist())
+        return [values[i:j] if i < j else empty for i, j in bounds]
+
+    by_user = np.argsort(user_idx, kind="stable")
+    user_ptr = np.concatenate(([0], np.cumsum(user_entries)))
+    pair_ptr = np.concatenate(([0], np.cumsum(np.bincount(pair_prop, minlength=num_p))))
+    others = np.array([pair_e2, pair_e1]).T.ravel()[by_end]
+    return CosineTables(
+        user_idx, sq_counts, np.column_stack((lo, hi)), pair_e1, pair_e2,
+        sp.csr_matrix((sq_counts[by_user], by_user, user_ptr), shape=(user_entries.size, num_d)),
+        sp.csr_matrix((pair_prod, np.arange(num_pairs), pair_ptr), shape=(num_p, num_pairs)),
+        *(per_entry(v, end_ptr) for v in (others, pair_prod[pair_of], pair_prop[pair_of], cols)),
+        per_entry(partner, ew.indptr))
 
 
-def _entries_of(by_user_loc, locs_of_user, uid) -> list[int]:
-    return [by_user_loc[(uid, loc)] for loc in locs_of_user.get(uid, [])]
+def check_k_t(k: int, t: int) -> None:
+    """k >= 2 and 1 <= t <= k; builders check it before drawing anything."""
+    if k < 2:
+        raise InstanceError(f"need at least 2 adversaries, got k={k}")
+    if t < 1:
+        raise InstanceError(f"per-entry cap must be at least 1, got t={t}")
+    if t > k:
+        raise InstanceError(f"t exceeds k ({t} > {k})")
 
 
 def validate_instance(raw: Instance) -> Instance:
-    """Check structural invariants and attach solver caches.
-
-    Idempotent: validating an already validated instance returns it
-    unchanged. Raises :class:`InstanceError` on any violation.
+    """Check structural invariants and build every table solvers read:
+    ``_weight_matrix`` (|P| x |D| incidence), ``_sizes``, the entry-major
+    ``_entry_weights`` and the row sums its family reads, the top-t
+    normalizer, and the cosine family's :class:`CosineTables` in
+    ``_cosine`` (None for the others). Idempotent: a validated instance
+    comes back unchanged. Raises :class:`InstanceError` on any violation.
     """
     if raw.validated:
         return raw
@@ -247,12 +293,7 @@ def validate_instance(raw: Instance) -> Instance:
     hg = raw.hypergraph
     if hg.num_entries <= 0:
         raise InstanceError("instance has no data entries")
-    if raw.k < 2:
-        raise InstanceError(f"need at least 2 adversaries, got k={raw.k}")
-    if raw.t < 1:
-        raise InstanceError(f"per-entry cap must be at least 1, got t={raw.t}")
-    if raw.t > raw.k:
-        raise InstanceError(f"t exceeds k ({raw.t} > {raw.k})")
+    check_k_t(raw.k, raw.t)
     if not (0.0 <= raw.lam <= 1.0):
         raise InstanceError(f"lambda must lie in [0, 1], got {raw.lam}")
     if not (0.0 <= raw.tau <= 1.0):
@@ -274,12 +315,10 @@ def validate_instance(raw: Instance) -> Instance:
             if e.id != i:
                 raise InstanceError(f"entry ids must be dense, got {e.id} at position {i}")
 
-    seen_ids = set()
-    needs_weights = raw.model.family in ("linear", "quadratic")
+    family = raw.model.family
     for pid, p in enumerate(hg.properties):
         if p.id != pid:
             raise InstanceError(f"property ids must be dense, got {p.id} at position {pid}")
-        seen_ids.add(p.id)
         if not p.members:
             raise InstanceError(f"property {p.id} has empty member set")
         if len(set(p.members)) != len(p.members):
@@ -299,18 +338,17 @@ def validate_instance(raw: Instance) -> Instance:
                 raise InstanceError(
                     f"property {p.id}: weights sum {total:.10g} != 1"
                 )
-        elif needs_weights:
-            raise InstanceError(
-                f"{raw.model.family} disclosure requires weights on property {p.id}"
-            )
+        elif family in ("linear", "quadratic"):
+            raise InstanceError(f"{family} disclosure requires weights on property {p.id}")
 
-    # Caches shared by every evaluator.
     raw._weight_matrix = _build_weight_matrix(raw)           # |P| x |D|
     raw._sizes = np.diff(raw._weight_matrix.indptr)
-    # Entry-major view for candidate scans.
-    raw._entry_weights = sp.csr_matrix(raw._weight_matrix.T)  # |D| x |P|
-    raw._entry_colsum = np.asarray(raw._entry_weights.sum(axis=1)).ravel()
-    raw._entry_sqsum = np.asarray(raw._entry_weights.multiply(raw._entry_weights).sum(axis=1)).ravel()
+    raw._entry_weights = sp.csr_matrix(raw._weight_matrix.T)  # |D| x |P|, entry-major
+    # Per-entry sums of a_dp (read by linear) and of their squares (by quadratic).
+    ew = raw._entry_weights
+    raw._entry_colsum = np.asarray(ew.sum(axis=1)).ravel() if family == "linear" else None
+    raw._entry_sqsum = (np.asarray(ew.multiply(ew).sum(axis=1)).ravel()
+                        if family == "quadratic" else None)
 
     # Top-t utility normalizer: best achievable total weight.
     w = raw.utility_weights
@@ -318,11 +356,11 @@ def validate_instance(raw: Instance) -> Instance:
     raw._top_t_sum = top.sum(axis=1)
     raw._normalizer = float(raw._top_t_sum.sum())
 
-    raw._cosine = _build_cosine_cache(raw) if raw.model.family == "cosine" else None
+    raw._cosine = _cosine_tables(raw) if family == "cosine" else None
 
     # Paper-model assumption: largest hyperedge should exceed k. Degenerate
     # research instances stay runnable, flagged instead of rejected.
-    raw.dimension_warning = hg.num_properties > 0 and hg.dimension <= raw.k
+    raw.dimension_warning = hg.num_properties > 0 and raw._sizes.max() <= raw.k
     raw.validated = True
     return raw
 

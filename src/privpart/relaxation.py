@@ -14,17 +14,18 @@ the repair pass then restores cardinality: orphaned entries go to their
 highest-fraction adversary, over-full entries keep their t highest
 fractions (ties toward lower adversary ids).
 
-``_lp_model`` builds the relaxation in numpy and ``linprog`` solves it
-with HiGHS. ``linprog`` keeps scipy's name because the benchmark's
-tracer (``perfbench/spans.py``) wraps ``relaxation.linprog`` as the LP
-solve span and counts the rest of ``solve_lp_relaxation`` as LP build.
+``_lp_model`` builds the relaxation in numpy, one CSC column per
+variable read from the entry-major incidence matrix ``validate_instance``
+built, and ``linprog`` solves it with HiGHS. ``linprog`` keeps scipy's
+name because the benchmark's tracer (``perfbench/spans.py``) wraps
+``relaxation.linprog`` as the LP solve span and counts the rest of
+``solve_lp_relaxation`` as LP build.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,68 +59,54 @@ class FractionalSolution:
 def _lp_model(instance: Instance):
     """The relaxation of a validated step or linear instance as
     ``(c, a_ub, b_ub, nx)``: minimize ``c @ x`` subject to
-    ``a_ub @ x <= b_ub`` and x in [0, 1]. The first nx = |D| k columns
-    are x (entry d, adversary a at d * k + a); a linear instance adds the
-    epigraph column y = nx. Rows: cardinality (-sum_a x_da <= -1,
-    sum_a x_da <= t) per entry, then per property and adversary (step:
-    at most |p| - 1 members held; linear/worst: weighted coverage <= y),
-    or per adversary (linear/average: coverage averaged over properties
+    ``a_ub @ x <= b_ub`` (CSC) and x in [0, 1]. The first nx = |D| k
+    columns are x (entry d, adversary a at d * k + a); a linear instance
+    adds the epigraph column y = nx, which closes every row after the
+    cardinality rows. Rows: cardinality (-sum_a x_da <= -1,
+    sum_a x_da <= t) per entry, then per property and adversary (step: at
+    most |p| - 1 members held; linear/worst: weighted coverage <= y), or
+    per adversary (linear/average: coverage averaged over properties
     <= y)."""
     family = instance.model.family
-    num_d, k = instance.num_entries, instance.k
-    nx = num_d * k
-    props = instance.hypergraph.properties
-    sizes = np.fromiter((len(p.members) for p in props), np.int64, len(props))
-    members = np.fromiter(chain.from_iterable(p.members for p in props), np.int64, sizes.sum())
+    num_d, num_p, k = instance.num_entries, instance.num_properties, instance.k
+    nx, first = num_d * k, 2 * num_d  # first: the first row after the cardinality rows
+    ew = instance._entry_weights  # |D| x |P|: a_dp, or 1 for step
+    # rows[ptr[d]:ptr[d + 1]] are entry d's other rows (on adversary 0), vals their values.
+    if family == "linear" and instance.model.aggregation == "average":
+        # One row per adversary; an entry weighs its summed a_dp / |P|,
+        # added in property order, and enters the row only if that is > 0.
+        per_entry = np.bincount(np.repeat(np.arange(num_d), np.diff(ew.indptr)),
+                                ew.data / num_p, minlength=num_d)
+        held = per_entry > 0
+        ptr = np.concatenate(([0], np.cumsum(held)))
+        rows, vals = np.zeros(ptr[-1], dtype=np.int64), per_entry[held]
+        y_rows = first + np.arange(k if num_p else 0)
+    else:
+        ptr, rows, vals = ew.indptr, ew.indices.astype(np.int64) * k, ew.data  # row p * k + a
+        y_rows = first + np.arange(num_p * k if family == "linear" else 0)
 
-    rows = [np.repeat(np.arange(2 * num_d), k)]
-    cols = [np.repeat(np.arange(nx).reshape(num_d, 1, k), 2, axis=1).ravel()]
-    data = [np.tile(np.repeat([-1.0, 1.0], k), num_d)]
-    b_ub = [np.tile([-1.0, float(instance.t)], num_d)]
+    # Entry d's block: rows 2d and 2d + 1, then its other rows. Column
+    # d * k + a is block d with the other rows moved to adversary a.
+    at = np.repeat(ptr[:-1], 2)
+    block_rows = np.insert(first + rows, at, np.arange(2 * num_d))
+    block_vals = np.insert(vals, at, np.tile([-1.0, 1.0], num_d))
+    length = np.repeat(np.diff(ptr) + 2, k)
+    indptr = np.cumsum(np.concatenate(([0], length, [y_rows.size])))  # y's column last
+    col = np.repeat(np.arange(nx), length)
+    i = np.arange(indptr[nx]) - indptr[col]
+    d, a = np.divmod(col, k)
+    src = ptr[d] + 2 * d + i
+    a_rows = block_rows[src] + a * (i >= 2)
 
-    def add_rows(seg_sizes, entries, vals, rhs):
-        # One row per (segment, adversary), segment-major: segment i holds
-        # the next seg_sizes[i] of entries and vals and bounds its rows by
-        # rhs[i]; on adversary a entry d reads column d * k + a, and entry
-        # -1 the epigraph column nx.
-        seg_len = seg_sizes * k
-        seg = np.repeat(np.arange(len(seg_sizes)), seg_len)
-        pos = np.arange(seg.size) - np.repeat(np.cumsum(seg_len) - seg_len, seg_len)
-        a = pos // seg_sizes[seg]
-        src = (np.cumsum(seg_sizes) - seg_sizes)[seg] + pos % seg_sizes[seg]
-        d = entries[src]
-        rows.append(2 * num_d + seg * k + a)
-        cols.append(np.where(d < 0, nx, d * k + a))
-        data.append(vals[src])
-        b_ub.append(np.repeat(rhs, k))
-
-    if family == "step":
-        add_rows(sizes, members, np.ones(members.size), (sizes - 1).astype(np.float64))
-    elif props:
-        weights = np.fromiter(chain.from_iterable(p.weights for p in props), np.float64,
-                              members.size)
-        if instance.model.aggregation == "worst":
-            ends = np.cumsum(sizes)
-            entries = np.insert(members, ends, -1)  # y closes every property's row
-            vals = np.insert(weights, ends, -1.0)
-            add_rows(sizes + 1, entries, vals, np.zeros(len(props)))
-        else:
-            per_entry = np.zeros(num_d)
-            np.add.at(per_entry, members, weights / len(props))
-            held = np.nonzero(per_entry > 0)[0]
-            add_rows(np.array([held.size + 1]), np.append(held, -1),
-                     np.append(per_entry[held], -1.0), np.zeros(1))
-
-    n_vars = nx + (1 if family == "linear" else 0)
-    c = np.zeros(n_vars)
-    c[:nx] = -(instance.utility_weights / instance._normalizer).ravel()
+    b_prop = np.repeat(instance._sizes - 1.0, k) if family == "step" else np.zeros(y_rows.size)
+    b_ub = np.concatenate([np.tile([-1.0, float(instance.t)], num_d), b_prop])
+    c = -(instance.utility_weights / instance._normalizer).ravel()
     if family == "linear":
-        c[nx] = instance.lam
-    b_ub = np.concatenate(b_ub)
-    a_ub = sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(b_ub.size, n_vars), dtype=np.float64,
-    )
+        c = np.append(c, instance.lam)
+    n_vars = c.size
+    a_ub = sp.csc_matrix((np.concatenate([block_vals[src], np.full(y_rows.size, -1.0)]),
+                          np.concatenate([a_rows, y_rows]), indptr[:n_vars + 1]),
+                         shape=(b_ub.size, n_vars))
     return c, a_ub, b_ub, nx
 
 

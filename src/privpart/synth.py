@@ -22,6 +22,7 @@ from .instance import (
     Instance,
     InstanceError,
     SensitiveProperty,
+    check_k_t,
     validate_instance,
 )
 
@@ -50,6 +51,7 @@ class SynthConfig:
             raise InstanceError("p_f and p_u must lie in [0, 1]")
         if self.num_entries < 1 or self.num_properties < 0:
             raise InstanceError("need at least one entry and a nonnegative property count")
+        check_k_t(self.k, self.t)
 
 
 def generate_instance(

@@ -435,7 +435,7 @@ def test_lp_model_equals_row_by_row_build():
         assert np.array_equal(b_ub, ref_b)
         assert a_ub.shape == ref_a.shape
         for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(a_ub, attr), getattr(ref_a, attr)), attr
+            assert np.array_equal(getattr(a_ub.tocsr(), attr), getattr(ref_a, attr)), attr
 
 
 def _lp_outcome(inst):

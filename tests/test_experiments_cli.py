@@ -430,3 +430,63 @@ def test_bench_leaves_no_output_directory_on_a_bad_config(tmp_path, capsys, monk
     assert err.startswith("error: ") and message in err
     assert ran == []
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb, flags, message", [
+    ("ingest", ["--k", "0"], "need at least 2 adversaries, got k=0"),
+    ("ingest", ["--k", "-2"], "need at least 2 adversaries, got k=-2"),
+    ("ingest", ["--t", "3"], "t exceeds k (3 > 2)"),
+    ("ingest", ["--max-users", "-1"], "max_users must be non-negative, got -1"),
+    ("ingest", ["--max-edges", "-1"], "max_edges must be non-negative, got -1"),
+    ("gen", ["--k", "-1"], "need at least 2 adversaries, got k=-1"),
+    ("gen", ["--t", "0"], "per-entry cap must be at least 1, got t=0"),
+])
+def test_cli_rejects_bad_k_t_or_cap_before_drawing(tmp_path, capsys, verb, flags, message):
+    # k = 0 used to end in a ZeroDivisionError and a negative k or cap in
+    # a numpy ValueError, raised while drawing the instance.
+    checkins, friends_path = _ingest_files(tmp_path)
+    out = tmp_path / "out.json"
+    argv = {
+        "gen": ["gen", "--entries", "5", "--properties", "2"],
+        "ingest": ["ingest", "--checkins", str(checkins), "--friends", str(friends_path)],
+    }[verb] + ["--k", "2", "--t", "1", "-o", str(out)]
+    assert main(argv + flags) == EXIT_FAIL  # argparse keeps the last value of a flag
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, extra, message", [
+    ("synth", {"k_values": [-1]}, "need at least 2 adversaries, got k=-1"),
+    ("geodata", {"k": 0}, "need at least 2 adversaries, got k=0"),
+    ("geodata", {"max_edges": -1}, "max_edges must be non-negative, got -1"),
+])
+def test_bench_rejects_bad_k_or_cap_before_drawing(tmp_path, capsys, source, extra, message):
+    if source == "geodata":
+        checkins, friends_path = _ingest_files(tmp_path)
+        spec = {"checkins": str(checkins), "friends": str(friends_path), "k": 2, "t": 1}
+        over = {"source": {"geodata": {**spec, **extra}}, "algorithms": ["greedyl"]}
+    else:
+        over = extra
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_bench_config_text(tmp_path, **over))
+    assert main(["bench", "--config", str(cfg_path)]) == EXIT_FAIL
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, values", [
+    ("algorithms", ["greedy", "rand+", "greedy"]),
+    ("seeds", [0, 0, 1]),
+    ("k_values", [2, 2]),
+])
+def test_bench_rejects_repeated_config_values(tmp_path, capsys, field, values):
+    # Repeats ran the same cells again and summary.json counted the copies
+    # as independent samples.
+    with pytest.raises(InstanceError, match=f"config {field} repeat a value"):
+        small_config(tmp_path, **{field: values})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_bench_config_text(tmp_path, **{field: values}))
+    assert main(["bench", "--config", str(cfg_path)]) == EXIT_FAIL
+    assert capsys.readouterr().err.startswith(f"error: config {field} repeat a value")
+    assert not (tmp_path / "out").exists()

@@ -306,16 +306,16 @@ def _flip_cosine_reference(ev, d, a, on, log):
     """The cosine flip as it was before add rows were kept: masked
     ``np.add.at`` on the state, then the cosine of d's properties for row
     a. Construction only adds, so ``log`` stays unused."""
-    cache = ev.kernel.cache
+    tables = ev.kernel.tables
     u = int(ev.kernel.e_user[d])
     props = ev._pcols[ev._indptr[d]:ev._indptr[d + 1]]
-    pprops = cache["entry_pair_props"][d]
+    pprops = tables.entry_props[d]
     sq = ev.kernel.e_sq[d]
     ev.kernel.norms[a, u] += sq if on else -sq
     if pprops.size:
-        mask = ev.bits[cache["entry_pair_others"][d], a]
+        mask = ev.bits[tables.entry_others[d], a]
         if mask.any():
-            delta = cache["entry_pair_prods"][d][mask]
+            delta = tables.entry_prods[d][mask]
             np.add.at(ev.kernel.dots[a], pprops[mask], delta if on else -delta)
     if props.size == 0:
         return
@@ -362,7 +362,7 @@ def test_myopic_construction_state_equals_replayed_flips_bitwise():
 def test_kept_row_is_dropped_by_any_flip():
     inst = _small_location_instance()
     ev = CheckedEvaluator(inst)
-    others = ev.kernel.cache["entry_pair_others"]
+    others = ev.kernel.tables.entry_others
     d = next(d for d in range(inst.num_entries) if others[d].size)
     e = int(others[d][0])  # shares a location with d on one of d's properties
     ev.add_gain_row(e)
@@ -375,7 +375,7 @@ def test_kept_row_is_dropped_by_any_flip():
     # Rows kept before e joined adversary 0 lack the pair's dot product;
     # CheckedEvaluator compares the state after this add with a fresh one.
     ev.apply(Move("add", d, to_adversary=0))
-    assert ev.kernel.dots[0, ev.kernel.cache["entry_pair_props"][d][0]] > 0.0
+    assert ev.kernel.dots[0, ev.kernel.tables.entry_props[d][0]] > 0.0
 
 
 def test_myopic_construction_passes_cross_check_on_location_instance():
