@@ -19,15 +19,16 @@ once in ``__init__``:
   product of each property's user pair; ``f_ap`` is their cosine.
 
 Both offer the same operations, each handed the evaluator whose shared
-state it reads: ``flip`` one (d, a); ``add_rows``, the aggregates once d
-joins each adversary; ``remove_row``, d's values on a once d leaves it;
-``add_col``, a's aggregate once each entry joins it; and
-``snapshot``/``restore`` of one adversary. The evaluator builds its
-access paths on them. Each scores a move with one expression, ``_gain``,
-from the move's utility change, its orphan term and f_new, the new
-overall disclosure: the max of the ``_excluded_max`` table's entry for
-the adversaries the move touches (the largest fprime outside them) and
-their new aggregates.
+state it reads: ``flip`` one (d, a); ``add_block``, for a block of
+entries and every adversary, the state and values each entry would write
+on joining it; ``write``, some of those rows at once; ``remove_row``,
+d's values on a once d leaves it; ``add_col``, a's aggregate once each
+entry joins it; and ``snapshot``/``restore`` of one adversary. The
+evaluator builds its access paths on them. Each scores a move with one
+expression, ``_gain``, from the move's utility change, its orphan term
+and f_new, the new overall disclosure: the max of the ``_excluded_max``
+table's entry for the adversaries the move touches (the largest fprime
+outside them) and their new aggregates.
 
 * ``add_gain_row(d)``   -- gains for adding entry d to each adversary
 * ``add_gain_matrix()`` -- gains for every eligible addition, from one
@@ -39,11 +40,37 @@ their new aggregates.
                            expression at lower bounds on f_new, hence an
                            upper bound on its neighbors' gains; it reads
                            the cached columns where the kernel's
-                           ``col_floor`` says they are bitwise
-                           ``add_rows``' values
+                           ``col_floor`` says they are bitwise the
+                           additions' values
+
+Additions are scored in windows. ``windows(entries)`` cuts a sequence
+of entries, in order, into maximal runs of which no two share kernel
+state: no property, and for cosine no user either (two friends share
+their property), as listed by the instance's ``_conflict_keys``.
+``open_window(run)`` scores the run for every adversary in one
+``add_block`` call. Adding one entry of the run to an adversary changes
+only the state under its own keys, which no other entry of the run
+reads, so each entry's block rows stay what a one-entry block would
+compute at the moment it is scored: only ``fprime`` and ``f`` move, and
+``add_gain_row`` combines the cached row with the current ``fprime`` on
+Python floats. An addition of an entry of the window (``_flip``)
+updates the scalars and aggregates at once from its cached row, and
+``flush`` writes the held-back rows into the kernel state and ``f_ap``
+in one batch when the window closes or before anything reads those
+arrays; any other flip flushes and drops the window. The block
+reduces each entry's columns group by group of entries with one
+degree, reshaped to (k, entries, degree), which numpy sums row by row
+exactly as it sums the entry's own row (``np.add.reduceat`` adds in
+another order), so a window gives the one-entry loop's bits. An entry
+outside the open window is scored in a window of its own, so every
+addition score takes this one path. Under worst, an addition merges its
+largest new value into the aggregate; under cosine worst, where a value
+of d's properties falls, it flushes and rescans a's full row, and so
+does the score of that addition.
 
 Worst or average aggregation is chosen only in ``_refresh_agg``,
-``_row_aggregate`` and the add paths of the kernels.
+``_row_aggregate``, ``_aggregates`` and the kernels' ``add_block`` and
+``add_col``.
 
 ``_flip(d, a, on, log)`` records in ``log`` what the flip is about to
 change of adversary a alone: its kernel state and ``f_ap`` row on d's
@@ -55,43 +82,122 @@ millions of branch-and-bound trials.
 
 from __future__ import annotations
 
+from itertools import accumulate, groupby
+
 import numpy as np
 
 from .disclosure import batch_disclosure
 from .instance import Assignment, Instance, InstanceError, Move
 
 _NEG_INF = -np.inf
+# Keys ``IncrementalEvaluator.windows`` reads per chunk.
+_SCAN_KEYS = 4096
+
+
+def _quadratic_average_block(kn: _SumsKernel, blk: _Block, s) -> np.ndarray:
+    """``2 s.w + w.w`` of each entry of blk with properties, for every
+    adversary. A matrix-vector product has no bitwise block form, so
+    each entry's ``s @ w`` runs as it does for the entry alone."""
+    cols = []
+    for d in blk.entries[blk.empty:].tolist():
+        props, w = kn._props_w(d)
+        cols.append(2.0 * (kn.s[:, props] @ w) + kn.inst._entry_sqsum[d])
+    return np.array(cols).reshape(-1, kn.s.shape[0]).T
+
 
 # Per family of the sums kernel: the value g(inst, s, props) of sums s
 # on properties props, and the closed forms of the average aggregate's
-# row-sum change when an entry joins: for entry d and every adversary
-# (s: (k, deg) on d's properties, w: d's weights), and for one adversary
-# and every entry (s: that adversary's (|P|,) sums). Summing g
-# differences instead would round differently and so change results.
-# The last field says whether the two closed forms run the same
-# operations in the same order, so that a column entry is bitwise the
-# row's value: step's counts and linear's shared ``_entry_colsum`` are,
-# quadratic's ``s @ w`` and sparse matvec sum in different orders.
+# row-sum change when an entry joins: for a block of entries and every
+# adversary (kernel, block, s: (k, L) sums on the block's properties),
+# and for one adversary and every entry (s: that adversary's (|P|,)
+# sums). Summing g differences instead would round differently and so
+# change results. The last field says whether the two closed forms run
+# the same operations in the same order, so that a column entry is
+# bitwise the block's value: step's counts and linear's shared
+# ``_entry_colsum`` are, quadratic's ``s @ w`` and sparse matvec sum in
+# different orders.
 _SUMS_FAMILIES = {
     "step": (
         lambda inst, s, props: (s == inst._sizes[props]).astype(np.float64),
-        lambda inst, d, s, props, w: (s == inst._sizes[props] - 1.0).sum(axis=1),
+        lambda kn, blk, s: blk.reduce(s == kn.inst._sizes[blk.props] - 1.0, np.add),
         lambda inst, s: inst._entry_weights @ (s == inst._sizes - 1.0).astype(np.float64),
         True,
     ),
     "linear": (
         lambda inst, s, props: s,
-        lambda inst, d, s, props, w: inst._entry_colsum[d],
+        lambda kn, blk, s: np.repeat(kn.inst._entry_colsum[None, blk.entries[blk.empty:]],
+                                     s.shape[0], axis=0),
         lambda inst, s: inst._entry_colsum,
         True,
     ),
     "quadratic": (
         lambda inst, s, props: s**2,
-        lambda inst, d, s, props, w: 2.0 * (s @ w) + inst._entry_sqsum[d],
+        _quadratic_average_block,
         lambda inst, s: 2.0 * (inst._entry_weights @ s) + inst._entry_sqsum,
         False,
     ),
 }
+
+
+class _Block:
+    """Entries laid out for one ``add_block`` call: sorted by degree,
+    their properties concatenated in that order. The first
+    ``empty`` entries have none. Row i of the block is ``entries[i]``,
+    its columns are ``spans[i]`` and ``at[lo:hi]`` their positions in the
+    entry-major incidence. Built on lists: blocks are a few entries."""
+
+    def __init__(self, ev: IncrementalEvaluator, entries):
+        ptr = ev._indptr_list
+        # Rows of one degree reduce together; their order is moot.
+        rows = sorted([(ptr[d + 1] - ptr[d], d) for d in entries])
+        self.deg = [n for n, _ in rows]
+        self.entries = np.array([d for _, d in rows], dtype=np.intp)
+        self.at = np.array([j for _, d in rows for j in range(ptr[d], ptr[d + 1])],
+                           dtype=np.intp)
+        self.props = ev._pcols[self.at]
+        self.empty = self.deg.count(0)
+        self.runs = [(n, len(list(run))) for n, run in groupby(self.deg[self.empty:])]
+        stop = list(accumulate(self.deg))
+        self.spans = list(zip([0] + stop[:-1], stop))
+
+    def reduce(self, x: np.ndarray, how) -> np.ndarray:
+        """The ufunc ``how`` reduced over each entry's columns of the
+        (k, L) block x, for the entries with properties: (k, entries -
+        empty). The entries of one degree n reduce as one (k, entries, n)
+        view, which numpy reduces row by row as it reduces a lone (k, n)
+        row."""
+        parts, lo = [], 0
+        for n, count in self.runs:
+            hi = lo + n * count
+            parts.append(how.reduce(x[:, lo:hi].reshape(x.shape[0], count, n), axis=2))
+            lo = hi
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts, axis=1) if parts else np.empty((x.shape[0], 0))
+
+
+class _Window:
+    """What ``add_block`` computed for a block, from the state at that
+    call, for the entries not added since (``row``). Per row i (``row[d]``
+    for entry d): ``score[i]``, the k values the aggregates are read
+    from (average: the closed form's row-sum change; worst: the largest
+    new value; None for an entry in no property); ``shift[i]``, what an
+    addition merges into the aggregate (average: the row-sum change of
+    its values; worst: as score); ``falls[i]``, the adversaries on which
+    one of its values would fall (cosine worst only). ``state`` and
+    ``new_f`` hold the kernel state and the values an addition writes,
+    one column per block column, and ``pending`` the (row, adversary) of
+    the additions not yet written (``flush``)."""
+
+    def __init__(self, blk: _Block, state, new_f, score, shift, falls):
+        lead = [None] * blk.empty
+        self.blk, self.state, self.new_f = blk, state, new_f
+        self.pending: list[tuple[int, int]] = []
+        self.row = {d: i for i, d in enumerate(blk.entries.tolist())}
+        self.score = lead + score.T.tolist()
+        self.shift = self.score if shift is score else lead + shift.T.tolist()
+        self.falls = lead + ([[b for b, x in enumerate(row) if x] for row in falls.T.tolist()]
+                             if falls is not None else [()] * (blk.entries.size - blk.empty))
 
 
 class IncrementalEvaluator:
@@ -108,6 +214,7 @@ class IncrementalEvaluator:
 
         ew = instance._entry_weights  # |D| x |P| csr of a_dp
         self._indptr = ew.indptr
+        self._indptr_list = ew.indptr.tolist()
         self._pcols = ew.indices
         self._uz = instance.utility_weights / self.z
 
@@ -128,6 +235,7 @@ class IncrementalEvaluator:
     def reset(self, assignment: Assignment | None = None) -> None:
         inst = self.inst
         self._col_dirty[:] = True
+        self._window: _Window | None = None
         if assignment is None:
             assignment = Assignment.empty(inst)
         self.bits = assignment.bits.copy()
@@ -163,6 +271,12 @@ class IncrementalEvaluator:
     def _flip(self, d: int, a: int, on: bool, log: list | None) -> None:
         if bool(self.bits[d, a]) == on:
             raise InstanceError(f"bit ({d}, {a}) {'already' if on else 'not'} set")
+        win, i = self._window, None
+        if win is not None:
+            i = win.row.get(d) if on else None
+            if i is None:  # any other flip may change what the window read
+                self.flush()
+                self._window = None
         if log is not None:
             props = self._props(d)
             log.append((
@@ -178,9 +292,23 @@ class IncrementalEvaluator:
         if self.counts[d] == (1 if on else 0):
             self.c_unassigned -= step
         self.util_raw += w if on else -w
-        self.kernel.flip(self, d, a, on)
+        if i is None:
+            self.kernel.flip(self, d, a, on)
+            return
+        # An addition the window scored: its row of a is written with the
+        # window's others (``flush``), the aggregates now. Its rows stay
+        # valid for every other entry, not for d's own next addition.
+        del win.row[d]
+        win.pending.append((i, a))
+        lo, hi = win.blk.spans[i]
+        if lo < hi:
+            rescan = a in win.falls[i]
+            if rescan:
+                self.flush()
+            self._refresh_agg(a, win.shift[i][a], rescan)
 
     def _undo(self, log: list) -> None:
+        self.flush()  # a held-back row must not land after its undo
         for (d, a, on, count, util, c_un, f, fp, frs, props, old_f, snap) in reversed(log):
             self.bits[d, a] = not on
             self.counts[d] = count
@@ -198,12 +326,18 @@ class IncrementalEvaluator:
         f_row[props] = new_f
         self._refresh_agg(a, delta_sum)
 
-    def _refresh_agg(self, a: int, delta_sum: float) -> None:
-        if self.worst:
+    def _refresh_agg(self, a: int, change: float, rescan: bool = True) -> None:
+        """Refresh a's aggregate after a's row changed: average adds
+        ``change`` to the row sum; worst rescans the row, or with
+        ``rescan`` False takes the max with ``change``, the largest new
+        value, which is exact when no value of the row fell."""
+        if not self.worst:
+            self.f_row_sum[a] += change
+            self.fprime[a] = self.f_row_sum[a] / self.num_p
+        elif rescan:
             self.fprime[a] = float(self.f_ap[a].max())
         else:
-            self.f_row_sum[a] += delta_sum
-            self.fprime[a] = self.f_row_sum[a] / self.num_p
+            self.fprime[a] = max(self.fprime[a], change)
         self.f = max(self.fprime.tolist())
 
     def apply(self, move: Move) -> None:
@@ -212,6 +346,103 @@ class IncrementalEvaluator:
             self._flip(move.entry, move.from_adversary, False, None)
         if move.kind != "remove":
             self._flip(move.entry, move.to_adversary, True, None)
+
+    # -- addition windows -----------------------------------------------------
+    def windows(self, entries) -> list[list[int]]:
+        """Cut ``entries`` (an int array), in order, into maximal runs of
+        which no two share a key of the instance's ``_conflict_keys``.
+        The scan remembers the last position of each key and reads the
+        entries' keys in chunks of about ``_SCAN_KEYS``, so that its
+        memory does not grow with the instance."""
+        n = len(entries)
+        if n == 0:
+            return []
+        ptr, keys = self.inst._conflict_keys
+        seen = np.full(int(keys.max()) + 1 if keys.size else 0, -1)
+        chunk = max(1, _SCAN_KEYS * (ptr.size - 1) // max(keys.size, 1))
+        cuts, start = [0], 0
+        for lo in range(0, n, chunk):
+            part = entries[lo:lo + chunk]
+            first = ptr[part]
+            count = ptr[part + 1] - first
+            stop = np.cumsum(count)
+            key = keys[np.arange(stop[-1]) + np.repeat(first - stop + count, count)]
+            pos = np.repeat(np.arange(lo, lo + part.size), count)
+            by_key = np.lexsort((pos, key))
+            key, pos = key[by_key], pos[by_key]
+            # Each key's previous position: in this chunk, else before it.
+            prev = seen[key]
+            again = np.flatnonzero(key[1:] == key[:-1])
+            prev[again + 1] = pos[again]
+            final = np.ones(key.size, dtype=bool)  # a key's last pair in the chunk
+            final[again] = False
+            seen[key[final]] = pos[final]
+            last = np.full(part.size, -1)  # the last earlier position sharing a key
+            hit = prev >= 0
+            np.maximum.at(last, pos[hit] - lo, prev[hit])
+            for i, j in enumerate(last.tolist(), lo):
+                if j >= start:
+                    cuts.append(i)
+                    start = i
+        cuts.append(n)
+        flat = entries.tolist()
+        return [flat[i:j] for i, j in zip(cuts[:-1], cuts[1:])]
+
+    def _score_block(self, entries) -> _Window:
+        blk = _Block(self, entries)
+        return _Window(blk, *self.kernel.add_block(self, blk))
+
+    def open_window(self, entries) -> None:
+        """Score ``entries``, one run of ``windows``, for every adversary
+        in one kernel call; ``add_gain_row`` and additions of them read
+        the result until a flip outside it."""
+        self.flush()
+        self._window = self._score_block(entries)
+
+    def flush(self) -> None:
+        """Write the rows of the additions the open window holds back
+        into the kernel state and ``f_ap``, one batch per array. Their
+        properties (and cosine users) are distinct, so order is moot.
+        Every reader of those arrays calls it first."""
+        win = self._window
+        if win is None or not win.pending:
+            return
+        rows, cols, spans = [], [], win.blk.spans
+        for i, a in win.pending:
+            lo, hi = spans[i]
+            rows += [a] * (hi - lo)
+            cols += range(lo, hi)
+        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        props = win.blk.props[cols]
+        self.kernel.write(win, rows, cols, props)
+        self.f_ap[rows, props] = win.new_f[rows, cols]
+        win.pending = []
+
+    def _aggregates(self, win: _Window, i: int) -> list[float]:
+        """Each adversary's aggregate once row i of win joins it, on
+        Python floats, which round as numpy does."""
+        fp, score = self.fprime.tolist(), win.score[i]
+        if score is None:  # no property: no aggregate moves
+            return fp
+        if not self.worst:
+            return [f + x / self.num_p for f, x in zip(fp, score)]
+        agg = [max(f, x) for f, x in zip(fp, score)]
+        if win.falls[i]:  # a falling value may have owned the row max: rescan
+            self.flush()
+            lo, hi = win.blk.spans[i]
+            for b in win.falls[i]:
+                agg[b] = self._row_aggregate(b, win.blk.props[lo:hi], win.new_f[b, lo:hi])
+        return agg
+
+    def _add_aggregates(self, d: int) -> list[float]:
+        """``_aggregates`` of entry d, from the open window, or from a
+        window of d alone when d is not in it."""
+        win = self._window
+        i = win.row.get(d) if win is not None else None
+        if i is None:
+            self.open_window((d,))
+            win, i = self._window, 0
+        return self._aggregates(win, i)
 
     # -- move gains ---------------------------------------------------------
     def _gain(self, u, low, bonus):
@@ -233,12 +464,12 @@ class IncrementalEvaluator:
         gain += bonus
         return gain
 
-    def _excluded_max(self) -> tuple[np.ndarray, list[list[float]]]:
+    def _excluded_max(self) -> tuple[list[float], list[list[float]]]:
         """The (k, k) excluded-max table: ``excl[a][b]`` is the largest
         fprime outside {a, b}, -inf where none is left. Returns its
-        diagonal (the largest fprime outside each adversary) as an array
-        and the table as lists of floats, which k values build faster
-        than numpy. Each row of an adversary outside the top two is the
+        diagonal (the largest fprime outside each adversary) and the
+        table, as lists of floats, which k values build faster than
+        numpy. Each row of an adversary outside the top two is the
         diagonal list, shared: read only."""
         fp, k = self.fprime.tolist(), self.k
         top = sorted(fp)
@@ -250,15 +481,16 @@ class IncrementalEvaluator:
         excl = [diag] * k
         excl[i0], excl[i1] = [v1] * k, diag.copy()
         excl[i0][i1] = excl[i1][i0] = v2
-        return np.array(diag), excl
+        return diag, excl
 
     def add_gain_row(self, d: int) -> np.ndarray:
         """Gains for Move('add', d, to=a) for every adversary a; already
         set bits come back as -inf. Callers check the per-entry cap."""
-        low = np.maximum(self._excluded_max()[0], self.kernel.add_rows(self, d))
-        gains = self._gain(self._uz[d], low, 1.0 if self.counts[d] == 0 else 0.0)
-        gains[self.bits[d]] = _NEG_INF
-        return gains
+        agg, gain = self._add_aggregates(d), self._gain
+        bonus = 1.0 if self.counts[d] == 0 else 0.0
+        return np.array([_NEG_INF if held else gain(u, max(x, y), bonus) for u, x, y, held in
+                         zip(self._uz[d].tolist(), self._excluded_max()[0], agg,
+                             self.bits[d].tolist())])
 
     def add_gain_matrix(self) -> np.ndarray:
         """(|D|, k) matrix of addition gains; ineligible cells are -inf.
@@ -282,12 +514,13 @@ class IncrementalEvaluator:
         removal and swaps. Composes per-adversary row updates, which is
         exact because a move touches each adversary's state independently.
         Runs on Python floats: one entry's moves are too few for numpy."""
+        self.flush()
         inst, gain = self.inst, self._gain
         uz, w = self._uz[d].tolist(), inst.utility_weights[d].tolist()
         count = int(self.counts[d])
         held = self.bits[d].tolist()
         free = [b for b in range(self.k) if not held[b]]
-        add_f = self.kernel.add_rows(self, d).tolist() if free else None
+        add_f = self._add_aggregates(d) if free else None
         excl = self._excluded_max()[1]
         props = self._props(d)
         out: list[tuple[Move, float]] = []
@@ -317,7 +550,7 @@ class IncrementalEvaluator:
         of the adversaries a move touches, and for an addition or a swap
         to b also a floor on b's new aggregate. Where the kernel's
         ``col_floor`` is set, the floor is the entry's own ``add_col``
-        entry, bitwise the ``add_rows`` value the move would read, so an
+        entry, bitwise the aggregate the move would read, so an
         addition's bound is its gain. Otherwise a monotone kernel's floor
         is fprime[b] (running sums are clamped at 0, so 2 s.a + a.a >= 0
         for average quadratic), and any other kernel gets none. The
@@ -349,6 +582,7 @@ class IncrementalEvaluator:
         """(|D|, k) table of ``add_col`` for every adversary: its
         aggregate once each entry joins it. Only the columns a flip has
         touched since the last call are recomputed."""
+        self.flush()
         if self._col_cache is None:
             self._col_cache = np.empty((self.inst.num_entries, self.k))
             self._col_dirty[:] = True
@@ -370,13 +604,13 @@ class _SumsKernel:
 
     monotone = True
 
-    def __init__(self, inst: Instance, g, average_row, average_col, average_exact: bool):
+    def __init__(self, inst: Instance, g, average_block, average_col, average_exact: bool):
         self.inst = inst
         ew = inst._entry_weights
         # intp, or np.take converts the int32 indices on every add_col call.
         self.indptr, self.pcols, self.w = ew.indptr, ew.indices.astype(np.intp), ew.data
-        self.g, self._average_row, self._average_col = g, average_row, average_col
-        # Whether add_col's entries are bitwise add_rows' values: always
+        self.g, self._average_block, self._average_col = g, average_block, average_col
+        # Whether add_col's entries are bitwise add_block's values: always
         # under worst (a max is exact in any order), under average where
         # the family's two closed forms match operation for operation.
         self.col_floor = inst.model.aggregation == "worst" or average_exact
@@ -402,14 +636,23 @@ class _SumsKernel:
         s_row[props] = new_s
         ev._set_row(a, props, self.g(self.inst, new_s, props))
 
-    def add_rows(self, ev: IncrementalEvaluator, d: int) -> np.ndarray:
-        props, w = self._props_w(d)
-        if props.size == 0:
-            return ev.fprime.copy()
-        s = self.s[:, props]
+    def add_block(self, ev: IncrementalEvaluator, blk: _Block):
+        """For each entry of blk and each adversary: the sums and values
+        it writes on joining, and the score, shift and falls of
+        ``_Window``."""
+        props = blk.props
+        s = self.s.take(props, axis=1)
+        new_s = s + self.w[blk.at]
+        new_f = self.g(self.inst, new_s, props)
         if ev.worst:
-            return np.maximum(ev.fprime, self.g(self.inst, s + w, props).max(axis=1))
-        return ev.fprime + self._average_row(self.inst, d, s, props, w) / ev.num_p
+            top = blk.reduce(new_f, np.maximum)
+            return new_s, new_f, top, top, None
+        return (new_s, new_f, self._average_block(self, blk, s),
+                blk.reduce(new_f - ev.f_ap.take(props, axis=1), np.add), None)
+
+    def write(self, win: _Window, rows: np.ndarray, cols: np.ndarray, props: np.ndarray):
+        """Write the block's new sums at (rows, cols) to (rows, props)."""
+        self.s[rows, props] = win.state[rows, cols]
 
     def remove_row(self, ev: IncrementalEvaluator, d: int, a: int) -> np.ndarray:
         props, w = self._props_w(d)
@@ -446,43 +689,37 @@ class _CosineKernel:
     property p's two users over a's entries; ``f_ap`` is their cosine.
     Operations take the evaluator as ``_SumsKernel``'s do.
 
-    ``add_rows`` keeps the rows it computed for every adversary (the new
-    norm of d's user, the new dots and cosine values over d's
-    properties), tagged with d. The next flip that adds d writes its
-    adversary's row of them instead of recomputing it, so a myopic
-    construction step does the cosine add arithmetic once. Any flip drops
-    the kept rows; an add without them runs the same computation on its
-    one row. Adding an inactive pair's 0.0 leaves a dot unchanged, so the
-    state is bitwise the one a fresh evaluator reaches by replaying the
-    moves."""
+    Each of d's properties holds at most one pair with d (the tables'
+    ``member_other`` and ``member_prod``), so an addition adds one
+    product to each of d's dots; an inactive pair, or a property without
+    one, adds 0.0, which leaves the dot as a flip that skips it would, so
+    the state is bitwise the one a fresh evaluator reaches by replaying
+    the moves."""
 
     # Not monotone: an added entry inflates its user's norm without
     # necessarily adding overlap, so a component can fall. The gain bound
-    # reads no column: each costs |D| add_rows calls.
+    # reads no column: each costs a block of every entry.
     monotone = False
     col_floor = False
 
     def __init__(self, inst: Instance):
         self.tables = t = inst._cosine
-        self.partner, self.e_user, self.e_sq = t.entry_partner, t.user_idx, t.sq_counts
+        self.e_user, self.e_sq = t.user_idx, t.sq_counts
+        self.partner, self.other, self.prod = t.member_partner, t.member_other, t.member_prod
 
     def reset(self, state) -> None:
         self.norms, self.dots = state[0][0], state[1][0]
-        self.kept = None
 
     def flip(self, ev: IncrementalEvaluator, d: int, a: int, on: bool) -> None:
-        kept, self.kept = self.kept, None
         u = int(self.e_user[d])
         props = ev._props(d)
+        at = slice(ev._indptr[d], ev._indptr[d + 1])
         if on:
-            # The row add_rows kept for d, else the same computation on row a.
-            if kept is not None and kept[0] == d:
-                norm_u, dots_new, new_f = kept[1][a], kept[2][a], kept[3][a]
-            else:
-                norm_u, dots_new, new_f = self.add_values(ev, d, props, a)
+            norm_u = self.norms[a, u] + self.e_sq[d]
             self.norms[a, u] = norm_u
             if props.size == 0:
                 return
+            dots_new = self.dots[a, props] + ev.bits[self.other[at], a] * self.prod[at]
             self.dots[a][props] = dots_new
         else:
             self.norms[a, u] -= self.e_sq[d]
@@ -493,67 +730,60 @@ class _CosineKernel:
                     np.subtract.at(self.dots[a], pprops[mask], self.tables.entry_prods[d][mask])
             if props.size == 0:
                 return
-            new_f = self._values(self.norms[a], self.dots[a, props], d, float(self.norms[a, u]))
-        ev._set_row(a, props, new_f)
+            dots_new, norm_u = self.dots[a, props], float(self.norms[a, u])
+        ev._set_row(a, props, self._values(self.norms[a], dots_new, at, norm_u))
 
-    def add_values(self, ev: IncrementalEvaluator, d: int, props: np.ndarray, rows):
-        """For adding entry d to adversary ``rows`` (an int), or to every
-        adversary (``slice(None)``): the new squared norm of d's user, the
-        new dots and the new cosine values over d's properties, shapes
-        (), (deg,), (deg,) or (k,), (k, deg), (k, deg).
+    def add_block(self, ev: IncrementalEvaluator, blk: _Block):
+        """For each entry of blk and each adversary: the new norm of its
+        user and its new dots (the kernel state it writes on joining),
+        its new cosine values, and the score, shift and falls of
+        ``_Window``. Elementwise the arithmetic of a single addition."""
+        props, at, users = blk.props, blk.at, self.e_user[blk.entries]
+        norm_u = self.norms.take(users, axis=1)
+        norm_u += self.e_sq[blk.entries]
+        dots = self.dots.take(props, axis=1)
+        dots += ev.bits[self.other[at]].T * self.prod[at]
+        denom = np.repeat(norm_u, blk.deg, axis=1)
+        denom *= self.norms.take(self.partner[at], axis=1)
+        new_f = self._cosine(dots, denom)
+        old_f = ev.f_ap.take(props, axis=1)
+        if ev.worst:
+            top = blk.reduce(new_f, np.maximum)
+            return (users, norm_u, dots), new_f, top, top, blk.reduce(new_f < old_f, np.logical_or)
+        shift = blk.reduce(new_f - old_f, np.add)
+        return (users, norm_u, dots), new_f, shift, shift, None
 
-        Each of d's properties holds at most one pair with d, so every dot
-        gets one addition; an inactive pair adds 0.0, which leaves it as a
-        flip that skips the pair would."""
-        new_norm_u = self.norms[rows, self.e_user[d]] + self.e_sq[d]
-        # take() on the last axis serves one row and k rows alike, and is
-        # cheaper than fancy indexing on arrays this small.
-        dots_new = self.dots[rows].take(props, axis=-1)
-        others = self.tables.entry_others[d]
-        if others.size:
-            active = ev.bits[:, rows].take(others, axis=0).T * self.tables.entry_prods[d]
-            np.add.at(dots_new.T, self.tables.entry_cols[d], active.T)
-        new_f = self._values(self.norms[rows], dots_new, d, new_norm_u[..., None])
-        return new_norm_u, dots_new, new_f
+    def write(self, win: _Window, rows: np.ndarray, cols: np.ndarray, props: np.ndarray):
+        """Write the held-back additions' new norms, and the block's new
+        dots at (rows, cols) to (rows, props)."""
+        users, norm_u, dots = win.state
+        ii, aa = zip(*win.pending)
+        self.norms[aa, users[list(ii)]] = norm_u[aa, ii]
+        self.dots[rows, props] = dots[rows, cols]
 
-    def _values(self, norms, dots_vals, d, norm_u):
-        """Cosine of d's properties from the dots and the norms of one
-        adversary (1-d) or of a block of adversaries (2-d)."""
-        denom = norm_u * norms.take(self.partner[d], axis=-1)
+    @staticmethod
+    def _cosine(dots, denom):
         # Norms are sums of squared counts, so denom >= 0; where it is 0
         # the user pair shares nothing and the value is 0.
-        return np.divide(dots_vals, np.sqrt(denom), out=np.zeros(dots_vals.shape),
-                         where=denom > 0.0)
+        return np.divide(dots, np.sqrt(denom), out=np.zeros(dots.shape), where=denom > 0.0)
 
-    def add_rows(self, ev: IncrementalEvaluator, d: int) -> np.ndarray:
-        props = ev._props(d)
-        kept = self.add_values(ev, d, props, slice(None))
-        self.kept = (d,) + kept  # committed by the next add of d, if no flip comes first
-        if props.size == 0:
-            return ev.fprime.copy()
-        new_f = kept[2]
-        old_f = ev.f_ap.take(props, axis=1)
-        if not ev.worst:
-            return ev.fprime + (new_f - old_f).sum(axis=1) / ev.num_p
-        out = np.maximum(ev.fprime, new_f.max(axis=1))
-        # A component that drops may have owned the row max; rescan those rows.
-        for a in np.nonzero((new_f < old_f).any(axis=1))[0]:
-            out[a] = ev._row_aggregate(a, props, new_f[a])
-        return out
+    def _values(self, norms, dots_vals, at: slice, norm_u):
+        """Cosine of the properties at incidence positions ``at`` (one
+        entry's) from their dots, the norm of the entry's user and the
+        norms of one adversary."""
+        return self._cosine(dots_vals, norm_u * norms.take(self.partner[at]))
 
     def remove_row(self, ev: IncrementalEvaluator, d: int, a: int) -> np.ndarray:
-        tables, props = self.tables, ev._props(d)
-        dots_new = self.dots[a, props]
-        others = tables.entry_others[d]
-        if others.size:
-            mask = ev.bits[others, a]
-            np.subtract.at(dots_new, tables.entry_cols[d][mask], tables.entry_prods[d][mask])
+        at = slice(ev._indptr[d], ev._indptr[d + 1])
+        dots_new = self.dots[a, ev._props(d)] - ev.bits[self.other[at], a] * self.prod[at]
         norm_u = float(self.norms[a, self.e_user[d]]) - float(self.e_sq[d])
-        return self._values(self.norms[a], dots_new, d, norm_u)
+        return self._values(self.norms[a], dots_new, at, norm_u)
 
     def add_col(self, ev: IncrementalEvaluator, a: int) -> np.ndarray:
-        """No column closed form: a's entry of each entry's add rows."""
-        return np.array([self.add_rows(ev, d)[a] for d in range(ev.inst.num_entries)])
+        """No column closed form: a's aggregate of each entry, from one
+        block of every entry."""
+        win = ev._score_block(range(ev.inst.num_entries))
+        return np.array([ev._aggregates(win, win.row[d])[a] for d in range(ev.inst.num_entries)])
 
     def snapshot(self, d: int, a: int, props: np.ndarray):
         u = int(self.e_user[d])
@@ -565,4 +795,3 @@ class _CosineKernel:
         self.norms[a, u] = norm_u
         if pprops.size:
             self.dots[a, pprops] = old_dots
-

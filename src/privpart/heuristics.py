@@ -31,6 +31,19 @@ Both accept a move only on strict improvement, which (together with the
 unassigned-entry penalty in the objective) guarantees every entry ends
 up with between 1 and t adversaries.
 
+The myopic scope makes t passes over one seeded permutation of the
+entries, visiting those still below the cap. A pass adds only to the
+entry it visits, so that list is known when the pass starts, and the
+pass walks it in windows: maximal runs of consecutive entries of which
+no two share evaluator state (``IncrementalEvaluator.windows``; no
+property, and for cosine no user). One kernel call scores a window for
+every adversary; an addition in it changes only what the other entries
+of the window do not read, apart from the aggregates, which each
+``add_gain_row`` reads as they stand when its entry is visited. So every
+entry's gains, the selections, the RNG draws and the moves are those of
+a loop that scores one entry at a time, bit for bit; a dense instance
+just gets windows of one.
+
 Local search skips an entry without scoring its neighbors when its gain
 bound is not positive (an exact form of the "don't-look bits" of Bentley,
 ORSA J. Computing 4, 1992). The bound
@@ -225,14 +238,16 @@ def _construct_myopic(ev: IncrementalEvaluator, params: SearchParams, rng) -> in
     order = rng.permutation(inst.num_entries)  # fixed entry ordering per run
     applied = 0
     for _ in range(inst.t):
-        for d in order:
-            d = int(d)
-            if ev.counts[d] >= inst.t:
-                continue
-            move = _select_from_gain_row(d, ev.add_gain_row(d), params, rng)
-            if move is not None:
-                ev.apply(move)
-                applied += 1
+        # A pass adds only to the entry it visits, so the entries still
+        # below the cap are known when it starts.
+        for window in ev.windows(order[ev.counts[order] < inst.t]):
+            ev.open_window(window)
+            for d in window:
+                move = _select_from_gain_row(d, ev.add_gain_row(d), params, rng)
+                if move is not None:
+                    ev.apply(move)
+                    applied += 1
+    ev.flush()
     return applied
 
 

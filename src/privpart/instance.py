@@ -20,9 +20,10 @@ the LP relaxation) works on the two central objects defined here:
 ``validate_instance`` checks all structural invariants and is the one
 place that derives tables from the properties: the sparse
 property-by-entry incidence matrix and its entry-major transpose, the
-top-t utility normalizer, and for the cosine family a ``CosineTables``
-record. The batched scorer, the evaluator kernels and the LP relaxation
-read these; no module adds anything to a validated instance.
+top-t utility normalizer, the keys of the evaluator state each entry's
+addition touches, and for the cosine family a ``CosineTables`` record.
+The batched scorer, the evaluator kernels and the LP relaxation read
+these; no module adds anything to a validated instance.
 """
 
 from __future__ import annotations
@@ -175,9 +176,12 @@ class CosineTables:
     ``pair_e1[i]`` of a property's lower user with entry ``pair_e2[i]`` of
     the other at a location both visited; pairs run by property, then by
     ``pair_e1``. Per entry d, the ``entry_*`` lists hold over d's pairs
-    the other entry, the count product, the property and its position
-    among d's properties, and ``entry_partner[d]`` the other user of each
-    of d's properties."""
+    the other entry, the count product and the property. The
+    ``member_*`` arrays run along the entry-major incidence
+    (``Instance._entry_weights.indices``): for entry d on one of its
+    properties, the property's other user, the entry d pairs with there
+    and their count product, or d itself and 0.0 where it pairs with
+    none (a property holds at most one pair with d)."""
 
     user_idx: np.ndarray          # (|D|,) user of each entry
     sq_counts: np.ndarray         # (|D|,) squared check-in counts
@@ -189,8 +193,9 @@ class CosineTables:
     entry_others: list[np.ndarray]
     entry_prods: list[np.ndarray]
     entry_props: list[np.ndarray]
-    entry_cols: list[np.ndarray]
-    entry_partner: list[np.ndarray]
+    member_partner: np.ndarray
+    member_other: np.ndarray
+    member_prod: np.ndarray
 
 
 def _cosine_tables(inst: Instance) -> CosineTables:
@@ -249,8 +254,8 @@ def _cosine_tables(inst: Instance) -> CosineTables:
     end_ptr = np.searchsorted(entry_of, np.arange(num_d + 1))
     # Each entry's properties are sorted, so (entry, property) keys are too.
     degree = np.diff(ew.indptr)
-    own_key = np.repeat(np.arange(num_d), degree) * num_p + ew.indices
-    cols = np.searchsorted(own_key, entry_of * num_p + pair_prop[pair_of]) - ew.indptr[entry_of]
+    own = np.repeat(np.arange(num_d), degree)
+    at = np.searchsorted(own * num_p + ew.indices, entry_of * num_p + pair_prop[pair_of])
     partner = (lo + hi)[ew.indices] - np.repeat(user_idx, degree)
 
     def per_entry(values, ptr):  # entries with none share one empty array
@@ -261,12 +266,14 @@ def _cosine_tables(inst: Instance) -> CosineTables:
     user_ptr = np.concatenate(([0], np.cumsum(user_entries)))
     pair_ptr = np.concatenate(([0], np.cumsum(np.bincount(pair_prop, minlength=num_p))))
     others = np.array([pair_e2, pair_e1]).T.ravel()[by_end]
+    member_other, member_prod = own.copy(), np.zeros(own.size)
+    member_other[at], member_prod[at] = others, pair_prod[pair_of]
     return CosineTables(
         user_idx, sq_counts, np.column_stack((lo, hi)), pair_e1, pair_e2,
         sp.csr_matrix((sq_counts[by_user], by_user, user_ptr), shape=(user_entries.size, num_d)),
         sp.csr_matrix((pair_prod, np.arange(num_pairs), pair_ptr), shape=(num_p, num_pairs)),
-        *(per_entry(v, end_ptr) for v in (others, pair_prod[pair_of], pair_prop[pair_of], cols)),
-        per_entry(partner, ew.indptr))
+        *(per_entry(v, end_ptr) for v in (others, pair_prod[pair_of], pair_prop[pair_of])),
+        partner, member_other, member_prod)
 
 
 def check_k_t(k: int, t: int) -> None:
@@ -279,13 +286,60 @@ def check_k_t(k: int, t: int) -> None:
         raise InstanceError(f"t exceeds k ({t} > {k})")
 
 
+# Up to this many memberships, a stable argsort builds the entry-major
+# transpose faster than scipy's conversion, whose fixed cost dominates at
+# desk scale (about 35 against 60-100 us); beyond about a thousand,
+# scipy's linear-time conversion is faster (0.1 against 0.6 ms at 16000).
+_SORTED_TRANSPOSE_NNZ = 512
+
+
+def _transpose(wm: sp.csr_matrix, num_d: int) -> sp.csr_matrix:
+    """The entry-major transpose of the incidence matrix, each entry's
+    properties in increasing order, equal to ``sp.csr_matrix(wm.T)``. A
+    small one comes from a stable sort of the members by entry, which
+    keeps the property order."""
+    if wm.nnz > _SORTED_TRANSPOSE_NNZ:
+        return sp.csr_matrix(wm.T)
+    by_entry = np.argsort(wm.indices, kind="stable")
+    props = np.repeat(np.arange(wm.shape[0], dtype=wm.indices.dtype), np.diff(wm.indptr))
+    indptr = np.zeros(num_d + 1, dtype=wm.indptr.dtype)
+    np.cumsum(np.bincount(wm.indices, minlength=num_d), out=indptr[1:])
+    return sp.csr_matrix((wm.data[by_entry], props[by_entry], indptr), shape=(num_d, wm.shape[0]))
+
+
+def _row_sums(indptr: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Per-row sums of the values data holds row by row (``indptr``),
+    added as scipy's csr ``sum(axis=1)`` adds them: a reduceat over the
+    non-empty rows."""
+    rows = np.flatnonzero(np.diff(indptr))
+    out = np.zeros(indptr.size - 1)
+    if rows.size:
+        out[rows] = np.add.reduceat(data, indptr[rows])
+    return out
+
+
+def _conflict_keys(raw: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, keys) per entry: the keys of the evaluator state that
+    adding the entry reads or writes. Its properties, and for cosine also
+    key |P| + its user, whose norm it changes (two friends share their
+    property). Two entries without a common key may join adversaries in
+    either order."""
+    ew = raw._entry_weights
+    if raw._cosine is None:
+        return ew.indptr, ew.indices
+    ptr = ew.indptr + np.arange(raw.num_entries + 1)
+    return ptr, np.insert(ew.indices.astype(np.int64), ew.indptr[1:],
+                          raw.num_properties + raw._cosine.user_idx)
+
+
 def validate_instance(raw: Instance) -> Instance:
     """Check structural invariants and build every table solvers read:
     ``_weight_matrix`` (|P| x |D| incidence), ``_sizes``, the entry-major
     ``_entry_weights`` and the row sums its family reads, the top-t
-    normalizer, and the cosine family's :class:`CosineTables` in
-    ``_cosine`` (None for the others). Idempotent: a validated instance
-    comes back unchanged. Raises :class:`InstanceError` on any violation.
+    normalizer, the cosine family's :class:`CosineTables` in ``_cosine``
+    (None for the others) and the ``_conflict_keys`` of myopic addition
+    windows. Idempotent: a validated instance comes back unchanged.
+    Raises :class:`InstanceError` on any violation.
     """
     if raw.validated:
         return raw
@@ -343,12 +397,16 @@ def validate_instance(raw: Instance) -> Instance:
 
     raw._weight_matrix = _build_weight_matrix(raw)           # |P| x |D|
     raw._sizes = np.diff(raw._weight_matrix.indptr)
-    raw._entry_weights = sp.csr_matrix(raw._weight_matrix.T)  # |D| x |P|, entry-major
-    # Per-entry sums of a_dp (read by linear) and of their squares (by quadratic).
-    ew = raw._entry_weights
-    raw._entry_colsum = np.asarray(ew.sum(axis=1)).ravel() if family == "linear" else None
-    raw._entry_sqsum = (np.asarray(ew.multiply(ew).sum(axis=1)).ravel()
-                        if family == "quadratic" else None)
+    raw._entry_weights = ew = _transpose(raw._weight_matrix, hg.num_entries)  # |D| x |P|
+    # Per-entry sums of a_dp (read by linear) and of their squares (by
+    # quadratic), summed as scipy sums them; the squares, like the
+    # product scipy's multiply stores, leave out every zero.
+    raw._entry_colsum = _row_sums(ew.indptr, ew.data) if family == "linear" else None
+    raw._entry_sqsum = None
+    if family == "quadratic":
+        sq = ew.data**2
+        kept = sq != 0.0
+        raw._entry_sqsum = _row_sums(np.concatenate(([0], np.cumsum(kept)))[ew.indptr], sq[kept])
 
     # Top-t utility normalizer: best achievable total weight.
     w = raw.utility_weights
@@ -357,6 +415,7 @@ def validate_instance(raw: Instance) -> Instance:
     raw._normalizer = float(raw._top_t_sum.sum())
 
     raw._cosine = _cosine_tables(raw) if family == "cosine" else None
+    raw._conflict_keys = _conflict_keys(raw)
 
     # Paper-model assumption: largest hyperedge should exceed k. Degenerate
     # research instances stay runnable, flagged instead of rejected.

@@ -11,6 +11,7 @@ class CheckedEvaluator(IncrementalEvaluator):
 
     def apply(self, move):
         super().apply(move)
+        self.flush()  # write what an open window holds back, then compare
         fresh = IncrementalEvaluator(self.inst, self.assignment())
         if abs(fresh.objective - self.objective) > 1e-9:
             raise AssertionError(

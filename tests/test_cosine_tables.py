@@ -122,17 +122,23 @@ def _reference_tables(inst) -> dict:
         by_entry[e1].append((e2, prod, p))
         by_entry[e2].append((e1, prod, p))
     indptr, pcols = inst._entry_weights.indptr, inst._entry_weights.indices
-    for name in ("entry_others", "entry_prods", "entry_props", "entry_cols", "entry_partner"):
+    for name in ("entry_others", "entry_prods", "entry_props"):
         ref[name] = []
+    member_partner, member_other, member_prod = [], [], []
     for d in range(num_d):
         ref["entry_others"].append(np.array([o for (o, _, _) in by_entry[d]], dtype=np.int64))
         ref["entry_prods"].append(np.array([w for (_, w, _) in by_entry[d]]))
-        props = np.array([p for (_, _, p) in by_entry[d]], dtype=np.int64)
-        ref["entry_props"].append(props)
-        lookup = {int(q): i for i, q in enumerate(pcols[indptr[d]:indptr[d + 1]])}
-        ref["entry_cols"].append(np.array([lookup[int(q)] for q in props], dtype=np.int64))
+        ref["entry_props"].append(np.array([p for (_, _, p) in by_entry[d]], dtype=np.int64))
         ui, uj = prop_users[pcols[indptr[d]:indptr[d + 1]]].T
-        ref["entry_partner"].append(np.where(ui == user_idx[d], uj, ui))
+        member_partner += np.where(ui == user_idx[d], uj, ui).tolist()
+        pair_at = {p: (o, w) for (o, w, p) in by_entry[d]}
+        for q in pcols[indptr[d]:indptr[d + 1]].tolist():
+            other, prod = pair_at.get(q, (d, 0.0))
+            member_other.append(other)
+            member_prod.append(prod)
+    ref["member_partner"] = np.array(member_partner, dtype=np.int64)
+    ref["member_other"] = np.array(member_other, dtype=np.int64)
+    ref["member_prod"] = np.array(member_prod, dtype=np.float64)
     return ref
 
 

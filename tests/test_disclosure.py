@@ -289,7 +289,7 @@ def test_add_gain_matrix_matches_add_gain_row_on_random_walks(family, aggregatio
                 row = ev.add_gain_row(int(d))[a]
                 if exact:
                     assert gains[d, a] == row
-                    assert ev._columns()[d, a] == ev.kernel.add_rows(ev, int(d))[a]
+                    assert ev._columns()[d, a] == ev._add_aggregates(int(d))[a]
                 else:
                     assert abs(gains[d, a] - row) <= 1e-12
             d = int(rng.integers(num_d))
@@ -305,8 +305,8 @@ def test_add_gain_matrix_matches_add_gain_row_on_random_walks(family, aggregatio
 
 
 def test_cosine_add_gain_matrix_equals_add_gain_row_bitwise():
-    # Cosine columns are read off add_rows, so each gain must be the bits
-    # of the row path, with every ineligible cell at -inf.
+    # Cosine columns are read off one block of every entry, so each gain
+    # must be the bits of the row path, with every ineligible cell at -inf.
     rng = np.random.default_rng(9)
     lines, friends = synthetic_checkin_lines(num_users=20, num_edges=25, num_entries=100, seed=2)
     loc = build_location_instance(ingest_checkins(lines).entries, friends, k=3, t=2, seed=2)
@@ -337,19 +337,149 @@ def _with_aggregation(inst, aggregation):
     ))
 
 
+def _window_cases():
+    """Cosine on a location instance under both aggregations, and every
+    sums family and aggregation on instances sparse enough that most
+    windows hold several entries, some of them in no property. Many
+    entries are in eight or more properties, where numpy sums in blocks
+    of eight rather than one by one, and users without friends have
+    several entries in no property, which share only their user's norm."""
+    cases = []
+    for users, edges in ((40, 120), (60, 20)):
+        lines, friends = synthetic_checkin_lines(num_users=users, num_edges=edges,
+                                                 num_entries=300, seed=5)
+        loc = build_location_instance(ingest_checkins(lines).entries, friends, k=4, t=2, seed=5)
+        cases += [loc, _with_aggregation(loc, "worst")]
+    for i, family in enumerate(("step", "linear", "quadratic")):
+        for aggregation in ("worst", "average"):
+            cases.append(generate_instance(SynthConfig(120, 30, k=3, t=2, p_f=0.03, seed=80 + i),
+                                           model=DisclosureModel(family, aggregation)))
+            cases.append(generate_instance(SynthConfig(60, 40, k=3, t=2, p_f=0.25, seed=90 + i),
+                                           model=DisclosureModel(family, aggregation)))
+    return cases
+
+
+def _kernel_state(ev):
+    return [ev.kernel.norms, ev.kernel.dots] if hasattr(ev.kernel, "norms") else [ev.kernel.s]
+
+
+def _windows_reference(inst, seq):
+    """Greedy maximal runs without a shared conflict key, on Python sets."""
+    ptr, keys = inst._conflict_keys
+    runs, used = [], set()
+    for d in seq.tolist():
+        own = set(keys[ptr[d]:ptr[d + 1]].tolist())
+        if runs and not own & used:
+            runs[-1].append(d)
+            used |= own
+        else:
+            runs.append([d])
+            used = own
+    return runs
+
+
+def test_windows_are_maximal_runs_without_a_shared_key():
+    # Instances with more keys than one scan chunk reads, so that runs
+    # cross chunk boundaries; whole permutations and second-pass subsets.
+    lines, friends = synthetic_checkin_lines(seed=1)
+    loc = build_location_instance(ingest_checkins(lines).entries, friends, k=5, t=2, seed=1)
+    dense = generate_instance(SynthConfig(600, 100, k=3, t=2, p_f=0.3, seed=4),
+                              model=DisclosureModel("step", "worst"))
+    rng = np.random.default_rng(5)
+    for inst in (loc, dense):
+        assert inst._conflict_keys[1].size > 4 * 4096
+        ev = IncrementalEvaluator(inst)
+        for share in (1.0, 0.3):
+            seq = rng.permutation(inst.num_entries)
+            seq = seq[rng.random(seq.size) < share]
+            assert ev.windows(seq) == _windows_reference(inst, seq)
+    assert ev.windows(np.array([], dtype=np.intp)) == []
+
+
+def test_window_rows_equal_one_entry_rows_bitwise():
+    # Myopic passes over random walks: every add_gain_row read from a
+    # window equals, in float.hex, the row a twin evaluator scores in a
+    # window of that entry alone, and the state equals, bit for bit, that
+    # of an evaluator that makes the same moves without scoring any.
+    rng = np.random.default_rng(21)
+    longer = wide = 0
+    seen = {"empty": 0, "falls": 0}
+    for inst in _window_cases():
+        ev = IncrementalEvaluator(inst, random_assignment(inst, rng))
+        twin = IncrementalEvaluator(inst, ev.assignment())
+        plain = IncrementalEvaluator(inst, ev.assignment())
+        for _ in range(4):
+            order = rng.permutation(inst.num_entries)
+            for window in ev.windows(order[ev.counts[order] < inst.t]):
+                ev.open_window(window)
+                longer += len(window) > 1
+                for d in window:
+                    i = ev._window.row[d]
+                    if len(window) > 1:
+                        seen["empty"] += ev._window.score[i] is None
+                        seen["falls"] += bool(ev._window.falls[i])
+                    row, alone = ev.add_gain_row(d), twin.add_gain_row(d)
+                    assert [float(g).hex() for g in row] == [float(g).hex() for g in alone]
+                    free = np.flatnonzero(~ev.bits[d])
+                    if free.size and rng.random() < 0.6:
+                        move = Move("add", d, to_adversary=int(rng.choice(free)))
+                        wide += ev._props(d).size >= 8
+                        for other in (ev, twin, plain):
+                            other.apply(move)
+            # Removals free capacity for the next pass.
+            for d in rng.choice(inst.num_entries, inst.num_entries // 3, replace=False):
+                held = np.flatnonzero(ev.bits[d])
+                if held.size:
+                    move = Move("remove", int(d), from_adversary=int(rng.choice(held)))
+                    for other in (ev, twin, plain):
+                        other.apply(move)
+            for other in (ev, twin, plain):
+                other.flush()
+            for other in (twin, plain):
+                for name in ("f_ap", "fprime", "f_row_sum"):
+                    assert getattr(ev, name).tobytes() == getattr(other, name).tobytes(), name
+                for x, y in zip(_kernel_state(ev), _kernel_state(other)):
+                    assert x.tobytes() == y.tobytes()
+                assert ev.f == other.f
+    assert longer > 200 and wide > 200, (longer, wide)
+    assert seen["empty"] > 50 and seen["falls"] > 5, seen
+
+
 def _evaluator_state(ev):
     """Copies of the arrays and scalars of an evaluator and its kernel,
-    leaving out the kept cosine rows and the column scan's dirty flags."""
+    leaving out the column scan's dirty flags."""
     state = {}
     for owner, attrs in (("ev", vars(ev)), ("kernel", vars(ev.kernel))):
         for name, value in attrs.items():
-            if name in ("kept", "_col_dirty"):
+            if name == "_col_dirty":
                 continue
             if isinstance(value, np.ndarray):
                 state[owner, name] = value.copy()
             elif isinstance(value, (bool, int, float, np.number)):
                 state[owner, name] = value
     return state
+
+
+def _same_window(win, fresh):
+    """Each entry of win holds the rows that fresh holds for it, bit for
+    bit."""
+    assert win.row.keys() == fresh.row.keys()
+    for d, i in win.row.items():
+        j = fresh.row[d]
+        assert list(win.falls[i]) == list(fresh.falls[j])
+        for a, b in ((win.score[i], fresh.score[j]), (win.shift[i], fresh.shift[j])):
+            assert (a is None) == (b is None)
+            assert a is None or [float(x).hex() for x in a] == [float(x).hex() for x in b]
+        (lo, hi), (lo2, hi2) = win.blk.spans[i], fresh.blk.spans[j]
+        cols = [(win.new_f[:, lo:hi], fresh.new_f[:, lo2:hi2])]
+        if isinstance(win.state, tuple):  # cosine: users, their new norms, new dots
+            cols += [(win.state[0][i], fresh.state[0][j]),
+                     (win.state[1][:, i], fresh.state[1][:, j]),
+                     (win.state[2][:, lo:hi], fresh.state[2][:, lo2:hi2])]
+        else:
+            cols.append((win.state[:, lo:hi], fresh.state[:, lo2:hi2]))
+        for x, y in cols:
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), d
 
 
 def _undo_cases():
@@ -365,9 +495,10 @@ def _undo_cases():
 
 def test_undo_restores_the_evaluator_bitwise():
     # Batches of 1-3 logged flips on one entry, as branch-and-bound makes
-    # them, from random states; for cosine an add may commit the rows a
-    # preceding add_gain_row kept. After _undo every array and scalar is
-    # bitwise the one before the batch, and no kept row remains.
+    # them, from random states; an add may write the row that a preceding
+    # add_gain_row's window scored. After _undo every array and scalar is
+    # bitwise the one before the batch, and a window that survived the
+    # batch still holds the rows a fresh score of its entries gives.
     rng = np.random.default_rng(13)
     cases = _undo_cases()
     seen, committed = set(), 0
@@ -376,14 +507,15 @@ def test_undo_restores_the_evaluator_bitwise():
         ev = IncrementalEvaluator(inst, random_assignment(inst, rng))
         for _ in range(25):
             d = int(rng.integers(inst.num_entries))
-            if inst.model.family == "cosine" and rng.random() < 0.6:
+            if rng.random() < 0.6:
                 ev.add_gain_row(d)
+            ev.flush()
             before = _evaluator_state(ev)
-            kept = getattr(ev.kernel, "kept", None)
+            win = ev._window
             log = []
             for a in rng.permutation(inst.k)[:int(rng.integers(1, min(3, inst.k) + 1))]:
                 on = not ev.bits[d, a]
-                committed += bool(on and kept is not None and kept[0] == d and not log)
+                committed += bool(on and win is not None and d in win.row and not log)
                 ev._flip(d, int(a), on, log)
             ev._undo(log)
             after = _evaluator_state(ev)
@@ -393,7 +525,8 @@ def test_undo_restores_the_evaluator_bitwise():
                     assert np.array_equal(after[key], value), key
                 else:
                     assert after[key] == value, key
-            assert getattr(ev.kernel, "kept", None) is None
+            if ev._window is not None:
+                _same_window(ev._window, ev._score_block(list(ev._window.row)))
             # Walk on, so the next batch starts from another state.
             held, free = np.flatnonzero(ev.bits[d]), np.flatnonzero(~ev.bits[d])
             if held.size and rng.random() < 0.4:

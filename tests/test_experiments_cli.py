@@ -16,6 +16,7 @@ from privpart import (
     run_experiment,
     solve,
 )
+import privpart.experiments as experiments
 from privpart.cli import EXIT_FAIL, EXIT_OK, main
 from privpart.experiments import CSV_COLUMNS
 from privpart.synth import SynthConfig, generate_instance, random_small_instance
@@ -79,6 +80,26 @@ def test_bench_is_byte_identical(tmp_path):
     a = Path(run_experiment(cfg_a)["results_csv"]).read_bytes()
     b = Path(run_experiment(cfg_b)["results_csv"]).read_bytes()
     assert a == b
+
+
+def test_run_experiment_solves_one_lp_per_k(tmp_path, monkeypatch):
+    # Each lp cell rounds its instance's one relaxation; the file equals,
+    # line for line, the cells of one-seed runs, each of which solves its own.
+    solved = []
+    solve_lp = experiments.solve_lp_relaxation
+    monkeypatch.setattr(experiments, "solve_lp_relaxation",
+                        lambda inst: solved.append(inst.k) or solve_lp(inst))
+    seeds, ks = [0, 1, 2], [2, 3]
+    over = dict(algorithms=["lp", "rand+"], k_values=ks, params={"lp": {"restarts": 7}})
+    text = Path(run_experiment(small_config(tmp_path / "all", seeds=seeds, **over))
+                ["results_csv"]).read_text()
+    assert solved == ks
+    alone = {seed: Path(run_experiment(small_config(tmp_path / str(seed), seeds=[seed], **over))
+                        ["results_csv"]).read_text().splitlines() for seed in seeds}
+    assert len(solved) == len(ks) * (1 + len(seeds))
+    header, cells = alone[0][0], len(alone[0]) - 1  # one line per (algorithm, k)
+    expected = [header] + [alone[seed][1 + cell] for cell in range(cells) for seed in seeds]
+    assert text == "\n".join(expected) + "\n"
 
 
 def test_lp_family_guard():

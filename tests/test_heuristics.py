@@ -278,10 +278,10 @@ def test_scalar_other_max_matches_numpy_reference():
         for a, b in product(range(k), repeat=2):
             rest = [fprime[c] for c in range(k) if c not in (a, b)]
             assert excl[a][b] == max(rest, default=-np.inf), (fprime, a, b)
-        assert [excl[a][a] for a in range(k)] == diag.tolist()
+        assert [excl[a][a] for a in range(k)] == list(diag)
 
 
-# -- myopic construction commits the rows it scored ------------------------------------
+# -- myopic construction scores windows and commits the rows it scored ---------------
 
 def _with_model(inst, aggregation):
     return validate_instance(Instance(
@@ -291,15 +291,16 @@ def _with_model(inst, aggregation):
 
 
 def _recorded_construction(inst, params, seed, evaluator=IncrementalEvaluator):
-    """Myopic construction that records its moves and the adversary rows
-    of every cosine add computation."""
+    """Myopic construction that records its moves, the length of every
+    block it scores and every flip the kernel computes on its own."""
     ev = evaluator(inst)
-    moves, rows = [], []
-    apply, add_rows = ev.apply, ev.kernel.add_values
+    moves, blocks, alone = [], [], []
+    apply, score, flip = ev.apply, ev._score_block, ev.kernel.flip
     ev.apply = lambda move: moves.append(move) or apply(move)
-    ev.kernel.add_values = lambda ev, d, props, sel: rows.append(sel) or add_rows(ev, d, props, sel)
+    ev._score_block = lambda entries: blocks.append(len(entries)) or score(entries)
+    ev.kernel.flip = lambda ev_, d, a, on: alone.append((d, a, on)) or flip(ev_, d, a, on)
     construction(inst, params, np.random.default_rng(seed), evaluator=ev)
-    return ev, moves, rows
+    return ev, moves, blocks, alone
 
 
 def _flip_cosine_reference(ev, d, a, on, log):
@@ -319,7 +320,8 @@ def _flip_cosine_reference(ev, d, a, on, log):
             np.add.at(ev.kernel.dots[a], pprops[mask], delta if on else -delta)
     if props.size == 0:
         return
-    denom = float(ev.kernel.norms[a, u]) * ev.kernel.norms[a][ev.kernel.partner[d]]
+    partner = ev.kernel.partner[ev._indptr[d]:ev._indptr[d + 1]]
+    denom = float(ev.kernel.norms[a, u]) * ev.kernel.norms[a][partner]
     new_f = np.where(denom > 0.0,
                      ev.kernel.dots[a, props] / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
     delta_sum = float((new_f - ev.f_ap[a, props]).sum())
@@ -327,28 +329,44 @@ def _flip_cosine_reference(ev, d, a, on, log):
     ev._refresh_agg(a, delta_sum)
 
 
-def _cosine_cases():
+def _sparse_sums_cases():
+    """Each entry in about one of 40 properties, so most windows hold
+    several entries, and some entries in none."""
+    return [generate_instance(SynthConfig(150, 40, k=3, t=2, p_f=0.02, seed=60 + i),
+                              model=DisclosureModel(family, aggregation))
+            for i, (family, aggregation) in enumerate(product(
+                ("step", "linear", "quadratic"), ("worst", "average")))]
+
+
+def _replay_cases():
     loc = _small_location_instance()
     desk = [random_small_instance(400 + s, "cosine") for s in range(12)]
-    return [loc, _with_model(loc, "worst")] + desk
+    return [loc, _with_model(loc, "worst")] + desk + _sparse_sums_cases()
 
 
 def test_myopic_construction_state_equals_replayed_flips_bitwise():
-    checked = 0
-    for i, inst in enumerate(_cosine_cases()):
+    checked = longer = 0
+    for i, inst in enumerate(_replay_cases()):
+        cosine = inst.model.family == "cosine"
+        state = ("kernel.norms", "kernel.dots") if cosine else ("kernel.s",)
         for params in (SearchParams("greedy", "myopic"), SearchParams("grasp", "myopic", n=3)):
-            ev, moves, rows = _recorded_construction(inst, params, i)
-            # Every add committed a kept row: no single-adversary recompute.
-            assert all(sel == slice(None) for sel in rows)
-            # Replays that never score: through apply, and through the
-            # earlier flip arithmetic.
-            replay, reference = IncrementalEvaluator(inst), IncrementalEvaluator(inst)
-            reference.kernel.flip = lambda ev, d, a, on: _flip_cosine_reference(ev, d, a, on, None)
+            ev, moves, blocks, alone = _recorded_construction(inst, params, i)
+            # Every add wrote a row its window scored: no kernel recompute.
+            assert alone == []
+            longer += sum(n > 1 for n in blocks)
+            # Replays that never score: through apply, and for cosine
+            # through the earlier flip arithmetic.
+            replays = [IncrementalEvaluator(inst)]
+            if cosine:
+                reference = IncrementalEvaluator(inst)
+                reference.kernel.flip = \
+                    lambda ev, d, a, on: _flip_cosine_reference(ev, d, a, on, None)
+                replays.append(reference)
             for move in moves:
-                replay.apply(move)
-                reference.apply(move)
-            for other in (replay, reference):
-                for name in ("bits", "kernel.norms", "kernel.dots", "f_ap", "fprime"):
+                for other in replays:
+                    other.apply(move)
+            for other in replays:
+                for name in ("bits", "f_ap", "fprime") + state:
                     assert np.array_equal(attrgetter(name)(ev), attrgetter(name)(other)), (i, name)
                 if not ev.worst:
                     assert np.array_equal(ev.f_row_sum, other.f_row_sum)
@@ -357,22 +375,24 @@ def test_myopic_construction_state_equals_replayed_flips_bitwise():
             assert np.allclose(ev.f_ap, fresh.f_ap, rtol=0.0, atol=1e-12)
             checked += len(moves)
     assert checked > 1000
+    assert longer > 100, longer
 
 
-def test_kept_row_is_dropped_by_any_flip():
+def test_window_is_dropped_by_any_flip_outside_it():
     inst = _small_location_instance()
     ev = CheckedEvaluator(inst)
     others = ev.kernel.tables.entry_others
     d = next(d for d in range(inst.num_entries) if others[d].size)
     e = int(others[d][0])  # shares a location with d on one of d's properties
+    assert len(ev.windows(np.array([d, e]))) == 2  # friends never share a window
     ev.add_gain_row(e)
-    ev.apply(Move("add", e, to_adversary=1))  # commits the kept row
-    assert ev.kernel.kept is None
-    ev.add_gain_row(d)
-    assert ev.kernel.kept[0] == d
+    ev.apply(Move("add", e, to_adversary=1))  # writes the row the window scored
+    assert ev._window is not None and e not in ev._window.row
+    ev.add_gain_row(d)  # a window of d alone replaces e's
+    assert list(ev._window.row) == [d]
     ev.apply(Move("add", e, to_adversary=0))
-    assert ev.kernel.kept is None
-    # Rows kept before e joined adversary 0 lack the pair's dot product;
+    assert ev._window is None
+    # Rows scored before e joined adversary 0 lack the pair's dot product;
     # CheckedEvaluator compares the state after this add with a fresh one.
     ev.apply(Move("add", d, to_adversary=0))
     assert ev.kernel.dots[0, ev.kernel.tables.entry_props[d][0]] > 0.0
@@ -381,7 +401,7 @@ def test_kept_row_is_dropped_by_any_flip():
 def test_myopic_construction_passes_cross_check_on_location_instance():
     inst = _small_location_instance(k=3)
     for params in (SearchParams("greedy", "myopic"), SearchParams("grasp", "myopic", n=3)):
-        _, moves, _ = _recorded_construction(inst, params, 7, CheckedEvaluator)
+        _, moves, _, _ = _recorded_construction(inst, params, 7, CheckedEvaluator)
         assert len(moves) >= inst.num_entries
 
 

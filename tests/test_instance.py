@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from privpart import (
     Assignment,
@@ -13,6 +14,8 @@ from privpart import (
     Move,
     MoveError,
     SensitiveProperty,
+    SynthConfig,
+    generate_instance,
     instance_from_json,
     instance_to_json,
     random_small_instance,
@@ -217,3 +220,45 @@ def test_json_loader_rejects_non_label_payload_fields(field, value):
     doc["entries"][0][field] = value
     with pytest.raises(InstanceError, match="string or an integer"):
         instance_from_json(json.dumps(doc))
+
+
+def _same_array(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_entry_tables_equal_the_scipy_built_ones_bitwise():
+    # The entry-major transpose and its row sums, as validate_instance
+    # builds them, against scipy's transpose, sum and multiply: criterion
+    # 1's desk instances (all four families), and synthetic ones with
+    # entries in no property and entries in a dozen.
+    insts = [random_small_instance(1000 + i) for i in range(200)]
+    for family in ("step", "linear", "quadratic"):
+        for p_f in (0.02, 0.3):
+            insts.append(generate_instance(SynthConfig(200, 40, k=3, t=2, p_f=p_f, seed=7),
+                                           model=DisclosureModel(family, "average")))
+    # Zero weights, which scipy's multiply leaves out of the squares, on
+    # entries in up to twelve properties.
+    rng = np.random.default_rng(3)
+    props = []
+    for pid in range(12):
+        members = tuple(sorted(rng.choice(20, 10, replace=False).tolist()))
+        w = rng.dirichlet(np.ones(10)) * (rng.random(10) < 0.7)
+        w[0] += 1.0 - w.sum()
+        props.append(SensitiveProperty(pid, members, tuple(w.tolist())))
+    for family in ("linear", "quadratic"):
+        insts.append(validate_instance(Instance(
+            DependencyHypergraph(20, props), np.ones((20, 2)), k=2, t=1,
+            model=DisclosureModel(family, "average"))))
+    families = set()
+    for inst in insts:
+        families.add(inst.model.family)
+        ew = sp.csr_matrix(inst._weight_matrix.T)
+        assert inst._entry_weights.shape == ew.shape
+        for name in ("data", "indices", "indptr"):
+            assert _same_array(getattr(inst._entry_weights, name), getattr(ew, name)), name
+        colsum = np.asarray(ew.sum(axis=1)).ravel()
+        sqsum = np.asarray(ew.multiply(ew).sum(axis=1)).ravel()
+        for got, want, family in ((inst._entry_colsum, colsum, "linear"),
+                                  (inst._entry_sqsum, sqsum, "quadratic")):
+            assert got is None if inst.model.family != family else _same_array(got, want)
+    assert families == {"step", "linear", "quadratic", "cosine"}
