@@ -19,16 +19,19 @@ once in ``__init__``:
   product of each property's user pair; ``f_ap`` is their cosine.
 
 Both offer the same operations, each handed the evaluator whose shared
-state it reads: ``flip`` one (d, a); ``add_block``, for a block of
+state it reads and never writes: ``row``, the kernel state a's row
+holds on d's keys once d joins or leaves a, and d's new values, which
+flips, removal scores and undo share; ``add_block``, for a block of
 entries and every adversary, the state and values each entry would write
-on joining it; ``write``, some of those rows at once; ``remove_row``,
-d's values on a once d leaves it; ``add_col``, a's aggregate once each
-entry joins it; and ``snapshot``/``restore`` of one adversary. The
-evaluator builds its access paths on them. Each scores a move with one
-expression, ``_gain``, from the move's utility change, its orphan term
-and f_new, the new overall disclosure: the max of the ``_excluded_max``
-table's entry for the adversaries the move touches (the largest fprime
-outside them) and their new aggregates.
+on joining it; ``write``, some of those rows at once; ``add_col``, a's
+aggregate once each entry joins it; and ``snapshot``/``restore`` of a's
+state on d's keys, in the form ``row`` returns. Only the evaluator
+writes ``f_ap``, ``fprime`` and ``f``; it builds its access paths on
+these operations. Each scores a move with one expression, ``_gain``,
+from the move's utility change, its orphan term and f_new, the new
+overall disclosure: the max of the ``_excluded_max`` table's entry for
+the adversaries the move touches (the largest fprime outside them) and
+their new aggregates.
 
 * ``add_gain_row(d)``   -- gains for adding entry d to each adversary
 * ``add_gain_matrix()`` -- gains for every eligible addition, from one
@@ -147,7 +150,7 @@ class _Block:
     entry-major incidence. Built on lists: blocks are a few entries."""
 
     def __init__(self, ev: IncrementalEvaluator, entries):
-        ptr = ev._indptr_list
+        ptr = ev._indptr
         # Rows of one degree reduce together; their order is moot.
         rows = sorted([(ptr[d + 1] - ptr[d], d) for d in entries])
         self.deg = [n for n, _ in rows]
@@ -213,14 +216,14 @@ class IncrementalEvaluator:
         self.worst = instance.model.aggregation == "worst"
 
         ew = instance._entry_weights  # |D| x |P| csr of a_dp
-        self._indptr = ew.indptr
-        self._indptr_list = ew.indptr.tolist()
-        self._pcols = ew.indices
+        self._indptr = ew.indptr.tolist()
+        # intp, or every fancy index and np.take converts the int32 indices.
+        self._pcols = ew.indices.astype(np.intp)
         self._uz = instance.utility_weights / self.z
 
         family = instance.model.family
         self.kernel = (_CosineKernel(instance) if family == "cosine"
-                       else _SumsKernel(instance, *_SUMS_FAMILIES[family]))
+                       else _SumsKernel(instance, self._pcols, *_SUMS_FAMILIES[family]))
 
         # Lazy per-adversary candidate columns for the global construction
         # scan; a flip only invalidates the touched adversary's column.
@@ -277,8 +280,8 @@ class IncrementalEvaluator:
             if i is None:  # any other flip may change what the window read
                 self.flush()
                 self._window = None
+        props = self._props(d)
         if log is not None:
-            props = self._props(d)
             log.append((
                 d, a, on, self.counts[d], self.util_raw, self.c_unassigned, self.f,
                 self.fprime[a], self.f_row_sum[a], props, self.f_ap[a][props],
@@ -293,7 +296,10 @@ class IncrementalEvaluator:
             self.c_unassigned -= step
         self.util_raw += w if on else -w
         if i is None:
-            self.kernel.flip(self, d, a, on)
+            state, new_f = self.kernel.row(self, d, a, on)
+            self.kernel.restore(a, props, state)
+            if props.size:
+                self._set_row(a, props, new_f)
             return
         # An addition the window scored: its row of a is written with the
         # window's others (``flush``), the aggregates now. Its rows stay
@@ -532,7 +538,7 @@ class IncrementalEvaluator:
         for a in range(self.k):
             if not held[a]:
                 continue
-            rem_f = (self._row_aggregate(a, props, self.kernel.remove_row(self, d, a))
+            rem_f = (self._row_aggregate(a, props, self.kernel.row(self, d, a, False)[1])
                      if props.size else float(self.fprime[a]))
             out.append((Move("remove", d, from_adversary=a),
                         gain(-uz[a], max(excl[a][a], rem_f), -1.0 if count == 1 else 0.0)))
@@ -598,17 +604,16 @@ class _SumsKernel:
     weights adversary a holds on property p, and ``f_ap = g(s)``. Adding
     a member never lowers a sum or its value, so the family is monotone.
 
-    Operations that read or write the state every family shares take the
+    Operations that read the state every family shares take the
     evaluator as their first argument; the kernel keeps no reference to
     it, so an evaluator is freed as soon as its last user drops it."""
 
     monotone = True
 
-    def __init__(self, inst: Instance, g, average_block, average_col, average_exact: bool):
+    def __init__(self, inst: Instance, pcols, g, average_block, average_col, average_exact: bool):
         self.inst = inst
         ew = inst._entry_weights
-        # intp, or np.take converts the int32 indices on every add_col call.
-        self.indptr, self.pcols, self.w = ew.indptr, ew.indices.astype(np.intp), ew.data
+        self.indptr, self.pcols, self.w = ew.indptr, pcols, ew.data
         self.g, self._average_block, self._average_col = g, average_block, average_col
         # Whether add_col's entries are bitwise add_block's values: always
         # under worst (a max is exact in any order), under average where
@@ -623,18 +628,15 @@ class _SumsKernel:
         i0, i1 = self.indptr[d], self.indptr[d + 1]
         return self.pcols[i0:i1], self.w[i0:i1]
 
-    def flip(self, ev: IncrementalEvaluator, d: int, a: int, on: bool) -> None:
+    def row(self, ev: IncrementalEvaluator, d: int, a: int, on: bool):
+        """a's sums on d's properties once d joins a (``on``) or leaves
+        it, and their values. a_dp >= 0, so a sum that rounds below 0 on
+        removal is 0; a step count is exact and never clamps."""
         props, w = self._props_w(d)
-        if props.size == 0:
-            return
         # A row view: indexing a 1-d row is cheaper than s[a, props].
-        s_row = self.s[a]
-        old_s = s_row[props]
-        # a_dp >= 0, so a sum that rounds below 0 on removal is 0. A step
-        # count is exact and never clamps.
+        old_s = self.s[a][props]
         new_s = old_s + w if on else np.maximum(old_s - w, 0.0)
-        s_row[props] = new_s
-        ev._set_row(a, props, self.g(self.inst, new_s, props))
+        return new_s, self.g(self.inst, new_s, props)
 
     def add_block(self, ev: IncrementalEvaluator, blk: _Block):
         """For each entry of blk and each adversary: the sums and values
@@ -653,10 +655,6 @@ class _SumsKernel:
     def write(self, win: _Window, rows: np.ndarray, cols: np.ndarray, props: np.ndarray):
         """Write the block's new sums at (rows, cols) to (rows, props)."""
         self.s[rows, props] = win.state[rows, cols]
-
-    def remove_row(self, ev: IncrementalEvaluator, d: int, a: int) -> np.ndarray:
-        props, w = self._props_w(d)
-        return self.g(self.inst, np.maximum(self.s[a, props] - w, 0.0), props)
 
     def add_col(self, ev: IncrementalEvaluator, a: int) -> np.ndarray:
         inst, s_row = self.inst, self.s[a]
@@ -679,8 +677,8 @@ class _SumsKernel:
     def snapshot(self, d: int, a: int, props: np.ndarray) -> np.ndarray:
         return self.s[a][props]
 
-    def restore(self, a: int, props: np.ndarray, old_s: np.ndarray) -> None:
-        self.s[a][props] = old_s
+    def restore(self, a: int, props: np.ndarray, s: np.ndarray) -> None:
+        self.s[a][props] = s
 
 
 class _CosineKernel:
@@ -691,10 +689,10 @@ class _CosineKernel:
 
     Each of d's properties holds at most one pair with d (the tables'
     ``member_other`` and ``member_prod``), so an addition adds one
-    product to each of d's dots; an inactive pair, or a property without
-    one, adds 0.0, which leaves the dot as a flip that skips it would, so
-    the state is bitwise the one a fresh evaluator reaches by replaying
-    the moves."""
+    product to each of d's dots and a removal subtracts it; an inactive
+    pair, or a property without one, moves the dot by 0.0, which leaves
+    it as a flip that skips it would, so the state is bitwise the one a
+    fresh evaluator reaches by replaying the moves."""
 
     # Not monotone: an added entry inflates its user's norm without
     # necessarily adding overlap, so a component can fall. The gain bound
@@ -703,35 +701,27 @@ class _CosineKernel:
     col_floor = False
 
     def __init__(self, inst: Instance):
-        self.tables = t = inst._cosine
+        t = inst._cosine
         self.e_user, self.e_sq = t.user_idx, t.sq_counts
         self.partner, self.other, self.prod = t.member_partner, t.member_other, t.member_prod
 
     def reset(self, state) -> None:
         self.norms, self.dots = state[0][0], state[1][0]
 
-    def flip(self, ev: IncrementalEvaluator, d: int, a: int, on: bool) -> None:
+    def row(self, ev: IncrementalEvaluator, d: int, a: int, on: bool):
+        """The new norm of d's user and d's new dots once d joins a
+        (``on``) or leaves it, and their cosines."""
         u = int(self.e_user[d])
-        props = ev._props(d)
         at = slice(ev._indptr[d], ev._indptr[d + 1])
+        pair = ev.bits[self.other[at], a] * self.prod[at]
+        dots = self.dots[a][ev._props(d)]
         if on:
             norm_u = self.norms[a, u] + self.e_sq[d]
-            self.norms[a, u] = norm_u
-            if props.size == 0:
-                return
-            dots_new = self.dots[a, props] + ev.bits[self.other[at], a] * self.prod[at]
-            self.dots[a][props] = dots_new
+            dots += pair
         else:
-            self.norms[a, u] -= self.e_sq[d]
-            pprops = self.tables.entry_props[d]
-            if pprops.size:
-                mask = ev.bits[self.tables.entry_others[d], a]
-                if mask.any():
-                    np.subtract.at(self.dots[a], pprops[mask], self.tables.entry_prods[d][mask])
-            if props.size == 0:
-                return
-            dots_new, norm_u = self.dots[a, props], float(self.norms[a, u])
-        ev._set_row(a, props, self._values(self.norms[a], dots_new, at, norm_u))
+            norm_u = self.norms[a, u] - self.e_sq[d]
+            dots -= pair
+        return (u, norm_u, dots), self._cosine(dots, norm_u * self.norms[a].take(self.partner[at]))
 
     def add_block(self, ev: IncrementalEvaluator, blk: _Block):
         """For each entry of blk and each adversary: the new norm of its
@@ -767,18 +757,6 @@ class _CosineKernel:
         # the user pair shares nothing and the value is 0.
         return np.divide(dots, np.sqrt(denom), out=np.zeros(dots.shape), where=denom > 0.0)
 
-    def _values(self, norms, dots_vals, at: slice, norm_u):
-        """Cosine of the properties at incidence positions ``at`` (one
-        entry's) from their dots, the norm of the entry's user and the
-        norms of one adversary."""
-        return self._cosine(dots_vals, norm_u * norms.take(self.partner[at]))
-
-    def remove_row(self, ev: IncrementalEvaluator, d: int, a: int) -> np.ndarray:
-        at = slice(ev._indptr[d], ev._indptr[d + 1])
-        dots_new = self.dots[a, ev._props(d)] - ev.bits[self.other[at], a] * self.prod[at]
-        norm_u = float(self.norms[a, self.e_user[d]]) - float(self.e_sq[d])
-        return self._values(self.norms[a], dots_new, at, norm_u)
-
     def add_col(self, ev: IncrementalEvaluator, a: int) -> np.ndarray:
         """No column closed form: a's aggregate of each entry, from one
         block of every entry."""
@@ -787,11 +765,9 @@ class _CosineKernel:
 
     def snapshot(self, d: int, a: int, props: np.ndarray):
         u = int(self.e_user[d])
-        pprops = self.tables.entry_props[d]
-        return u, float(self.norms[a, u]), pprops, self.dots[a, pprops]
+        return u, self.norms[a, u], self.dots[a][props]
 
-    def restore(self, a: int, props: np.ndarray, snap) -> None:
-        u, norm_u, pprops, old_dots = snap
+    def restore(self, a: int, props: np.ndarray, state) -> None:
+        u, norm_u, dots = state
         self.norms[a, u] = norm_u
-        if pprops.size:
-            self.dots[a, pprops] = old_dots
+        self.dots[a][props] = dots

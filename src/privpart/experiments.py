@@ -114,15 +114,15 @@ class ExperimentConfig:
 
 def check_overrides(name: str, overrides: dict) -> None:
     """Reject an override that algorithm ``name`` does not take, a count
-    that is not an integer and an unknown ilp formulation."""
+    that is not a positive integer and an unknown ilp formulation."""
     for key, value in overrides.items():
         if key not in OVERRIDES[name]:
             raise InstanceError(f"{name} takes no override {key!r}, "
                                 f"only {', '.join(OVERRIDES[name])}")
         if key == "formulation":
             _check_formulation(value)
-        else:
-            _json_int(value, f"{name} override {key}")
+        elif _json_int(value, f"{name} override {key}") < 1:
+            raise InstanceError(f"{name} override {key} must be >= 1, got {value}")
 
 
 def _source_kind(source: dict) -> str:

@@ -175,13 +175,12 @@ class CosineTables:
     Users are numbered by first appearance. Pair i joins entry
     ``pair_e1[i]`` of a property's lower user with entry ``pair_e2[i]`` of
     the other at a location both visited; pairs run by property, then by
-    ``pair_e1``. Per entry d, the ``entry_*`` lists hold over d's pairs
-    the other entry, the count product and the property. The
-    ``member_*`` arrays run along the entry-major incidence
-    (``Instance._entry_weights.indices``): for entry d on one of its
-    properties, the property's other user, the entry d pairs with there
-    and their count product, or d itself and 0.0 where it pairs with
-    none (a property holds at most one pair with d)."""
+    ``pair_e1``. The ``member_*`` arrays run along the entry-major
+    incidence (``Instance._entry_weights.indices``): for entry d on one
+    of its properties, the property's other user, the entry d pairs with
+    there and their count product, or d itself and 0.0 where it pairs
+    with none (a property holds at most one pair with d). They are the
+    evaluator's one copy of each entry's pairs."""
 
     user_idx: np.ndarray          # (|D|,) user of each entry
     sq_counts: np.ndarray         # (|D|,) squared check-in counts
@@ -190,9 +189,6 @@ class CosineTables:
     pair_e2: np.ndarray
     norm_matrix: sp.csr_matrix    # users x entries, squared counts
     pair_matrix: sp.csr_matrix    # properties x pairs, count products
-    entry_others: list[np.ndarray]
-    entry_prods: list[np.ndarray]
-    entry_props: list[np.ndarray]
     member_partner: np.ndarray
     member_other: np.ndarray
     member_prod: np.ndarray
@@ -246,33 +242,23 @@ def _cosine_tables(inst: Instance) -> CosineTables:
     pair_e1, pair_e2, pair_prop = pair_e1[found], pair_e2[found], pair_prop[found]
     pair_prod, sq_counts, num_pairs = counts[pair_e1] * counts[pair_e2], counts**2, pair_e1.size
 
-    # Pair i's ends sit at 2i and 2i + 1, so a stable sort by entry keeps
-    # each entry's pairs in pair order.
-    ends = np.array([pair_e1, pair_e2]).T.ravel()
-    by_end = np.argsort(ends, kind="stable")
-    entry_of, pair_of = ends[by_end], by_end // 2
-    end_ptr = np.searchsorted(entry_of, np.arange(num_d + 1))
-    # Each entry's properties are sorted, so (entry, property) keys are too.
+    # Each entry's properties are sorted, so (entry, property) keys are
+    # too; a key holds at most one pair end.
     degree = np.diff(ew.indptr)
     own = np.repeat(np.arange(num_d), degree)
-    at = np.searchsorted(own * num_p + ew.indices, entry_of * num_p + pair_prop[pair_of])
+    ends = np.concatenate((pair_e1, pair_e2))
+    at = np.searchsorted(own * num_p + ew.indices, ends * num_p + np.tile(pair_prop, 2))
+    member_other, member_prod = own.copy(), np.zeros(own.size)
+    member_other[at], member_prod[at] = np.concatenate((pair_e2, pair_e1)), np.tile(pair_prod, 2)
     partner = (lo + hi)[ew.indices] - np.repeat(user_idx, degree)
-
-    def per_entry(values, ptr):  # entries with none share one empty array
-        empty, bounds = values[:0], zip(ptr[:-1].tolist(), ptr[1:].tolist())
-        return [values[i:j] if i < j else empty for i, j in bounds]
 
     by_user = np.argsort(user_idx, kind="stable")
     user_ptr = np.concatenate(([0], np.cumsum(user_entries)))
     pair_ptr = np.concatenate(([0], np.cumsum(np.bincount(pair_prop, minlength=num_p))))
-    others = np.array([pair_e2, pair_e1]).T.ravel()[by_end]
-    member_other, member_prod = own.copy(), np.zeros(own.size)
-    member_other[at], member_prod[at] = others, pair_prod[pair_of]
     return CosineTables(
         user_idx, sq_counts, np.column_stack((lo, hi)), pair_e1, pair_e2,
         sp.csr_matrix((sq_counts[by_user], by_user, user_ptr), shape=(user_entries.size, num_d)),
         sp.csr_matrix((pair_prod, np.arange(num_pairs), pair_ptr), shape=(num_p, num_pairs)),
-        *(per_entry(v, end_ptr) for v in (others, pair_prod[pair_of], pair_prop[pair_of])),
         partner, member_other, member_prod)
 
 

@@ -193,6 +193,8 @@ def rounding_mean_objective(instance: Instance, frac: FractionalSolution,
     quantity whose expectation the relaxation value bounds.
     """
     instance = validate_instance(instance)
+    if draws < 1:
+        raise InstanceError("draws must be >= 1")
     rng = np.random.default_rng(seed)
     values = np.empty(draws)
     start = 0

@@ -122,13 +122,8 @@ def _reference_tables(inst) -> dict:
         by_entry[e1].append((e2, prod, p))
         by_entry[e2].append((e1, prod, p))
     indptr, pcols = inst._entry_weights.indptr, inst._entry_weights.indices
-    for name in ("entry_others", "entry_prods", "entry_props"):
-        ref[name] = []
     member_partner, member_other, member_prod = [], [], []
     for d in range(num_d):
-        ref["entry_others"].append(np.array([o for (o, _, _) in by_entry[d]], dtype=np.int64))
-        ref["entry_prods"].append(np.array([w for (_, w, _) in by_entry[d]]))
-        ref["entry_props"].append(np.array([p for (_, _, p) in by_entry[d]], dtype=np.int64))
         ui, uj = prop_users[pcols[indptr[d]:indptr[d + 1]]].T
         member_partner += np.where(ui == user_idx[d], uj, ui).tolist()
         pair_at = {p: (o, w) for (o, w, p) in by_entry[d]}
@@ -155,9 +150,6 @@ def _assert_tables_equal_reference(inst):
             assert _same_array(got.data, want.data), name
             for attr in ("indptr", "indices"):
                 assert np.array_equal(getattr(got, attr), getattr(want, attr)), (name, attr)
-        elif isinstance(want, list):
-            assert len(got) == len(want), name
-            assert all(_same_array(g, w) for g, w in zip(got, want)), name
         else:
             assert _same_array(got, want), name
 

@@ -567,6 +567,13 @@ def test_unrepaired_rounding_matches_lp_objective_in_expectation():
     assert abs(mean - frac.lp_objective) <= 3.0 * stderr + 1e-9
 
 
+@pytest.mark.parametrize("draws", [0, -3])
+def test_rounding_mean_objective_rejects_fewer_than_one_draw(draws):
+    inst = dominant_instance()
+    with pytest.raises(InstanceError, match="draws must be >= 1"):
+        rounding_mean_objective(inst, solve_lp_relaxation(inst), draws=draws)
+
+
 def test_unrepaired_rounding_matches_fractional_value_with_true_randomness():
     # Hand-built fractional point with adversary-1 disclosure dominant in
     # every realization: the expected rounded objective equals the

@@ -433,19 +433,25 @@ def test_cli_solve_rejects_non_finite_property_weight(tmp_path, capsys):
     assert err.startswith("error: ") and "non-finite weight" in err
 
 
-@pytest.mark.parametrize("source, algorithms, message", [
-    (synth_source(family="quadratic"), ["grasp", "lp"], "lp supports step|linear"),
-    (synth_source(num_entries=2.5), ["greedy"], "num_entries"),
-], ids=["lp-on-quadratic", "fractional-entry-count"])
+@pytest.mark.parametrize("source, algorithms, params, message", [
+    (synth_source(family="quadratic"), ["grasp", "lp"], {}, "lp supports step|linear"),
+    (synth_source(num_entries=2.5), ["greedy"], {}, "num_entries"),
+    (synth_source(), ["greedy"], {"greedy": {"r": 0}}, "greedy override r must be >= 1, got 0"),
+    (synth_source(), ["grasp"], {"grasp": {"n": -2}}, "grasp override n must be >= 1, got -2"),
+    (synth_source(), ["rand+"], {"rand+": {"restarts": 0}},
+     "rand+ override restarts must be >= 1, got 0"),
+], ids=["lp-on-quadratic", "fractional-entry-count", "zero-r", "negative-n", "zero-restarts"])
 def test_bench_leaves_no_output_directory_on_a_bad_config(tmp_path, capsys, monkeypatch,
-                                                         source, algorithms, message):
-    # Every instance is built and every cell's family checked before the
-    # output directory is made, so no cell runs and no directory is left.
+                                                         source, algorithms, params, message):
+    # Every instance is built, every override and every cell's family
+    # checked before the output directory is made, so no cell runs and no
+    # directory is left.
     ran = []
     monkeypatch.setattr("privpart.experiments.run_algorithm",
                         lambda *args, **kw: ran.append(args))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(_bench_config_text(tmp_path, source=source, algorithms=algorithms))
+    cfg_path.write_text(_bench_config_text(tmp_path, source=source, algorithms=algorithms,
+                                           params=params))
     assert main(["bench", "--config", str(cfg_path)]) == EXIT_FAIL
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -292,41 +292,62 @@ def _with_model(inst, aggregation):
 
 def _recorded_construction(inst, params, seed, evaluator=IncrementalEvaluator):
     """Myopic construction that records its moves, the length of every
-    block it scores and every flip the kernel computes on its own."""
+    block it scores and every row the kernel computes on its own."""
     ev = evaluator(inst)
     moves, blocks, alone = [], [], []
-    apply, score, flip = ev.apply, ev._score_block, ev.kernel.flip
+    apply, score, row = ev.apply, ev._score_block, ev.kernel.row
     ev.apply = lambda move: moves.append(move) or apply(move)
     ev._score_block = lambda entries: blocks.append(len(entries)) or score(entries)
-    ev.kernel.flip = lambda ev_, d, a, on: alone.append((d, a, on)) or flip(ev_, d, a, on)
+    ev.kernel.row = lambda ev_, d, a, on: alone.append((d, a, on)) or row(ev_, d, a, on)
     construction(inst, params, np.random.default_rng(seed), evaluator=ev)
     return ev, moves, blocks, alone
 
 
-def _flip_cosine_reference(ev, d, a, on, log):
-    """The cosine flip as it was before add rows were kept: masked
-    ``np.add.at`` on the state, then the cosine of d's properties for row
-    a. Construction only adds, so ``log`` stays unused."""
-    tables = ev.kernel.tables
-    u = int(ev.kernel.e_user[d])
+def _entry_pair_lists(inst):
+    """Per entry d, over d's pairs in pair order: the other entry, the
+    count product and the property, from ``pair_e1``/``pair_e2`` and
+    the pair matrix."""
+    tables = inst._cosine
+    pm = tables.pair_matrix
+    pair_prop = np.repeat(np.arange(pm.shape[0]), np.diff(pm.indptr))
+    by_entry = [[] for _ in range(inst.num_entries)]
+    for i, (e1, e2) in enumerate(zip(tables.pair_e1.tolist(), tables.pair_e2.tolist())):
+        by_entry[e1].append((e2, i))
+        by_entry[e2].append((e1, i))
+    lists = []
+    for pairs in by_entry:
+        at = np.array([i for _, i in pairs], dtype=np.intp)
+        lists.append((np.array([o for o, _ in pairs], dtype=np.int64), pm.data[at], pair_prop[at]))
+    return lists
+
+
+def _flip_cosine_reference(ev, d, a, on, lists):
+    """The cosine ``row`` as flips once computed it from per-entry pair
+    lists (``_entry_pair_lists``): a masked ``np.add.at`` of plus or minus
+    the count products on a copy of a's dots, then the cosine of d's
+    properties."""
+    kn = ev.kernel
+    others, prods, pprops = lists[d]
+    u = int(kn.e_user[d])
+    sq = kn.e_sq[d]
+    norm_u = kn.norms[a, u] + sq if on else kn.norms[a, u] - sq
+    dots = kn.dots[a].copy()
+    mask = ev.bits[others, a]
+    if mask.any():
+        np.add.at(dots, pprops[mask], prods[mask] if on else -prods[mask])
     props = ev._pcols[ev._indptr[d]:ev._indptr[d + 1]]
-    pprops = tables.entry_props[d]
-    sq = ev.kernel.e_sq[d]
-    ev.kernel.norms[a, u] += sq if on else -sq
-    if pprops.size:
-        mask = ev.bits[tables.entry_others[d], a]
-        if mask.any():
-            delta = tables.entry_prods[d][mask]
-            np.add.at(ev.kernel.dots[a], pprops[mask], delta if on else -delta)
-    if props.size == 0:
-        return
-    partner = ev.kernel.partner[ev._indptr[d]:ev._indptr[d + 1]]
-    denom = float(ev.kernel.norms[a, u]) * ev.kernel.norms[a][partner]
+    partner = kn.partner[ev._indptr[d]:ev._indptr[d + 1]]
+    denom = float(norm_u) * kn.norms[a][partner]
     new_f = np.where(denom > 0.0,
-                     ev.kernel.dots[a, props] / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
-    delta_sum = float((new_f - ev.f_ap[a, props]).sum())
-    ev.f_ap[a, props] = new_f
-    ev._refresh_agg(a, delta_sum)
+                     dots[props] / np.sqrt(np.where(denom > 0.0, denom, 1.0)), 0.0)
+    return (u, norm_u, dots[props]), new_f
+
+
+def _reference_evaluator(inst, assignment=None):
+    """An evaluator whose kernel rows come from ``_flip_cosine_reference``."""
+    ev, lists = IncrementalEvaluator(inst, assignment), _entry_pair_lists(inst)
+    ev.kernel.row = lambda ev_, d, a, on: _flip_cosine_reference(ev_, d, a, on, lists)
+    return ev
 
 
 def _sparse_sums_cases():
@@ -358,10 +379,7 @@ def test_myopic_construction_state_equals_replayed_flips_bitwise():
             # through the earlier flip arithmetic.
             replays = [IncrementalEvaluator(inst)]
             if cosine:
-                reference = IncrementalEvaluator(inst)
-                reference.kernel.flip = \
-                    lambda ev, d, a, on: _flip_cosine_reference(ev, d, a, on, None)
-                replays.append(reference)
+                replays.append(_reference_evaluator(inst))
             for move in moves:
                 for other in replays:
                     other.apply(move)
@@ -381,9 +399,10 @@ def test_myopic_construction_state_equals_replayed_flips_bitwise():
 def test_window_is_dropped_by_any_flip_outside_it():
     inst = _small_location_instance()
     ev = CheckedEvaluator(inst)
-    others = ev.kernel.tables.entry_others
-    d = next(d for d in range(inst.num_entries) if others[d].size)
-    e = int(others[d][0])  # shares a location with d on one of d's properties
+    indptr, other = ev._indptr, inst._cosine.member_other
+    d = next(d for d in range(inst.num_entries) if (other[indptr[d]:indptr[d + 1]] != d).any())
+    j = indptr[d] + int(np.argmax(other[indptr[d]:indptr[d + 1]] != d))
+    e, p = int(other[j]), int(ev._pcols[j])  # e shares a location with d on property p
     assert len(ev.windows(np.array([d, e]))) == 2  # friends never share a window
     ev.add_gain_row(e)
     ev.apply(Move("add", e, to_adversary=1))  # writes the row the window scored
@@ -395,7 +414,7 @@ def test_window_is_dropped_by_any_flip_outside_it():
     # Rows scored before e joined adversary 0 lack the pair's dot product;
     # CheckedEvaluator compares the state after this add with a fresh one.
     ev.apply(Move("add", d, to_adversary=0))
-    assert ev.kernel.dots[0, ev.kernel.tables.entry_props[d][0]] > 0.0
+    assert ev.kernel.dots[0, p] > 0.0
 
 
 def test_myopic_construction_passes_cross_check_on_location_instance():
@@ -403,6 +422,50 @@ def test_myopic_construction_passes_cross_check_on_location_instance():
     for params in (SearchParams("greedy", "myopic"), SearchParams("grasp", "myopic", n=3)):
         _, moves, _, _ = _recorded_construction(inst, params, 7, CheckedEvaluator)
         assert len(moves) >= inst.num_entries
+
+
+def _in_lockstep(ev, ref, lists, paired):
+    """Make ``ev.apply`` apply each move to ref too and compare the two
+    states bitwise after it, and the kernel rows of a removal before it;
+    ``paired`` records whether each removal drops an active pair."""
+    apply = ev.apply
+
+    def both(move):
+        if move.kind != "add":
+            d, a = move.entry, move.from_adversary
+            ((u, norm_u, dots), new_f), ((ru, rnorm_u, rdots), rnew_f) = (
+                ev.kernel.row(ev, d, a, False), ref.kernel.row(ref, d, a, False))
+            assert (u, norm_u) == (ru, rnorm_u)
+            assert dots.tobytes() == rdots.tobytes() and new_f.tobytes() == rnew_f.tobytes()
+            paired.append(bool(ev.bits[lists[d][0], a].any()))
+        apply(move)
+        ref.apply(move)
+        for name in ("kernel.norms", "kernel.dots", "f_ap", "fprime", "f_row_sum"):
+            got, want = attrgetter(name)(ev), attrgetter(name)(ref)
+            assert got.tobytes() == want.tobytes(), (move, name)
+        assert ev.f == ref.f
+
+    ev.apply = both
+
+
+def test_cosine_walks_equal_pair_list_flips_bitwise():
+    # Add, remove and swap walks outside any window, from a random
+    # assignment, against the flips of the per-entry pair lists.
+    loc = _small_location_instance(k=3)
+    desk = [random_small_instance(400 + s, "cosine") for s in range(12)]
+    rng = np.random.default_rng(17)
+    paired = []
+    for base, steps in [(loc, 400)] + [(inst, 60) for inst in desk]:
+        lists = _entry_pair_lists(base)
+        for aggregation in ("average", "worst"):
+            inst = _with_model(base, aggregation)
+            bits = np.zeros((inst.num_entries, inst.k), dtype=bool)
+            for d in range(inst.num_entries):
+                bits[d, rng.choice(inst.k, int(rng.integers(1, inst.t + 1)), replace=False)] = True
+            ev = IncrementalEvaluator(inst, Assignment(bits))
+            _in_lockstep(ev, _reference_evaluator(inst, Assignment(bits)), lists, paired)
+            _random_walk(ev, rng, steps)
+    assert sum(paired) > 200, sum(paired)
 
 
 # -- local search ----------------------------------------------------------------
