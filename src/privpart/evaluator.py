@@ -36,7 +36,8 @@ their new aggregates.
 * ``add_gain_row(d)``   -- gains for adding entry d to each adversary
 * ``add_gain_matrix()`` -- gains for every eligible addition, from one
                            column per adversary (``_columns``), cached
-                           until a flip touches that adversary
+                           until a flip touches that adversary, and the
+                           addition table (``_additions``)
 * ``neighborhood_gains(d)`` -- gains of entry d's local-search neighbors,
                            on Python floats
 * ``neighborhood_gain_bounds()`` -- for every entry at once, the same
@@ -45,6 +46,20 @@ their new aggregates.
                            the cached columns where the kernel's
                            ``col_floor`` says they are bitwise the
                            additions' values
+
+The addition table is one (|D|, k) array, built when a gain matrix or
+the gain bounds first need it: a cell holds the orphan bonus of an
+eligible addition (1.0 for an entry with no adversary, else 0.0) and
+-inf where the bit is set or the entry is at the cap. Both scans add it
+to their gains as one array of the gains' shape, which applies the bonus
+and masks the ineligible cells at once; the new disclosure they add it
+to is finite (k >= 2), so a masked cell is -inf also at lam = 0. Once
+the table exists, ``_flip`` and ``_undo`` list the rows they touch and
+the next read rewrites just those; ``reset`` drops it, and an evaluator
+that never scans globally (myopic construction, branch-and-bound, result
+checks) pays one attribute test per flip. So no step of a scan builds a
+per-entry column and broadcasts it along the short k axis, which on a
+(500, 5) matrix cost more than half of the call.
 
 Additions are scored in windows. ``windows(entries)`` cuts a sequence
 of entries, in order, into maximal runs of which no two share kernel
@@ -147,7 +162,9 @@ class _Block:
     their properties concatenated in that order. The first
     ``empty`` entries have none. Row i of the block is ``entries[i]``,
     its columns are ``spans[i]`` and ``at[lo:hi]`` their positions in the
-    entry-major incidence. Built on lists: blocks are a few entries."""
+    entry-major incidence. Built on lists, as blocks of several entries
+    are mostly a few memberships; a lone entry's ``at``, which on a dense
+    instance is long, is one ``np.arange``."""
 
     def __init__(self, ev: IncrementalEvaluator, entries):
         ptr = ev._indptr
@@ -155,8 +172,12 @@ class _Block:
         rows = sorted([(ptr[d + 1] - ptr[d], d) for d in entries])
         self.deg = [n for n, _ in rows]
         self.entries = np.array([d for _, d in rows], dtype=np.intp)
-        self.at = np.array([j for _, d in rows for j in range(ptr[d], ptr[d + 1])],
-                           dtype=np.intp)
+        if len(rows) == 1:  # a dense instance's window, or a local-search score
+            d = rows[0][1]
+            self.at = np.arange(ptr[d], ptr[d + 1], dtype=np.intp)
+        else:
+            self.at = np.array([j for _, d in rows for j in range(ptr[d], ptr[d + 1])],
+                               dtype=np.intp)
         self.props = ev._pcols[self.at]
         self.empty = self.deg.count(0)
         self.runs = [(n, len(list(run))) for n, run in groupby(self.deg[self.empty:])]
@@ -239,6 +260,10 @@ class IncrementalEvaluator:
         inst = self.inst
         self._col_dirty[:] = True
         self._window: _Window | None = None
+        # The addition table (``_additions``), built on first use, and
+        # the rows flips have touched since it was last read.
+        self._add_tab: np.ndarray | None = None
+        self._add_stale: list[int] = []
         if assignment is None:
             assignment = Assignment.empty(inst)
         self.bits = assignment.bits.copy()
@@ -290,6 +315,8 @@ class IncrementalEvaluator:
         w = self.inst.utility_weights[d, a]
         step = 1 if on else -1
         self._col_dirty[a] = True
+        if self._add_tab is not None:
+            self._add_stale.append(d)
         self.bits[d, a] = on
         self.counts[d] += step
         if self.counts[d] == (1 if on else 0):
@@ -323,6 +350,8 @@ class IncrementalEvaluator:
             self.f_ap[a][props] = old_f
             self.kernel.restore(a, props, snap)
             self._col_dirty[a] = True
+            if self._add_tab is not None:
+                self._add_stale.append(d)
 
     def _set_row(self, a: int, props: np.ndarray, new_f: np.ndarray) -> None:
         """Write a's new values on props and refresh its aggregates. The
@@ -502,9 +531,26 @@ class IncrementalEvaluator:
         """(|D|, k) matrix of addition gains; ineligible cells are -inf.
         Eligible means: bit unset and entry below the per-entry cap."""
         low = np.maximum(self._columns(), self._excluded_max()[0])
-        gains = self._gain(self._uz, low, (self.counts == 0).astype(np.float64)[:, None])
-        np.copyto(gains, _NEG_INF, where=self.bits | (self.counts >= self.inst.t)[:, None])
-        return gains
+        return self._gain(self._uz, low, self._additions())
+
+    def _additions(self) -> np.ndarray:
+        """The addition table of the module docstring, with the rows
+        listed in ``_add_stale`` rewritten; built on first use."""
+        tab, t = self._add_tab, self.inst.t
+        if tab is None:
+            counts = self.counts
+            self._add_tab = np.where(self.bits | (counts >= t)[:, None], _NEG_INF,
+                                     (counts == 0).astype(np.float64)[:, None])
+            return self._add_tab
+        for d in set(self._add_stale):
+            count, row = self.counts[d], tab[d]
+            if count >= t:
+                row.fill(_NEG_INF)
+            else:
+                row.fill(1.0 if count == 0 else 0.0)
+                row[self.bits[d]] = _NEG_INF
+        self._add_stale.clear()
+        return tab
 
     def _row_aggregate(self, a: int, props: np.ndarray, new_vals: np.ndarray) -> float:
         if not self.worst:
@@ -567,9 +613,8 @@ class IncrementalEvaluator:
             floor = self._columns()
         else:
             floor = np.broadcast_to(self.fprime if self.kernel.monotone else _NEG_INF, bits.shape)
-        add = self._gain(self._uz, np.maximum(diag, floor),
-                         (counts == 0).astype(np.float64)[:, None])
-        best = np.where(~bits & (counts < inst.t)[:, None], add, _NEG_INF).max(axis=1)
+        # low is finite (k >= 2), so ineligible cells stay -inf at lam = 0.
+        best = self._gain(self._uz, np.maximum(diag, floor), self._additions()).max(axis=1)
         rem = self._gain(-self._uz, np.broadcast_to(diag, bits.shape),
                          -(counts == 1).astype(np.float64)[:, None])
         np.maximum(best, np.where(bits, rem, _NEG_INF).max(axis=1), out=best)
@@ -665,12 +710,17 @@ class _SumsKernel:
         # segments only.
         if self._seg is None:
             nonempty = np.flatnonzero(np.diff(self.indptr))
-            self._seg = (nonempty, self.indptr[nonempty], np.empty(self.pcols.size))
+            rows = None if nonempty.size == inst.num_entries else nonempty
+            self._seg = (rows, self.indptr[nonempty], np.empty(self.pcols.size))
         rows, starts, vals = self._seg
-        np.take(s_row, self.pcols, out=vals)
+        # pcols are the validated incidence's columns, so clip never moves
+        # one; with out= the default mode="raise" gathers through a buffer.
+        np.take(s_row, self.pcols, out=vals, mode="clip")
         vals += self.w
-        out = np.full(inst.num_entries, ev.fprime[a])
         seg_max = np.maximum.reduceat(self.g(inst, vals, self.pcols), starts)
+        if rows is None:  # every entry has a property
+            return np.maximum(ev.fprime[a], seg_max, out=seg_max)
+        out = np.full(inst.num_entries, ev.fprime[a])
         out[rows] = np.maximum(ev.fprime[a], seg_max)
         return out
 

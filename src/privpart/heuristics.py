@@ -147,8 +147,9 @@ def rand_plus(instance: Instance, runs: int = 100, seed: int = 0) -> SolveResult
     def draw(c: int) -> np.ndarray:
         # Weighted sampling without replacement via exponential racing:
         # the t smallest Exp(1)/w values per row are a draw proportional
-        # to w.
-        keys = rng.exponential(1.0, size=(c,) + w.shape) / w
+        # to w. A zero weight's key is +inf: that adversary comes last.
+        with np.errstate(divide="ignore"):
+            keys = rng.exponential(1.0, size=(c,) + w.shape) / w
         chosen = np.argpartition(keys, t - 1, axis=2)[:, :, :t]
         bits = np.zeros(keys.shape, dtype=bool)
         np.put_along_axis(bits, chosen, True, axis=2)
@@ -180,9 +181,10 @@ def _select_from_gain_matrix(gains: np.ndarray, params: SearchParams, rng) -> Mo
         keep = vals >= np.partition(vals, vals.size - params.n)[vals.size - params.n]
         improving = improving[keep]
         vals = vals[keep]
-    order = improving[np.lexsort((improving, -vals))]
-    top = order[: params.n]
-    flat = int(top[rng.integers(top.size)])
+    # (-gain, flat index) ascending is the list order; the few survivors
+    # sort faster as Python tuples than in numpy.
+    top = sorted(zip((-vals).tolist(), improving.tolist()))[: params.n]
+    flat = top[rng.integers(len(top))][1]
     return Move("add", flat // k, to_adversary=flat % k)
 
 
