@@ -33,7 +33,11 @@ overall disclosure: the max of the ``_excluded_max`` table's entry for
 the adversaries the move touches (the largest fprime outside them) and
 their new aggregates.
 
-* ``add_gain_row(d)``   -- gains for adding entry d to each adversary
+* ``add_gain_row(d)``   -- gains for adding entry d to each adversary,
+                           as a list of k Python floats: the expression
+                           written out, with the excluded max read in
+                           O(k) (the largest fprime, and for its holder
+                           the runner-up) rather than from the table
 * ``add_gain_matrix()`` -- gains for every eligible addition, from one
                            column per adversary (``_columns``), cached
                            until a flip touches that adversary, and the
@@ -71,8 +75,10 @@ only the state under its own keys, which no other entry of the run
 reads, so each entry's block rows stay what a one-entry block would
 compute at the moment it is scored: only ``fprime`` and ``f`` move, and
 ``add_gain_row`` combines the cached row with the current ``fprime`` on
-Python floats. An addition of an entry of the window (``_flip``)
-updates the scalars and aggregates at once from its cached row, and
+Python floats. An addition of an entry of the window (``add(d, a)``,
+the entry point of an addition without a ``Move``, which ``apply``
+uses for its add half too) updates only the scalars and aggregates at
+once, from its cached row, and
 ``flush`` writes the held-back rows into the kernel state and ``f_ap``
 in one batch when the window closes or before anything reads those
 arrays; any other flip flushes and drops the window. The block
@@ -100,13 +106,12 @@ millions of branch-and-bound trials.
 
 from __future__ import annotations
 
-from itertools import accumulate, groupby
-
 import numpy as np
 
 from .disclosure import batch_disclosure
 from .instance import Assignment, Instance, InstanceError, Move
 
+_INF = np.inf
 _NEG_INF = -np.inf
 # Keys ``IncrementalEvaluator.windows`` reads per chunk.
 _SCAN_KEYS = 4096
@@ -160,29 +165,41 @@ _SUMS_FAMILIES = {
 class _Block:
     """Entries laid out for one ``add_block`` call: sorted by degree,
     their properties concatenated in that order. The first
-    ``empty`` entries have none. Row i of the block is ``entries[i]``,
-    its columns are ``spans[i]`` and ``at[lo:hi]`` their positions in the
-    entry-major incidence. Built on lists, as blocks of several entries
-    are mostly a few memberships; a lone entry's ``at``, which on a dense
-    instance is long, is one ``np.arange``."""
+    ``empty`` entries have none. Row i of the block is ``order[i]``
+    (``entries`` as an array), its columns are ``spans[i]`` and
+    ``at[lo:hi]`` their positions in the entry-major incidence; ``runs``
+    lists (degree, entries) of the entries with properties. Built on
+    lists in one pass, as blocks of several entries are mostly a few
+    memberships; a lone entry needs no sort, and its ``at``, which on a
+    dense instance is long, is one ``np.arange``."""
 
     def __init__(self, ev: IncrementalEvaluator, entries):
         ptr = ev._indptr
-        # Rows of one degree reduce together; their order is moot.
-        rows = sorted([(ptr[d + 1] - ptr[d], d) for d in entries])
-        self.deg = [n for n, _ in rows]
-        self.entries = np.array([d for _, d in rows], dtype=np.intp)
-        if len(rows) == 1:  # a dense instance's window, or a local-search score
-            d = rows[0][1]
+        if len(entries) == 1:  # a dense instance's window, or a local-search score
+            d = entries[0]
+            n = ptr[d + 1] - ptr[d]
+            self.order, self.deg, self.spans = [d], [n], [(0, n)]
             self.at = np.arange(ptr[d], ptr[d + 1], dtype=np.intp)
+            self.empty, self.runs = (0, [(n, 1)]) if n else (1, [])
         else:
-            self.at = np.array([j for _, d in rows for j in range(ptr[d], ptr[d + 1])],
-                               dtype=np.intp)
+            # Rows of one degree reduce together; their order is moot.
+            rows = sorted([(ptr[d + 1] - ptr[d], d) for d in entries])
+            self.order, self.deg, self.spans, self.runs, at = [], [], [], [], []
+            lo = 0
+            for n, d in rows:
+                self.order.append(d)
+                self.deg.append(n)
+                self.spans.append((lo, lo + n))
+                lo += n
+                at += range(ptr[d], ptr[d + 1])
+                if self.runs and self.runs[-1][0] == n:
+                    self.runs[-1][1] += 1
+                elif n:
+                    self.runs.append([n, 1])
+            self.at = np.array(at, dtype=np.intp)
+            self.empty = self.deg.count(0)
+        self.entries = np.array(self.order, dtype=np.intp)
         self.props = ev._pcols[self.at]
-        self.empty = self.deg.count(0)
-        self.runs = [(n, len(list(run))) for n, run in groupby(self.deg[self.empty:])]
-        stop = list(accumulate(self.deg))
-        self.spans = list(zip([0] + stop[:-1], stop))
 
     def reduce(self, x: np.ndarray, how) -> np.ndarray:
         """The ufunc ``how`` reduced over each entry's columns of the
@@ -217,7 +234,7 @@ class _Window:
         lead = [None] * blk.empty
         self.blk, self.state, self.new_f = blk, state, new_f
         self.pending: list[tuple[int, int]] = []
-        self.row = {d: i for i, d in enumerate(blk.entries.tolist())}
+        self.row = dict(zip(blk.order, range(len(blk.order))))
         self.score = lead + score.T.tolist()
         self.shift = self.score if shift is score else lead + shift.T.tolist()
         self.falls = lead + ([[b for b, x in enumerate(row) if x] for row in falls.T.tolist()]
@@ -301,11 +318,12 @@ class IncrementalEvaluator:
             raise InstanceError(f"bit ({d}, {a}) {'already' if on else 'not'} set")
         win, i = self._window, None
         if win is not None:
-            i = win.row.get(d) if on else None
+            i = win.row.pop(d, None) if on else None
             if i is None:  # any other flip may change what the window read
                 self.flush()
                 self._window = None
-        props = self._props(d)
+        # A window addition reads no props: its row is in the window.
+        props = self._props(d) if i is None or log is not None else None
         if log is not None:
             log.append((
                 d, a, on, self.counts[d], self.util_raw, self.c_unassigned, self.f,
@@ -318,27 +336,28 @@ class IncrementalEvaluator:
         if self._add_tab is not None:
             self._add_stale.append(d)
         self.bits[d, a] = on
-        self.counts[d] += step
-        if self.counts[d] == (1 if on else 0):
+        count = int(self.counts[d]) + step
+        self.counts[d] = count
+        if count == (1 if on else 0):
             self.c_unassigned -= step
         self.util_raw += w if on else -w
-        if i is None:
-            state, new_f = self.kernel.row(self, d, a, on)
-            self.kernel.restore(a, props, state)
-            if props.size:
-                self._set_row(a, props, new_f)
+        if i is not None:
+            # An addition the window scored (its row left ``win.row``
+            # above): its row of a is written with the window's others
+            # (``flush``), the aggregates now. Its rows stay valid for
+            # every other entry, not for d's own next addition.
+            win.pending.append((i, a))
+            lo, hi = win.blk.spans[i]
+            if lo < hi:
+                rescan = a in win.falls[i]
+                if rescan:
+                    self.flush()
+                self._refresh_agg(a, win.shift[i][a], rescan)
             return
-        # An addition the window scored: its row of a is written with the
-        # window's others (``flush``), the aggregates now. Its rows stay
-        # valid for every other entry, not for d's own next addition.
-        del win.row[d]
-        win.pending.append((i, a))
-        lo, hi = win.blk.spans[i]
-        if lo < hi:
-            rescan = a in win.falls[i]
-            if rescan:
-                self.flush()
-            self._refresh_agg(a, win.shift[i][a], rescan)
+        state, new_f = self.kernel.row(self, d, a, on)
+        self.kernel.restore(a, props, state)
+        if props.size:
+            self._set_row(a, props, new_f)
 
     def _undo(self, log: list) -> None:
         self.flush()  # a held-back row must not land after its undo
@@ -367,20 +386,26 @@ class IncrementalEvaluator:
         ``rescan`` False takes the max with ``change``, the largest new
         value, which is exact when no value of the row fell."""
         if not self.worst:
-            self.f_row_sum[a] += change
-            self.fprime[a] = self.f_row_sum[a] / self.num_p
+            row_sum = self.f_row_sum[a] + change
+            self.f_row_sum[a] = row_sum
+            self.fprime[a] = row_sum / self.num_p
         elif rescan:
             self.fprime[a] = float(self.f_ap[a].max())
         else:
             self.fprime[a] = max(self.fprime[a], change)
         self.f = max(self.fprime.tolist())
 
+    def add(self, d: int, a: int) -> None:
+        """Add entry d to adversary a: ``apply`` of Move('add', d, to=a),
+        without building the Move."""
+        self._flip(d, a, True, None)
+
     def apply(self, move: Move) -> None:
         # A swap is a removal followed by an addition.
         if move.kind != "add":
             self._flip(move.entry, move.from_adversary, False, None)
         if move.kind != "remove":
-            self._flip(move.entry, move.to_adversary, True, None)
+            self.add(move.entry, move.to_adversary)
 
     # -- addition windows -----------------------------------------------------
     def windows(self, entries) -> list[list[int]]:
@@ -436,21 +461,24 @@ class IncrementalEvaluator:
 
     def flush(self) -> None:
         """Write the rows of the additions the open window holds back
-        into the kernel state and ``f_ap``, one batch per array. Their
-        properties (and cosine users) are distinct, so order is moot.
-        Every reader of those arrays calls it first."""
+        into the kernel state and ``f_ap``, one batch per array, through
+        flat indices: ``src`` into the window's (k, block columns) arrays,
+        ``dst`` into the (k, |P|) ones. Their properties (and cosine
+        users) are distinct, so order is moot. Every reader of those
+        arrays calls it first."""
         win = self._window
         if win is None or not win.pending:
             return
-        rows, cols, spans = [], [], win.blk.spans
+        src, spans, width = [], win.blk.spans, win.new_f.shape[1]
         for i, a in win.pending:
             lo, hi = spans[i]
-            rows += [a] * (hi - lo)
-            cols += range(lo, hi)
-        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
-        props = win.blk.props[cols]
-        self.kernel.write(win, rows, cols, props)
-        self.f_ap[rows, props] = win.new_f[rows, cols]
+            src += range(a * width + lo, a * width + hi)
+        src = np.array(src, dtype=np.intp)
+        rows = src // width
+        dst = win.blk.props.take(src - rows * width)
+        dst += rows * self.num_p
+        self.kernel.write(win, src, dst)
+        self.f_ap.put(dst, win.new_f.take(src))
         win.pending = []
 
     def _aggregates(self, win: _Window, i: int) -> list[float]:
@@ -460,7 +488,8 @@ class IncrementalEvaluator:
         if score is None:  # no property: no aggregate moves
             return fp
         if not self.worst:
-            return [f + x / self.num_p for f, x in zip(fp, score)]
+            num_p = self.num_p
+            return [f + x / num_p for f, x in zip(fp, score)]
         agg = [max(f, x) for f, x in zip(fp, score)]
         if win.falls[i]:  # a falling value may have owned the row max: rescan
             self.flush()
@@ -485,10 +514,12 @@ class IncrementalEvaluator:
         change u and orphan term bonus that leaves the overall disclosure
         at ``low``, on Python floats or on numpy arrays; an array ``low``
         has the shape of the result. Every gain of this class is this
-        expression. Rounding is monotone, so at a lower bound on the new
-        disclosure it is an upper bound on the move's gain. A low of -inf
-        bounds nothing and gives +inf, also for lam = 0 (not 0 * inf).
-        Arrays get one new buffer; the rest of the expression runs in it."""
+        expression (``add_gain_row`` writes it out, operation for
+        operation, on Python floats). Rounding is monotone, so at a lower
+        bound on the new disclosure it is an upper bound on the move's
+        gain. A low of -inf bounds nothing and gives +inf, also for
+        lam = 0 (not 0 * inf). Arrays get one new buffer; the rest of the
+        expression runs in it."""
         lam = self.inst.lam
         if lam == 0.0:
             gain = np.where(low == _NEG_INF, np.inf, 0.0)[()]
@@ -518,14 +549,32 @@ class IncrementalEvaluator:
         excl[i0][i1] = excl[i1][i0] = v2
         return diag, excl
 
-    def add_gain_row(self, d: int) -> np.ndarray:
-        """Gains for Move('add', d, to=a) for every adversary a; already
-        set bits come back as -inf. Callers check the per-entry cap."""
-        agg, gain = self._add_aggregates(d), self._gain
-        bonus = 1.0 if self.counts[d] == 0 else 0.0
-        return np.array([_NEG_INF if held else gain(u, max(x, y), bonus) for u, x, y, held in
-                         zip(self._uz[d].tolist(), self._excluded_max()[0], agg,
-                             self.bits[d].tolist())])
+    def add_gain_row(self, d: int) -> list[float]:
+        """Gains for adding entry d to each adversary a, as a list of k
+        floats; already set bits come back as -inf. Callers check the
+        per-entry cap. ``_gain`` on Python floats, operation for
+        operation, with the excluded-max diagonal read in O(k): the
+        largest fprime, and for its first holder the runner-up."""
+        agg = self._add_aggregates(d)
+        fp = self.fprime.tolist()
+        second, top = sorted(fp)[-2:]
+        first = fp.index(top)
+        # max(excl, y), as ``max`` picks it; only ``first`` excludes top.
+        low = [y if y > top else top for y in agg]
+        y = agg[first]
+        low[first] = y if y > second else second
+        count, lam, f = self.counts[d], self.inst.lam, self.f
+        bonus = 0.0 if count else 1.0
+        uz = self._uz[d].tolist()
+        if lam == 0.0:
+            gains = [((_INF if x == _NEG_INF else 0.0) + u) + bonus for x, u in zip(low, uz)]
+        else:
+            gains = [((f - x) * lam + u) + bonus for x, u in zip(low, uz)]
+        if count:  # only an entry with an adversary has a set bit
+            for a, held in enumerate(self.bits[d].tolist()):
+                if held:
+                    gains[a] = _NEG_INF
+        return gains
 
     def add_gain_matrix(self) -> np.ndarray:
         """(|D|, k) matrix of addition gains; ineligible cells are -inf.
@@ -697,9 +746,9 @@ class _SumsKernel:
         return (new_s, new_f, self._average_block(self, blk, s),
                 blk.reduce(new_f - ev.f_ap.take(props, axis=1), np.add), None)
 
-    def write(self, win: _Window, rows: np.ndarray, cols: np.ndarray, props: np.ndarray):
-        """Write the block's new sums at (rows, cols) to (rows, props)."""
-        self.s[rows, props] = win.state[rows, cols]
+    def write(self, win: _Window, src: np.ndarray, dst: np.ndarray):
+        """Write the block's new sums at flat ``src`` to flat ``dst``."""
+        self.s.put(dst, win.state.take(src))
 
     def add_col(self, ev: IncrementalEvaluator, a: int) -> np.ndarray:
         inst, s_row = self.inst, self.s[a]
@@ -793,13 +842,14 @@ class _CosineKernel:
         shift = blk.reduce(new_f - old_f, np.add)
         return (users, norm_u, dots), new_f, shift, shift, None
 
-    def write(self, win: _Window, rows: np.ndarray, cols: np.ndarray, props: np.ndarray):
+    def write(self, win: _Window, src: np.ndarray, dst: np.ndarray):
         """Write the held-back additions' new norms, and the block's new
-        dots at (rows, cols) to (rows, props)."""
+        dots at flat ``src`` to flat ``dst``."""
         users, norm_u, dots = win.state
-        ii, aa = zip(*win.pending)
-        self.norms[aa, users[list(ii)]] = norm_u[aa, ii]
-        self.dots[rows, props] = dots[rows, cols]
+        user, width, num_users = users.tolist(), norm_u.shape[1], self.norms.shape[1]
+        self.norms.put([a * num_users + user[i] for i, a in win.pending],
+                       norm_u.take([a * width + i for i, a in win.pending]))
+        self.dots.put(dst, dots.take(src))
 
     @staticmethod
     def _cosine(dots, denom):

@@ -12,7 +12,9 @@ Strategy semantics:
   ordered by gain descending, then by lowest flat index (entry * k +
   adversary in the global scope, adversary in the myopic one), the
   first n are kept, and one of them is drawn with a single
-  ``rng.integers(len(list))``.
+  ``rng.integers(len(list))``. A list of one candidate draws nothing:
+  numpy answers ``integers(1)`` with 0 and leaves the generator as it
+  was, so the call is skipped and the streams are unchanged.
 * In the myopic scope the list is first cut by value (Feo & Resende,
   J. Global Optim. 6, 1995): of the strictly improving gains, only those
   with ``gain >= g_max - RCL_ALPHA * (g_max - g_min)`` stay, so
@@ -184,28 +186,35 @@ def _select_from_gain_matrix(gains: np.ndarray, params: SearchParams, rng) -> Mo
     # (-gain, flat index) ascending is the list order; the few survivors
     # sort faster as Python tuples than in numpy.
     top = sorted(zip((-vals).tolist(), improving.tolist()))[: params.n]
-    flat = top[rng.integers(len(top))][1]
+    flat = top[_draw(len(top), rng)][1]
     return Move("add", flat // k, to_adversary=flat % k)
 
 
-def _select_from_gain_row(d: int, gains: np.ndarray, params: SearchParams, rng) -> Move | None:
-    """Pick an addition of entry d from its k gains; None when nothing
-    strictly improves. Runs on plain floats, which compare as numpy does."""
-    row = gains.tolist()
+def _select_from_gain_row(gains: list[float], params: SearchParams, rng) -> int | None:
+    """Pick the adversary to add an entry to from its k gains (a list of
+    floats, which compare as numpy does); None when nothing strictly
+    improves."""
     if params.strategy == "greedy":
-        g_best = max(row)
+        g_best = max(gains)
         if not g_best > 0.0:
             return None
-        return Move("add", d, to_adversary=row.index(g_best))  # first max, as argmax
+        return gains.index(g_best)  # first max, as argmax
     # (-gain, adversary) ascending is the list order; its value cut keeps
     # a prefix, so cutting the first n is cutting the list.
-    ranked = sorted([(-g, a) for a, g in enumerate(row) if g > 0.0])
+    ranked = sorted([(-g, a) for a, g in enumerate(gains) if g > 0.0])
     if not ranked:
         return None
     g_max, g_min = -ranked[0][0], -ranked[-1][0]
     cut = g_max - RCL_ALPHA * (g_max - g_min)
     top = [a for neg, a in ranked[: params.n] if -neg >= cut]
-    return Move("add", d, to_adversary=top[rng.integers(len(top))])
+    return top[_draw(len(top), rng)]
+
+
+def _draw(size: int, rng) -> int:
+    """``rng.integers(size)``. numpy answers ``integers(1)`` with 0 and
+    leaves the generator as it was, so a one-candidate list skips the
+    call and its cost."""
+    return 0 if size == 1 else int(rng.integers(size))
 
 
 # -- construction phase --------------------------------------------------------
@@ -245,9 +254,9 @@ def _construct_myopic(ev: IncrementalEvaluator, params: SearchParams, rng) -> in
         for window in ev.windows(order[ev.counts[order] < inst.t]):
             ev.open_window(window)
             for d in window:
-                move = _select_from_gain_row(d, ev.add_gain_row(d), params, rng)
-                if move is not None:
-                    ev.apply(move)
+                a = _select_from_gain_row(ev.add_gain_row(d), params, rng)
+                if a is not None:
+                    ev.add(d, a)
                     applied += 1
     ev.flush()
     return applied

@@ -7,10 +7,19 @@ from privpart.evaluator import IncrementalEvaluator
 
 class CheckedEvaluator(IncrementalEvaluator):
     """Recomputes everything from scratch after each applied move and
-    asserts that the objective and ``f_ap`` agree to 1e-9."""
+    each addition, and asserts that the objective and ``f_ap`` agree to
+    1e-9."""
+
+    def add(self, d, a):
+        super().add(d, a)
+        self._check()
 
     def apply(self, move):
-        super().apply(move)
+        super().apply(move)  # an addition or a swap checked itself in add
+        if move.kind == "remove":
+            self._check()
+
+    def _check(self):
         self.flush()  # write what an open window holds back, then compare
         fresh = IncrementalEvaluator(self.inst, self.assignment())
         if abs(fresh.objective - self.objective) > 1e-9:

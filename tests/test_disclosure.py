@@ -320,7 +320,7 @@ def test_cosine_add_gain_matrix_equals_add_gain_row_bitwise():
             eligible = ~ev.bits & (ev.counts < inst.t)[:, None]
             assert np.all(gains[~eligible] == -np.inf)
             for d in np.flatnonzero(eligible.any(axis=1)):
-                row = ev.add_gain_row(int(d))
+                row = np.array(ev.add_gain_row(int(d)))
                 assert np.array_equal(gains[d][eligible[d]], row[eligible[d]])
             d = int(rng.integers(inst.num_entries))
             held, free = np.flatnonzero(ev.bits[d]), np.flatnonzero(~ev.bits[d])
