@@ -23,7 +23,7 @@ state it reads and never writes: ``row``, the kernel state a's row
 holds on d's keys once d joins or leaves a, and d's new values, which
 flips, removal scores and undo share; ``add_block``, for a block of
 entries and every adversary, the state and values each entry would write
-on joining it; ``write``, some of those rows at once; ``add_col``, a's
+on joining it; ``window_row``, one of those rows; ``add_col``, a's
 aggregate once each entry joins it; and ``snapshot``/``restore`` of a's
 state on d's keys, in the form ``row`` returns. Only the evaluator
 writes ``f_ap``, ``fprime`` and ``f``; it builds its access paths on
@@ -75,26 +75,26 @@ only the state under its own keys, which no other entry of the run
 reads, so each entry's block rows stay what a one-entry block would
 compute at the moment it is scored: only ``fprime`` and ``f`` move, and
 ``add_gain_row`` combines the cached row with the current ``fprime`` on
-Python floats. An addition of an entry of the window (``add(d, a)``,
-the entry point of an addition without a ``Move``, which ``apply``
-uses for its add half too) updates only the scalars and aggregates at
-once, from its cached row, and
-``flush`` writes the held-back rows into the kernel state and ``f_ap``
-in one batch when the window closes or before anything reads those
-arrays; any other flip flushes and drops the window. The block
-reduces each entry's columns group by group of entries with one
-degree, reshaped to (k, entries, degree), which numpy sums row by row
-exactly as it sums the entry's own row (``np.add.reduceat`` adds in
-another order), so a window gives the one-entry loop's bits. An entry
-outside the open window is scored in a window of its own, so every
-addition score takes this one path. Under worst, an addition merges its
-largest new value into the aggregate; under cosine worst, where a value
-of d's properties falls, it flushes and rescans a's full row, and so
-does the score of that addition.
+Python floats. An addition of an entry of the window (``add(d, a)``, the
+entry point of an addition without a ``Move``, which ``apply`` uses for
+its add half too) takes its row from the window (the kernel's
+``window_row``) rather than from ``row`` and writes it at once, so the
+kernel state and ``f_ap`` are current after every flip; any other flip
+drops the window. The block reduces each entry's columns group by group
+of entries with one degree, reshaped to (k, entries, degree), which
+numpy sums row by row exactly as it sums the entry's own row
+(``np.add.reduceat`` adds in another order), so a window gives the
+one-entry loop's bits. An entry outside the open window is scored in a
+window of its own, so every addition score takes this one path. Under
+worst, an addition merges its largest new value into the aggregate;
+under cosine worst, where a value of d's properties falls, it rescans
+a's full row, and so does the score of that addition.
 
-Worst or average aggregation is chosen only in ``_refresh_agg``,
-``_row_aggregate``, ``_aggregates`` and the kernels' ``add_block`` and
-``add_col``.
+Every flip ends in one tail: ``kernel.restore`` of the new state,
+the new values into ``f_ap`` and ``_refresh_agg``. Worst or average
+aggregation is chosen only in that tail of ``_flip``, ``_refresh_agg``,
+``_row_aggregate``, ``_aggregates``, the kernels' ``add_block`` and
+``add_col`` and the sums kernel's ``col_floor``.
 
 ``_flip(d, a, on, log)`` records in ``log`` what the flip is about to
 change of adversary a alone: its kernel state and ``f_ap`` row on d's
@@ -113,8 +113,6 @@ from .instance import Assignment, Instance, InstanceError, Move
 
 _INF = np.inf
 _NEG_INF = -np.inf
-# Keys ``IncrementalEvaluator.windows`` reads per chunk.
-_SCAN_KEYS = 4096
 
 
 def _quadratic_average_block(kn: _SumsKernel, blk: _Block, s) -> np.ndarray:
@@ -227,13 +225,12 @@ class _Window:
     its values; worst: as score); ``falls[i]``, the adversaries on which
     one of its values would fall (cosine worst only). ``state`` and
     ``new_f`` hold the kernel state and the values an addition writes,
-    one column per block column, and ``pending`` the (row, adversary) of
-    the additions not yet written (``flush``)."""
+    one column per block column (the kernel's ``window_row`` reads an
+    addition's state from them)."""
 
     def __init__(self, blk: _Block, state, new_f, score, shift, falls):
         lead = [None] * blk.empty
         self.blk, self.state, self.new_f = blk, state, new_f
-        self.pending: list[tuple[int, int]] = []
         self.row = dict(zip(blk.order, range(len(blk.order))))
         self.score = lead + score.T.tolist()
         self.shift = self.score if shift is score else lead + shift.T.tolist()
@@ -320,10 +317,8 @@ class IncrementalEvaluator:
         if win is not None:
             i = win.row.pop(d, None) if on else None
             if i is None:  # any other flip may change what the window read
-                self.flush()
                 self._window = None
-        # A window addition reads no props: its row is in the window.
-        props = self._props(d) if i is None or log is not None else None
+        props = self._props(d)
         if log is not None:
             log.append((
                 d, a, on, self.counts[d], self.util_raw, self.c_unassigned, self.f,
@@ -341,26 +336,26 @@ class IncrementalEvaluator:
         if count == (1 if on else 0):
             self.c_unassigned -= step
         self.util_raw += w if on else -w
-        if i is not None:
+        f_row = self.f_ap[a]
+        if i is None:
+            state, new_f = self.kernel.row(self, d, a, on)
+            # The worst aggregate rescans the row; only average needs the delta.
+            change = 0.0 if self.worst else float((new_f - f_row[props]).sum())
+            rescan = True
+        else:
             # An addition the window scored (its row left ``win.row``
-            # above): its row of a is written with the window's others
-            # (``flush``), the aggregates now. Its rows stay valid for
-            # every other entry, not for d's own next addition.
-            win.pending.append((i, a))
+            # above): its rows stay valid for every other entry, not for
+            # d's own next addition.
             lo, hi = win.blk.spans[i]
-            if lo < hi:
-                rescan = a in win.falls[i]
-                if rescan:
-                    self.flush()
-                self._refresh_agg(a, win.shift[i][a], rescan)
-            return
-        state, new_f = self.kernel.row(self, d, a, on)
+            state, new_f = self.kernel.window_row(win.state, i, a, lo, hi), win.new_f[a, lo:hi]
+            if lo < hi:  # else the window holds no shift or falls
+                change, rescan = win.shift[i][a], a in win.falls[i]
         self.kernel.restore(a, props, state)
         if props.size:
-            self._set_row(a, props, new_f)
+            f_row[props] = new_f
+            self._refresh_agg(a, change, rescan)
 
     def _undo(self, log: list) -> None:
-        self.flush()  # a held-back row must not land after its undo
         for (d, a, on, count, util, c_un, f, fp, frs, props, old_f, snap) in reversed(log):
             self.bits[d, a] = not on
             self.counts[d] = count
@@ -371,14 +366,6 @@ class IncrementalEvaluator:
             self._col_dirty[a] = True
             if self._add_tab is not None:
                 self._add_stale.append(d)
-
-    def _set_row(self, a: int, props: np.ndarray, new_f: np.ndarray) -> None:
-        """Write a's new values on props and refresh its aggregates. The
-        worst aggregate rescans the row; only average needs the delta."""
-        f_row = self.f_ap[a]
-        delta_sum = 0.0 if self.worst else float((new_f - f_row[props]).sum())
-        f_row[props] = new_f
-        self._refresh_agg(a, delta_sum)
 
     def _refresh_agg(self, a: int, change: float, rescan: bool = True) -> None:
         """Refresh a's aggregate after a's row changed: average adds
@@ -410,43 +397,19 @@ class IncrementalEvaluator:
     # -- addition windows -----------------------------------------------------
     def windows(self, entries) -> list[list[int]]:
         """Cut ``entries`` (an int array), in order, into maximal runs of
-        which no two share a key of the instance's ``_conflict_keys``.
-        The scan remembers the last position of each key and reads the
-        entries' keys in chunks of about ``_SCAN_KEYS``, so that its
-        memory does not grow with the instance."""
-        n = len(entries)
-        if n == 0:
-            return []
-        ptr, keys = self.inst._conflict_keys
-        seen = np.full(int(keys.max()) + 1 if keys.size else 0, -1)
-        chunk = max(1, _SCAN_KEYS * (ptr.size - 1) // max(keys.size, 1))
-        cuts, start = [0], 0
-        for lo in range(0, n, chunk):
-            part = entries[lo:lo + chunk]
-            first = ptr[part]
-            count = ptr[part + 1] - first
-            stop = np.cumsum(count)
-            key = keys[np.arange(stop[-1]) + np.repeat(first - stop + count, count)]
-            pos = np.repeat(np.arange(lo, lo + part.size), count)
-            by_key = np.lexsort((pos, key))
-            key, pos = key[by_key], pos[by_key]
-            # Each key's previous position: in this chunk, else before it.
-            prev = seen[key]
-            again = np.flatnonzero(key[1:] == key[:-1])
-            prev[again + 1] = pos[again]
-            final = np.ones(key.size, dtype=bool)  # a key's last pair in the chunk
-            final[again] = False
-            seen[key[final]] = pos[final]
-            last = np.full(part.size, -1)  # the last earlier position sharing a key
-            hit = prev >= 0
-            np.maximum.at(last, pos[hit] - lo, prev[hit])
-            for i, j in enumerate(last.tolist(), lo):
-                if j >= start:
-                    cuts.append(i)
-                    start = i
-        cuts.append(n)
-        flat = entries.tolist()
-        return [flat[i:j] for i, j in zip(cuts[:-1], cuts[1:])]
+        which no two share a key of the instance's ``_conflict_keys``: a
+        run ends where the next entry's keys meet the set the run holds."""
+        ptr, keys = (x.tolist() for x in self.inst._conflict_keys)
+        runs, held = [], set()
+        for d in entries.tolist():
+            own = keys[ptr[d]:ptr[d + 1]]
+            if runs and held.isdisjoint(own):
+                runs[-1].append(d)
+                held.update(own)
+            else:
+                runs.append([d])
+                held = set(own)
+        return runs
 
     def _score_block(self, entries) -> _Window:
         blk = _Block(self, entries)
@@ -456,30 +419,7 @@ class IncrementalEvaluator:
         """Score ``entries``, one run of ``windows``, for every adversary
         in one kernel call; ``add_gain_row`` and additions of them read
         the result until a flip outside it."""
-        self.flush()
         self._window = self._score_block(entries)
-
-    def flush(self) -> None:
-        """Write the rows of the additions the open window holds back
-        into the kernel state and ``f_ap``, one batch per array, through
-        flat indices: ``src`` into the window's (k, block columns) arrays,
-        ``dst`` into the (k, |P|) ones. Their properties (and cosine
-        users) are distinct, so order is moot. Every reader of those
-        arrays calls it first."""
-        win = self._window
-        if win is None or not win.pending:
-            return
-        src, spans, width = [], win.blk.spans, win.new_f.shape[1]
-        for i, a in win.pending:
-            lo, hi = spans[i]
-            src += range(a * width + lo, a * width + hi)
-        src = np.array(src, dtype=np.intp)
-        rows = src // width
-        dst = win.blk.props.take(src - rows * width)
-        dst += rows * self.num_p
-        self.kernel.write(win, src, dst)
-        self.f_ap.put(dst, win.new_f.take(src))
-        win.pending = []
 
     def _aggregates(self, win: _Window, i: int) -> list[float]:
         """Each adversary's aggregate once row i of win joins it, on
@@ -492,7 +432,6 @@ class IncrementalEvaluator:
             return [f + x / num_p for f, x in zip(fp, score)]
         agg = [max(f, x) for f, x in zip(fp, score)]
         if win.falls[i]:  # a falling value may have owned the row max: rescan
-            self.flush()
             lo, hi = win.blk.spans[i]
             for b in win.falls[i]:
                 agg[b] = self._row_aggregate(b, win.blk.props[lo:hi], win.new_f[b, lo:hi])
@@ -615,7 +554,6 @@ class IncrementalEvaluator:
         removal and swaps. Composes per-adversary row updates, which is
         exact because a move touches each adversary's state independently.
         Runs on Python floats: one entry's moves are too few for numpy."""
-        self.flush()
         inst, gain = self.inst, self._gain
         uz, w = self._uz[d].tolist(), inst.utility_weights[d].tolist()
         count = int(self.counts[d])
@@ -682,7 +620,6 @@ class IncrementalEvaluator:
         """(|D|, k) table of ``add_col`` for every adversary: its
         aggregate once each entry joins it. Only the columns a flip has
         touched since the last call are recomputed."""
-        self.flush()
         if self._col_cache is None:
             self._col_cache = np.empty((self.inst.num_entries, self.k))
             self._col_dirty[:] = True
@@ -746,9 +683,11 @@ class _SumsKernel:
         return (new_s, new_f, self._average_block(self, blk, s),
                 blk.reduce(new_f - ev.f_ap.take(props, axis=1), np.add), None)
 
-    def write(self, win: _Window, src: np.ndarray, dst: np.ndarray):
-        """Write the block's new sums at flat ``src`` to flat ``dst``."""
-        self.s.put(dst, win.state.take(src))
+    @staticmethod
+    def window_row(state, i: int, a: int, lo: int, hi: int) -> np.ndarray:
+        """The sums of row i of a window's ``state`` (columns lo:hi) once
+        it joins a, in ``row``'s form."""
+        return state[a, lo:hi]
 
     def add_col(self, ev: IncrementalEvaluator, a: int) -> np.ndarray:
         inst, s_row = self.inst, self.s[a]
@@ -842,14 +781,13 @@ class _CosineKernel:
         shift = blk.reduce(new_f - old_f, np.add)
         return (users, norm_u, dots), new_f, shift, shift, None
 
-    def write(self, win: _Window, src: np.ndarray, dst: np.ndarray):
-        """Write the held-back additions' new norms, and the block's new
-        dots at flat ``src`` to flat ``dst``."""
-        users, norm_u, dots = win.state
-        user, width, num_users = users.tolist(), norm_u.shape[1], self.norms.shape[1]
-        self.norms.put([a * num_users + user[i] for i, a in win.pending],
-                       norm_u.take([a * width + i for i, a in win.pending]))
-        self.dots.put(dst, dots.take(src))
+    @staticmethod
+    def window_row(state, i: int, a: int, lo: int, hi: int):
+        """The new norm of the user and the new dots of row i of a
+        window's ``state`` (columns lo:hi) once it joins a, in ``row``'s
+        form. An entry in no property still writes its user's norm."""
+        users, norm_u, dots = state
+        return users[i], norm_u[a, i], dots[a, lo:hi]
 
     @staticmethod
     def _cosine(dots, denom):

@@ -63,6 +63,8 @@ class ExperimentConfig:
                 raise InstanceError(f"unknown algorithm {name!r}")
         if not self.seeds:
             raise InstanceError("config needs at least one seed")
+        if self.k_values is not None and not self.k_values:
+            raise InstanceError("config k_values needs at least one value")
         if any(isinstance(v, bool) or not isinstance(v, Integral)
                for v in [*self.seeds, *(self.k_values or [])]):
             raise InstanceError("seeds and k_values must be integers")

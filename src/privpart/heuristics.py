@@ -258,7 +258,6 @@ def _construct_myopic(ev: IncrementalEvaluator, params: SearchParams, rng) -> in
                 if a is not None:
                     ev.add(d, a)
                     applied += 1
-    ev.flush()
     return applied
 
 

@@ -49,7 +49,8 @@ class FractionalSolution:
 
     def __post_init__(self):
         x = self.x_hat
-        if np.any(x < -ROW_SUM_TOL) or np.any(x > 1.0 + ROW_SUM_TOL):
+        # Tested as "inside": NaN fails every comparison, so it is rejected.
+        if not np.all((x >= -ROW_SUM_TOL) & (x <= 1.0 + ROW_SUM_TOL)):
             raise InstanceError("fractional components must lie in [0, 1]")
         rows = x.sum(axis=1)
         if np.any(rows < 1.0 - ROW_SUM_TOL) or np.any(rows > x.shape[1] + ROW_SUM_TOL):

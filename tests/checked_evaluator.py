@@ -7,8 +7,8 @@ from privpart.evaluator import IncrementalEvaluator
 
 class CheckedEvaluator(IncrementalEvaluator):
     """Recomputes everything from scratch after each applied move and
-    each addition, and asserts that the objective and ``f_ap`` agree to
-    1e-9."""
+    each addition, and asserts that the objective, ``f_ap`` and the
+    kernel's arrays agree to 1e-9."""
 
     def add(self, d, a):
         super().add(d, a)
@@ -20,7 +20,6 @@ class CheckedEvaluator(IncrementalEvaluator):
             self._check()
 
     def _check(self):
-        self.flush()  # write what an open window holds back, then compare
         fresh = IncrementalEvaluator(self.inst, self.assignment())
         if abs(fresh.objective - self.objective) > 1e-9:
             raise AssertionError(
@@ -29,3 +28,7 @@ class CheckedEvaluator(IncrementalEvaluator):
             )
         if self.num_p and np.abs(fresh.f_ap - self.f_ap).max() > 1e-9:
             raise AssertionError("incremental disclosure state drifted")
+        for name, value in vars(fresh.kernel).items():
+            if isinstance(value, np.ndarray) and not np.allclose(
+                    value, getattr(self.kernel, name), rtol=0.0, atol=1e-9):
+                raise AssertionError(f"incremental kernel state {name} drifted")

@@ -379,8 +379,9 @@ def _windows_reference(inst, seq):
 
 
 def test_windows_are_maximal_runs_without_a_shared_key():
-    # Instances with more keys than one scan chunk reads, so that runs
-    # cross chunk boundaries; whole permutations and second-pass subsets.
+    # A location instance and a dense one, each with over 16384 keys, so
+    # that the key set of a run is rebuilt many times; whole permutations
+    # and second-pass subsets.
     lines, friends = synthetic_checkin_lines(seed=1)
     loc = build_location_instance(ingest_checkins(lines).entries, friends, k=5, t=2, seed=1)
     dense = generate_instance(SynthConfig(600, 100, k=3, t=2, p_f=0.3, seed=4),
@@ -396,11 +397,21 @@ def test_windows_are_maximal_runs_without_a_shared_key():
     assert ev.windows(np.array([], dtype=np.intp)) == []
 
 
+def _same_state(ev, other):
+    """ev's disclosure and kernel state equal other's, bit for bit."""
+    for name in ("f_ap", "fprime", "f_row_sum"):
+        assert getattr(ev, name).tobytes() == getattr(other, name).tobytes(), name
+    for x, y in zip(_kernel_state(ev), _kernel_state(other)):
+        assert x.tobytes() == y.tobytes()
+    assert ev.f == other.f
+
+
 def test_window_rows_equal_one_entry_rows_bitwise():
     # Myopic passes over random walks: every add_gain_row read from a
     # window equals, in float.hex, the row a twin evaluator scores in a
-    # window of that entry alone, and the state equals, bit for bit, that
-    # of an evaluator that makes the same moves without scoring any.
+    # window of that entry alone, and after every addition the state
+    # equals, bit for bit, that of an evaluator that makes the same moves
+    # without scoring any (and at the end of each pass also the twin's).
     rng = np.random.default_rng(21)
     longer = wide = 0
     seen = {"empty": 0, "falls": 0}
@@ -426,6 +437,7 @@ def test_window_rows_equal_one_entry_rows_bitwise():
                         wide += ev._props(d).size >= 8
                         for other in (ev, twin, plain):
                             other.apply(move)
+                        _same_state(ev, plain)
             # Removals free capacity for the next pass.
             for d in rng.choice(inst.num_entries, inst.num_entries // 3, replace=False):
                 held = np.flatnonzero(ev.bits[d])
@@ -433,14 +445,8 @@ def test_window_rows_equal_one_entry_rows_bitwise():
                     move = Move("remove", int(d), from_adversary=int(rng.choice(held)))
                     for other in (ev, twin, plain):
                         other.apply(move)
-            for other in (ev, twin, plain):
-                other.flush()
             for other in (twin, plain):
-                for name in ("f_ap", "fprime", "f_row_sum"):
-                    assert getattr(ev, name).tobytes() == getattr(other, name).tobytes(), name
-                for x, y in zip(_kernel_state(ev), _kernel_state(other)):
-                    assert x.tobytes() == y.tobytes()
-                assert ev.f == other.f
+                _same_state(ev, other)
     assert longer > 200 and wide > 200, (longer, wide)
     assert seen["empty"] > 50 and seen["falls"] > 5, seen
 
@@ -509,7 +515,6 @@ def test_undo_restores_the_evaluator_bitwise():
             d = int(rng.integers(inst.num_entries))
             if rng.random() < 0.6:
                 ev.add_gain_row(d)
-            ev.flush()
             before = _evaluator_state(ev)
             win = ev._window
             log = []

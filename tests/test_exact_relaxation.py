@@ -491,6 +491,14 @@ def test_fractional_row_sums_are_checked_against_k():
     assert FractionalSolution(np.array([[1.0, 1.0]]), 0.0).x_hat.sum() == 2.0
 
 
+def test_fractional_components_are_checked_against_0_and_1():
+    # NaN compares False with every bound, so it passed a check for
+    # components below 0 or above 1.
+    for x in (np.full((3, 2), np.nan), np.array([[np.inf, 0.0]]), np.array([[1.5, -0.5]])):
+        with pytest.raises(InstanceError, match=r"components must lie in \[0, 1\]"):
+            FractionalSolution(x, np.nan)
+
+
 # -- rounding -----------------------------------------------------------------
 
 def test_rounding_integral_solution_is_identity():

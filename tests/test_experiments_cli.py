@@ -487,6 +487,7 @@ def test_cli_rejects_bad_k_t_or_cap_before_drawing(tmp_path, capsys, verb, flags
     ("synth", {"k_values": [-1]}, "need at least 2 adversaries, got k=-1"),
     ("geodata", {"k": 0}, "need at least 2 adversaries, got k=0"),
     ("geodata", {"max_edges": -1}, "max_edges must be non-negative, got -1"),
+    ("synth", {"k_values": []}, "config k_values needs at least one value"),
 ])
 def test_bench_rejects_bad_k_or_cap_before_drawing(tmp_path, capsys, source, extra, message):
     if source == "geodata":

@@ -73,7 +73,6 @@ def _reference_columns(ev):
     """Reference columns: the worst sums kernel's gather through the
     default np.take, written through np.full and a fancy assignment;
     every other kernel's own add_col."""
-    ev.flush()
     kn, inst = ev.kernel, ev.inst
     cols = np.empty((inst.num_entries, ev.k))
     for a in range(ev.k):

@@ -91,7 +91,6 @@ def _reference_myopic(ev, params, rng, sizes):
                 move = _reference_select_row(d, rows[-1], params, rng, sizes)
                 if move is not None:
                     ev.apply(move)
-    ev.flush()
     return rows
 
 
