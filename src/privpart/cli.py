@@ -34,7 +34,7 @@ from .geodata import (
 )
 from .heuristics import SearchParams, solve
 from .instance import DisclosureModel, InstanceError, load_instance, read_text, save_instance
-from .relaxation import LpInfeasibleError, solve_lp_relaxation
+from .relaxation import LP_FAMILIES, LpInfeasibleError, solve_lp_relaxation
 from .synth import SynthConfig, generate_instance, random_small_instance
 
 EXIT_OK = 0
@@ -174,7 +174,7 @@ def _cmd_verify(args) -> int:
             heur = solve(inst, SearchParams("greedy", "global", seed=args.seed + i))
             ok_h = heur.objective.value <= bnb.objective.value + 1e-9
             ok_lp = True
-            if inst.model.family in ("step", "linear"):
+            if inst.model.family in LP_FAMILIES:
                 try:
                     frac = solve_lp_relaxation(inst)
                     ok_lp = frac.lp_objective >= bnb.objective.value - 1e-9

@@ -36,15 +36,14 @@ the bound, the node count and the leaf scores (strict `>`, first best
 wins) are those of flipping at every node.
 
 Enumeration builds each chunk of subset indices with numpy's C-order
-``unravel_index``, which is ``itertools.product`` order.
+``unravel_index``, which is ``itertools.product`` order, and hands the
+chunks to ``objective.best_draw`` as its draws: every assignment is
+scored by ``batch_objective``, the objective every result reports, and
+the first of equals wins.
 
 ``formulation`` selects what is maximized:
 
 * ``tradeoff``   -- utility + lam * (tau - disclosure)
-* ``maxmin``     -- min over adversaries of utility + lam * (tau - f'_a);
-                    algebraically identical to ``tradeoff`` because the
-                    utility term is shared, kept as an independent
-                    evaluation route
 * ``discbudget`` -- utility alone, subject to disclosure strictly below
                     tau (may be infeasible)
 """
@@ -57,12 +56,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .disclosure import batch_disclosure
 from .evaluator import IncrementalEvaluator
 from .heuristics import SolveResult, finalize_result
 from .instance import Assignment, Instance, InstanceError, validate_instance
+from .objective import best_draw
 
-FORMULATIONS = ("tradeoff", "maxmin", "discbudget")
+FORMULATIONS = ("tradeoff", "discbudget")
 
 ENUMERATION_CAP = 1_000_000
 SIZE_GUARD_BITS = 40.0
@@ -91,10 +90,11 @@ def _check_formulation(formulation: str) -> None:
 
 
 def enumerate_optimum(instance: Instance, formulation: str = "tradeoff") -> SolveResult:
-    """Reference oracle: score every feasible assignment in chunks.
+    """Reference oracle: score every feasible assignment, in
+    ``itertools.product`` order, with ``best_draw``.
 
     Kept deliberately independent of the branch-and-bound path (batch
-    matrix evaluation instead of incremental state) so the two can
+    scoring from scratch instead of incremental state) so the two can
     cross-check each other.
     """
     instance = validate_instance(instance)
@@ -112,53 +112,19 @@ def enumerate_optimum(instance: Instance, formulation: str = "tradeoff") -> Solv
     for i, sub in enumerate(subsets):
         masks[i, list(sub)] = True
 
-    best_value = -np.inf
-    best_bits = None
-    feasible_seen = False
-    chunk = 1 << 14
-    shape = (m,) * num_d
-    # C-order unravel puts entry 0 slowest: itertools.product order.
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
-        combos = np.stack(np.unravel_index(flat, shape), axis=1)  # (n, D)
-        bits = masks[combos]  # (n, D, k)
-        values, feas = _batch_values(instance, bits, formulation)
-        if formulation == "discbudget":
-            feasible_seen = feasible_seen or bool(feas.any())
-            values = np.where(feas, values, -np.inf)
-        i = int(np.argmax(values))
-        if values[i] > best_value:
-            best_value = float(values[i])
-            best_bits = bits[i].copy()
+    start = 0
 
-    if formulation == "discbudget" and not feasible_seen:
+    def draw(c: int) -> np.ndarray:
+        nonlocal start
+        flat = np.arange(start, start + c)
+        start += c
+        # C-order unravel puts entry 0 slowest: itertools.product order.
+        return masks[np.stack(np.unravel_index(flat, (m,) * num_d), axis=1)]
+
+    best_bits = best_draw(instance, draw, total, budget=formulation == "discbudget")
+    if best_bits is None:
         raise InfeasibleError("no assignment meets the disclosure budget")
     return finalize_result(instance, Assignment(best_bits), total, started, 0)
-
-
-def _batch_values(instance: Instance, bits: np.ndarray, formulation: str):
-    """Values (and budget feasibility) for a (n, D, k) batch of
-    assignments, all cardinality-feasible by construction."""
-    w = instance.utility_weights
-    z = instance._normalizer
-    util = np.einsum("ndk,dk->n", bits, w) / z
-
-    fap = batch_disclosure(instance, bits)[1]  # (n, k, |P|)
-    if instance.num_properties == 0:
-        fprime = np.zeros(fap.shape[:2])
-    elif instance.model.aggregation == "worst":
-        fprime = fap.max(axis=2)
-    else:
-        fprime = fap.mean(axis=2)
-
-    lam, tau = instance.lam, instance.tau
-    if formulation == "maxmin":
-        values = (util[:, None] + lam * (tau - fprime)).min(axis=1)
-    else:
-        values = util + lam * (tau - fprime.max(axis=1))
-    if formulation == "discbudget":
-        return util, fprime.max(axis=1) < tau
-    return values, None
 
 
 def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResult:
@@ -182,7 +148,6 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
     w = instance.utility_weights.tolist()
     lam, tau = instance.lam, instance.tau
     budget = formulation == "discbudget"
-    maxmin = formulation == "maxmin"
     monotone = ev.kernel.monotone
 
     best = {"value": -np.inf, "bits": None, "nodes": 0}
@@ -255,8 +220,6 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
                 if not max(fp) < tau:
                     continue
                 value = util / z
-            elif maxmin:
-                value = min(util / z + lam * (tau - x) for x in fp)
             else:
                 value = util / z + lam * (tau - max(fp))
             if value > best["value"]:

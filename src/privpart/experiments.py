@@ -28,7 +28,7 @@ from .instance import (
     _json_int,
     load_instance,
 )
-from .relaxation import round_and_repair, solve_lp_relaxation
+from .relaxation import LP_FAMILIES, round_and_repair, solve_lp_relaxation
 from .synth import SynthConfig, generate_instance
 
 # The algorithms, each with the keys a config's params may override for it
@@ -36,7 +36,6 @@ from .synth import SynthConfig, generate_instance
 OVERRIDES = {"rand+": ("restarts",), "lp": ("restarts",), "ilp": ("formulation",),
              "greedy": ("r",), "greedyl": ("r",), "grasp": ("n", "r"), "graspl": ("n", "r")}
 ALGORITHMS = tuple(OVERRIDES)
-LP_FAMILIES = ("step", "linear")
 
 FULL_DISCLOSURE_THRESHOLD = 1.0 - 1e-9
 
@@ -211,7 +210,7 @@ def _round_lp(instance: Instance, frac, seed: int, overrides: dict | None) -> So
 def _check_family(name: str, instance: Instance) -> None:
     if name in ("lp", "ilp") and instance.model.family not in LP_FAMILIES:
         raise InstanceError(
-            f"{name} supports step|linear families, not {instance.model.family!r}"
+            f"{name} supports {'|'.join(LP_FAMILIES)} families, not {instance.model.family!r}"
         )
 
 

@@ -61,7 +61,11 @@ def batch_objective(instance: Instance, bits: np.ndarray):
     n = bits.shape[0]
     utility = (instance.utility_weights * bits).reshape(n, -1).sum(axis=1) / z
     f = aggregate_disclosure(vec, instance.model.aggregation)
-    unassigned = np.count_nonzero(~bits.any(axis=2), axis=1)
+    # k whole-array ors, not a reduction over the short k axis per row.
+    held = bits[:, :, 0].copy()
+    for a in range(1, bits.shape[2]):
+        held |= bits[:, :, a]
+    unassigned = np.count_nonzero(~held, axis=1)
     return ObjectiveValue.compose(utility, f, unassigned, instance.lam, instance.tau), vec
 
 
@@ -78,15 +82,19 @@ def draw_chunks(instance: Instance, runs: int) -> list[int]:
     return [min(step, runs - start) for start in range(0, runs, step)]
 
 
-def best_draw(instance: Instance, draw, runs: int) -> np.ndarray:
-    """Bits of the best of ``runs`` random draws by penalized tradeoff, the
-    first of equals. ``draw(c)`` returns the next c draws as a (c, |D|, k)
-    tensor; drawing chunk after chunk consumes the generator exactly as
-    drawing one at a time does."""
+def best_draw(instance: Instance, draw, runs: int, budget: bool = False) -> np.ndarray | None:
+    """Bits of the best of ``runs`` draws by penalized tradeoff, the first
+    of equals. ``draw(c)`` returns the next c draws as a (c, |D|, k)
+    tensor; drawing chunk after chunk consumes a generator exactly as
+    drawing one at a time does. With ``budget`` a draw scores its utility
+    if its disclosure is below tau and -inf otherwise, and the call
+    returns None when no draw qualifies."""
     best_bits, best_value = None, -np.inf
     for c in draw_chunks(instance, runs):
         bits = draw(c)
-        values = batch_objective(instance, bits)[0].value
+        obj = batch_objective(instance, bits)[0]
+        values = (np.where(obj.disclosure < instance.tau, obj.utility, -np.inf)
+                  if budget else obj.value)
         i = int(np.argmax(values))
         if values[i] > best_value:
             best_value, best_bits = values[i], bits[i].copy()

@@ -35,6 +35,7 @@ from .instance import Assignment, Instance, InstanceError, validate_instance
 from .objective import batch_objective, best_draw, draw_chunks
 
 ROW_SUM_TOL = 1e-6
+LP_FAMILIES = ("step", "linear")
 
 
 class LpInfeasibleError(InstanceError):
@@ -125,8 +126,8 @@ def solve_lp_relaxation(instance: Instance) -> FractionalSolution:
     """Solve the relaxation for the instance's family, step or linear."""
     instance = validate_instance(instance)
     family = instance.model.family
-    if family not in ("step", "linear"):
-        raise InstanceError(f"LP relaxation supports step|linear, not {family!r}")
+    if family not in LP_FAMILIES:
+        raise InstanceError(f"LP relaxation supports {'|'.join(LP_FAMILIES)}, not {family!r}")
     z = instance._normalizer
     if z <= 0.0:
         raise InstanceError("degenerate instance: all utility weights are zero")

@@ -24,7 +24,7 @@ from privpart import (
     tradeoff_objective,
 )
 from privpart.evaluator import IncrementalEvaluator
-from privpart.objective import draw_chunks
+from privpart.objective import batch_objective, draw_chunks
 from privpart.relaxation import repair
 
 
@@ -68,6 +68,19 @@ def test_batched_scorer_equals_single_calls_bitwise():
                 assert np.array_equal(single[0], batched[i])
             assert np.array_equal(disclosure_vector(inst, Assignment(bits[i])),
                                   np.clip(f_ap[i], 0.0, 1.0))
+
+
+def test_unassigned_count_equals_one_reduction():
+    rng = np.random.default_rng(3)
+    for inst in _scorer_instances():
+        shape = (inst.num_entries, inst.k)
+        # Sparse draws leave orphan entries; the all-empty draw orphans all.
+        for bits in (rng.random((30,) + shape) < 0.1, _random_bits(inst, rng, 1),
+                     np.zeros((1,) + shape, dtype=bool)):
+            counts = batch_objective(inst, bits)[0].unassigned_count
+            ref = np.count_nonzero(~bits.any(axis=2), axis=1)
+            assert counts.dtype == ref.dtype and np.array_equal(counts, ref)
+        assert ref[0] == inst.num_entries
 
 
 def test_batched_scorer_agrees_with_evaluator_after_random_walks():

@@ -138,6 +138,33 @@ def test_worst_dominates_average_on_random_vectors():
         assert aggregate_disclosure(vec, "worst") >= aggregate_disclosure(vec, "average")
 
 
+def _aggregate_reference(vector, mode):
+    """``aggregate_disclosure`` as one numpy reduction over the trailing
+    (k, |P|) axes."""
+    vector = np.asarray(vector, dtype=np.float64)
+    if vector.shape[-1] == 0:
+        out = np.zeros(vector.shape[:-2])
+    elif mode == "worst":
+        out = vector.max(axis=(-2, -1))
+    else:
+        out = vector.mean(axis=-1).max(axis=-1)
+    return out if out.ndim else float(out)
+
+
+def test_aggregate_equals_one_reduction_bitwise():
+    rng = np.random.default_rng(2)
+    for mode in ("worst", "average"):
+        for k in (2, 3, 5, 10):
+            for num_p in (0, 1, 4):
+                for lead in ((), (1,), (40,)):
+                    # Values on a coarse grid, so maxima tie across adversaries.
+                    vec = rng.integers(0, 5, size=lead + (k, num_p)) / 4.0
+                    ours, ref = aggregate_disclosure(vec, mode), _aggregate_reference(vec, mode)
+                    assert type(ours) is type(ref)
+                    assert np.shape(ours) == np.shape(ref)
+                    assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
+
+
 def random_assignment(inst, rng):
     b = np.zeros((inst.num_entries, inst.k), dtype=bool)
     for d in range(inst.num_entries):

@@ -32,8 +32,9 @@ from privpart import (
     validate_instance,
 )
 from privpart.evaluator import IncrementalEvaluator
-from privpart.exact import FORMULATIONS, _adversary_subsets, _batch_values
+from privpart.exact import FORMULATIONS, _adversary_subsets
 from privpart.heuristics import finalize_result
+from privpart.objective import batch_objective, tradeoff_objective
 from privpart import relaxation
 from privpart.relaxation import _lp_model, repair
 
@@ -88,14 +89,6 @@ def test_exact_agrees_with_enumeration_and_brackets_heuristic():
         assert heur.objective.value <= bnb.objective.value + 1e-9
 
 
-def test_maxmin_formulation_equals_tradeoff_value():
-    for trial in range(15):
-        inst = random_small_instance(300 + trial)
-        a = solve_exact(inst, formulation="tradeoff")
-        b = solve_exact(inst, formulation="maxmin")
-        assert a.objective.value == pytest.approx(b.objective.value, abs=1e-12)
-
-
 def test_size_guard_refuses_large_instances():
     inst = validate_instance(
         Instance(DependencyHypergraph(500, []), np.ones((500, 2)), 2, 1)
@@ -134,8 +127,6 @@ def _reference_solve_exact(instance, formulation):
     def node_value():
         if budget:
             return ev.util_raw / z
-        if formulation == "maxmin":
-            return float(min(ev.util_raw / z + lam * (tau - fp) for fp in ev.fprime))
         return ev.util_raw / z + lam * (tau - ev.f)
 
     def bound(d):
@@ -172,7 +163,8 @@ def _reference_solve_exact(instance, formulation):
 
 
 def _reference_enumerate(instance, formulation):
-    """Enumeration that buffers ``itertools.product`` tuples into chunks."""
+    """Enumeration that buffers ``itertools.product`` tuples into chunks
+    and scores each chunk with ``batch_objective``."""
     subsets = _adversary_subsets(instance.k, instance.t)
     masks = np.zeros((len(subsets), instance.k), dtype=bool)
     for i, sub in enumerate(subsets):
@@ -184,10 +176,12 @@ def _reference_enumerate(instance, formulation):
         if not buf:
             return
         bits = masks[np.array(buf, dtype=np.int64)]
-        values, feas = _batch_values(instance, bits, formulation)
+        obj = batch_objective(instance, bits)[0]
+        values = obj.value
         if formulation == "discbudget":
+            feas = obj.disclosure < instance.tau
             feasible_seen = feasible_seen or bool(feas.any())
-            values = np.where(feas, values, -np.inf)
+            values = np.where(feas, obj.utility, -np.inf)
         i = int(np.argmax(values))
         if values[i] > best_value:
             best_value, best_bits = float(values[i]), bits[i].copy()
@@ -321,6 +315,55 @@ def test_chunked_enumeration_matches_product_loop():
     for formulation in FORMULATIONS:
         assert _outcome(enumerate_optimum, big, formulation) == _outcome(
             _reference_enumerate, big, formulation)
+
+
+def _first_best_scored_alone(instance, formulation):
+    """The first assignment in ``itertools.product`` order whose
+    ``tradeoff_objective``, taken one assignment at a time, is maximal:
+    by value for tradeoff, by utility among those with disclosure below
+    tau for discbudget (None if there is none)."""
+    best_bits, best = None, -np.inf
+    for combo in product(_adversary_subsets(instance.k, instance.t),
+                         repeat=instance.num_entries):
+        bits = np.zeros((instance.num_entries, instance.k), dtype=bool)
+        for d, sub in enumerate(combo):
+            bits[d, list(sub)] = True
+        obj = tradeoff_objective(instance, Assignment(bits))
+        if formulation == "discbudget":
+            if not obj.disclosure < instance.tau:
+                continue
+            value = obj.utility
+        else:
+            value = obj.value
+        if value > best:
+            best_bits, best = bits, value
+    return best_bits
+
+
+def test_enumeration_returns_the_first_best_assignment_scored_alone():
+    # Tied weights make assignments equal in exact arithmetic; the oracle
+    # must still pick the one whose reported objective is largest. Seeds
+    # 10 (tradeoff) and 82 (discbudget), tied, once returned an assignment
+    # reported 1 ulp below another one.
+    cases, infeasible, seed = [], 0, 0
+    while len(cases) < 120:
+        inst = random_small_instance(seed)
+        seed += 1
+        if len(_adversary_subsets(inst.k, inst.t)) ** inst.num_entries <= 6**4:
+            cases += [(inst, f) for f in FORMULATIONS]
+            cases += [(_tied(inst), f) for f in FORMULATIONS]
+    cases += [(_tied(random_small_instance(10)), "tradeoff"),
+              (_tied(random_small_instance(82)), "discbudget")]
+    for case, formulation in cases:
+        expected = _first_best_scored_alone(case, formulation)
+        if expected is None:
+            infeasible += 1
+            with pytest.raises(InfeasibleError):
+                enumerate_optimum(case, formulation)
+            continue
+        res = enumerate_optimum(case, formulation)
+        assert np.array_equal(res.assignment.bits, expected), (case.num_entries, formulation)
+    assert infeasible > 0
 
 
 def test_lp_step_pair_is_integral_and_tight():

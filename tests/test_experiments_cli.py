@@ -418,7 +418,9 @@ def test_bench_checks_the_ilp_formulation_before_running(tmp_path, capsys):
     assert main(["bench", "--config", str(cfg_path)]) == EXIT_FAIL
     assert "unknown formulation" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    small_config(tmp_path, algorithms=["ilp"], params={"ilp": {"formulation": "maxmin"}})
+    small_config(tmp_path, algorithms=["ilp"], params={"ilp": {"formulation": "discbudget"}})
+    with pytest.raises(InstanceError, match="unknown formulation 'maxmin'"):
+        small_config(tmp_path, algorithms=["ilp"], params={"ilp": {"formulation": "maxmin"}})
 
 
 def test_cli_solve_rejects_non_finite_property_weight(tmp_path, capsys):
