@@ -65,11 +65,21 @@ increase with the disclosure, also after float rounding, so the bound is
 at least every gain the entry would score, a skipped entry is one on
 which no move could have been accepted, and the moves are those of the
 unscreened pass.
+
+The r restarts of ``solve`` each draw only from their own child of
+``SeedSequence(seed)``, so they may run in forked worker processes
+(parallel GRASP: Pardalos, Pitsoulis & Resende, 1995) once r * |D| * k
+reaches ``FAN_OUT_CELLS`` and two CPUs are usable; the first best in
+restart order is kept either way, so where they ran does not matter.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,23 +307,58 @@ def local_search(instance: Instance, assignment: Assignment, rng,
 
 # -- outer loop -------------------------------------------------------------------
 
+# Restarts fan out once r * |D| * k reaches this: below it, a restart takes
+# about as long as starting a two-worker pool, 10-14 ms on two cores.
+FAN_OUT_CELLS = 4000
+
+
+def _restart(instance: Instance, params: SearchParams, streams, rep: int):
+    """Construction and local search on the rep-th seeded stream; returns
+    (moves made, objective value, assignment bits)."""
+    rng = np.random.default_rng(streams[rep])
+    ev = IncrementalEvaluator(instance)
+    _, _, made = construction(instance, params, rng, evaluator=ev)
+    _, value, moved = local_search(instance, None, rng, evaluator=ev)
+    return made + moved, value, ev.bits
+
+
+def _restart_workers(instance: Instance, params: SearchParams) -> int:
+    """Processes to run solve's restarts in; 1 runs them in this one."""
+    if (params.r * instance.num_entries * instance.k < FAN_OUT_CELLS
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1):
+        return 1
+    return min(params.r, len(os.sched_getaffinity(0)))
+
+
+# A restart worker's (instance, params, streams): the pool's initializer
+# extends this list in each worker, so the parent's copy stays empty.
+_inherited: list = []
+
+
+def _inherited_restart(rep: int):
+    return _restart(*_inherited, rep)
+
+
 def solve(instance: Instance, params: SearchParams) -> SolveResult:
     """Run construction + local search r times on independent seeded
     streams and return the best result; deterministic in (instance,
-    params)."""
+    params). The restarts run in ``min(r, usable CPUs)`` forked workers
+    when that is at least 2, r * |D| * k reaches ``FAN_OUT_CELLS`` and
+    this process can fork and runs one thread (a forked threaded process
+    can deadlock), else here. Workers inherit the inputs, get rep indices
+    and return (moves, value, bits); a restart reads only its own stream
+    and the first best in rep order is kept, so both paths agree bitwise."""
     instance = validate_instance(instance)
     started = time.perf_counter()
-    streams = np.random.SeedSequence(params.seed).spawn(params.r)
-    best_bits = None
-    best_value = -np.inf
-    total = 0
-    for rep in range(params.r):
-        rng = np.random.default_rng(streams[rep])
-        ev = IncrementalEvaluator(instance)
-        _, _, made = construction(instance, params, rng, evaluator=ev)
-        _, value, moved = local_search(instance, None, rng, evaluator=ev)
-        total += made + moved
-        if value > best_value:
-            best_value = value
-            best_bits = ev.bits.copy()
+    args = (instance, params, np.random.SeedSequence(params.seed).spawn(params.r))
+    workers = _restart_workers(instance, params)
+    if workers == 1:
+        runs = [_restart(*args, rep) for rep in range(params.r)]
+    else:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_inherited.extend, initargs=(args,)) as pool:
+            runs = list(pool.map(_inherited_restart, range(params.r)))
+    _, _, best_bits = max(runs, key=lambda run: run[1])  # max keeps the first best
+    total = sum(run[0] for run in runs)
     return finalize_result(instance, Assignment(best_bits), total, started, params.seed)

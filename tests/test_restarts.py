@@ -1,0 +1,131 @@
+"""solve's restarts in forked worker processes: the same result as in
+process, bit for bit, errors that keep their type, no child left behind,
+and small solves that never start a pool."""
+
+import multiprocessing
+import os
+import threading
+
+import numpy as np
+import pytest
+
+from privpart import (
+    DependencyHypergraph,
+    DisclosureModel,
+    Instance,
+    InstanceError,
+    SearchParams,
+    SynthConfig,
+    build_location_instance,
+    generate_instance,
+    ingest_checkins,
+    random_small_instance,
+    solve,
+    synthetic_checkin_lines,
+    validate_instance,
+)
+from privpart import heuristics
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(heuristics, "_restart_workers", lambda instance, params: workers)
+
+
+def _synth(num_entries, k, aggregation="worst"):
+    return validate_instance(generate_instance(
+        SynthConfig(num_entries=num_entries, num_properties=40, k=k, t=2, seed=7),
+        model=DisclosureModel("linear", aggregation)))
+
+
+def _location():
+    lines, friends = synthetic_checkin_lines(num_users=40, num_edges=60, num_entries=300, seed=3)
+    return build_location_instance(ingest_checkins(lines).entries, friends, k=4, t=2, seed=3)
+
+
+def _tied():
+    # Equal utility weights and no property: every restart ends with one
+    # adversary per entry and the same value, but the draws pick
+    # different adversaries.
+    return validate_instance(Instance(DependencyHypergraph(250, []), np.full((250, 4), 0.5),
+                                      k=4, t=1, model=DisclosureModel("step", "worst")))
+
+
+def _same(a, b):
+    assert np.array_equal(a.assignment.bits, b.assignment.bits)
+    assert a.objective == b.objective
+    assert a.iterations == b.iterations
+    assert a.seed_used == b.seed_used
+
+
+@pytest.mark.parametrize("make, params", [
+    (lambda: _synth(200, 10), SearchParams("grasp", "global", n=5, r=3, seed=11)),
+    (lambda: _synth(300, 5, "average"), SearchParams("grasp", "global", n=5, r=5, seed=2)),
+    (_location, SearchParams("grasp", "myopic", n=3, r=4, seed=5)),
+    (_tied, SearchParams("grasp", "global", n=5, r=4, seed=1)),
+], ids=["global-worst", "global-average", "myopic-cosine", "tied"])
+def test_forked_restarts_equal_in_process_bitwise(monkeypatch, make, params):
+    inst = make()
+    assert params.r * inst.num_entries * inst.k >= heuristics.FAN_OUT_CELLS
+    _force_workers(monkeypatch, 1)
+    here = solve(inst, params)
+    _force_workers(monkeypatch, 2)
+    forked = solve(inst, params)
+    _same(here, forked)
+    assert multiprocessing.active_children() == []
+
+
+def test_tied_restarts_keep_the_first_best():
+    inst = _tied()
+    params = SearchParams("grasp", "global", n=5, r=4, seed=1)
+    streams = np.random.SeedSequence(params.seed).spawn(params.r)
+    runs = [heuristics._restart(inst, params, streams, rep) for rep in range(params.r)]
+    assert len({value for _, value, _ in runs}) == 1
+    assert len({bits.tobytes() for _, _, bits in runs}) > 1
+    assert np.array_equal(solve(inst, params).assignment.bits, runs[0][2])
+
+
+def test_worker_error_keeps_its_type_and_leaves_no_child(monkeypatch):
+    def broken(*args, **kwargs):
+        raise InstanceError("construction failed in a worker")
+
+    monkeypatch.setattr(heuristics, "construction", broken)
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(InstanceError, match="construction failed in a worker"):
+        solve(_synth(200, 10), SearchParams("grasp", "global", n=5, r=3, seed=1))
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
+
+
+def test_worker_count_is_bounded_by_restarts_and_usable_cpus():
+    cpus = len(os.sched_getaffinity(0))
+    inst = _synth(200, 10)
+    for r in (1, 2, 3, 10**6):  # the helper alone: no pool is started here
+        assert heuristics._restart_workers(inst, SearchParams("grasp", r=r)) == min(r, cpus)
+
+
+def test_a_threaded_process_does_not_fork():
+    inst = _synth(200, 10)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert heuristics._restart_workers(inst, SearchParams("grasp", r=4)) == 1
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+
+
+@pytest.mark.parametrize("inst, params", [
+    (_synth(200, 10), SearchParams("grasp", "global", n=5, r=1, seed=3)),
+    (random_small_instance(31), SearchParams("grasp", "myopic", n=2, r=2, seed=3)),
+    (random_small_instance(32), SearchParams("grasp", "global", n=2, r=2, seed=3)),
+], ids=["r1", "desk-myopic-r2", "desk-global-r2"])
+def test_small_solves_stay_in_process(monkeypatch, inst, params):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a small solve started a process pool")
+
+    monkeypatch.setattr(heuristics, "ProcessPoolExecutor", no_pool)
+    assert inst.num_entries <= 6 or params.r == 1
+    assert heuristics._restart_workers(inst, params) == 1
+    solve(inst, params)
