@@ -5,35 +5,57 @@ Both enumerate per-entry adversary subsets of size 1..t, so the search
 space is (number of subsets)^|D|; a hard size guard keeps them on desk
 scale. Branch-and-bound prunes with an admissible bound: optimistic
 remaining utility (each remaining entry at its top-t weights) plus the
-best conceivable disclosure term. When the evaluator's kernel is
-monotone the current partial disclosure already lower-bounds the final
-one; otherwise the bound falls back to zero disclosure.
+best conceivable disclosure term. For a cosine kernel, which is not
+monotone, that term assumes zero disclosure.
 
-Branch-and-bound walks the search tree from the root. For each
-adversary a, the entries a holds at a node form a bitmask, and the node
-needs only a's aggregate f'_a at that mask, one cell per adversary. The
-walk reads each cell from a memo filled on first use. Each adversary
-keeps a stack of its flips (entry, undo log, mask held after the flip)
-in increasing entry order; on a miss the walk undoes a's stack down to
-the longest prefix of the mask, flips the missing entries onto a in
-increasing order by `_flip`, and memoizes every cell it passes.
+Adversaries do not collude, so an adversary's aggregate f' is a function
+of the set of entries it holds: every adversary starts from the same
+empty state, and the kernel and aggregation read only its own row. The
+walk keeps one memo, mask -> f', for all k adversaries, where bit e of
+the mask stands for entry e. Each adversary keeps a stack of its flips
+(entry, undo log, mask held after the flip) in increasing entry order;
+on a miss for adversary a the walk undoes a's stack down to the longest
+prefix of the mask, flips the missing entries onto a in increasing
+order by `_flip`, and memoizes every mask it passes.
 
-Each cell is bitwise the value a search that flips at every node would
-read there: a's state (its kernel state, its row of f_ap, its row sum
-and aggregate) depends only on which entries a holds and on their
-order, never on other adversaries, and every route adds a's entries in
-increasing order by the same `_flip`. A logged `_flip` records exactly
-that state of a, plus the shared scalars, and `_undo` writes it back,
-so undoing one adversary's stack out of global order leaves every other
-adversary's state exact. Entries leave a only through `_undo`, never by
-a removing flip, since a removal takes a different float path than an
-addition. The shared state (`util_raw`, `counts`, `c_unassigned`, `f`)
-goes stale under such undos, so the walk reads only `fprime[a]`
-mid-search: a node's f is the max of its k cells, its utility is the
-root's `util_raw` plus the weights in subset order, and a new best's
-bits come from the walk's path of subsets alone. So the budget test,
-the bound, the node count and the leaf scores (strict `>`, first best
-wins) are those of flipping at every node.
+Each memo value is bitwise the value a search that flips at every node
+would read there: a's state (its kernel state, its row of f_ap, its row
+sum and aggregate) depends only on which entries a holds and on their
+order, never on other adversaries or on a itself, and every route adds
+a's entries in increasing order by the same `_flip`. A logged `_flip`
+records exactly that state of a, plus the shared scalars, and `_undo`
+writes it back, so undoing one adversary's stack out of global order
+leaves every other adversary's state exact. Entries leave a only
+through `_undo`, never by a removing flip, since a removal takes a
+different float path than an addition. The shared state (`util_raw`,
+`counts`, `c_unassigned`, `f`) goes stale under such undos, so the walk
+reads only `fprime[a]` mid-search: a node's f is the max of its k
+cells, its utility is the root's `util_raw` plus the weights in subset
+order, and a new best's bits come from the walk's path of subsets alone.
+
+The disclosure bound of a node whose entries before d are assigned,
+adversary a holding masks[a], is max(f, lb) with the forced bound
+
+    lb = max over e >= d of (min over a of memo[masks[a] | 1 << e]).
+
+Every entry e >= d goes to at least one adversary a, whose final set is
+then a superset of masks[a] and e. Monotone kernels never lower an
+aggregate when an entry joins: step, linear and quadratic sums of
+non-negative weights only grow, and so do their values. Under worst
+aggregation that holds after float rounding too (each operation is
+monotone in its operands and a max is exact), so every completion's
+disclosure is at least lb. Under average aggregation a's row sum is
+accumulated by differences, so a superset reached through other entries
+can round differently in its last bits: it is no smaller in exact
+arithmetic, the same slack the utility term's suffix sums already have,
+and the tests check the inequality in float on random instances of the
+three families in both aggregations.
+
+A node raises f to lb one entry at a time and stops once it is pruned;
+that changes which cells are filled, never a decision. So the budget
+test, the bound, the node count and the leaf scores (strict `>`, first
+best wins) are those of a search that flips at every node and uses the
+same bound.
 
 Enumeration builds each chunk of subset indices with numpy's C-order
 ``unravel_index``, which is ``itertools.product`` order, and hands the
@@ -150,31 +172,23 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
     budget = formulation == "discbudget"
     monotone = ev.kernel.monotone
 
-    best = {"value": -np.inf, "bits": None, "nodes": 0}
+    best_value, best_path, nodes = -math.inf, None, 0
     last = num_d - 1
-    # cells[a][mask]: f'_a once a holds the entries whose bits are set in
-    # mask; stacks[a]: a's flips as (entry, log, mask held after it);
+    # memo[mask]: f' of any adversary that holds exactly the entries
+    # whose bits are set in mask (one table for all k: an adversary's
+    # aggregate depends on its entries alone); stacks[a]: a's flips as
+    # (entry, log, mask held after it), from which a miss is filled;
     # path[d]: the subset of entry d on the walk.
-    cells = [{0: float(ev.fprime[a])} for a in range(k)]
+    memo = {0: float(ev.fprime[0])}
     stacks: list[list[tuple[int, list, int]]] = [[] for _ in range(k)]
     path: list[tuple[int, ...]] = [()] * num_d
 
-    def expand(d: int, util_raw: float, f: float) -> bool:
-        """Count the node at entry d; False if its subtree is pruned."""
-        best["nodes"] += 1
-        if budget and monotone and f >= tau:
-            return False
-        util = (util_raw + suffix[d]) / z
-        if not budget:
-            util += lam * (tau - (f if monotone else 0.0))
-        return not util <= best["value"]
-
     def cell(a: int, mask: int) -> float:
-        """Cell (a, mask). On a miss, keep the longest prefix of mask on
-        a's stack, then flip the rest of mask onto a in increasing order."""
-        stack, memo = stacks[a], cells[a]
+        """memo[mask]. On a miss, keep the longest prefix of mask on a's
+        stack, then flip the rest of mask onto a in increasing order."""
         if mask in memo:
             return memo[mask]
+        stack = stacks[a]
         while stack and stack[-1][2] != mask & ((2 << stack[-1][0]) - 1):
             ev._undo(stack.pop()[1])
         held = stack[-1][2] if stack else 0
@@ -190,14 +204,44 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
             memo[held] = float(ev.fprime[a])
         return memo[mask]
 
+    def cells(masks: list[int], bit: int) -> list[float]:
+        """memo[masks[a] | bit] for each adversary a: k plain lookups,
+        and on a KeyError the k cells through cell()."""
+        try:
+            return [memo[mask | bit] for mask in masks]
+        except KeyError:
+            return [cell(a, mask | bit) for a, mask in enumerate(masks)]
+
+    def pruned(util: float, f: float) -> bool:
+        """Whether no completion beats the best, when util bounds their
+        utility term and f their disclosure from below."""
+        if budget:
+            return (monotone and f >= tau) or util <= best_value
+        return util + lam * (tau - (f if monotone else 0.0)) <= best_value
+
+    def expand(d: int, util_raw: float, f: float, masks: list[int]) -> bool:
+        """Count the node at entry d; False if its subtree is pruned.
+        Under a monotone kernel f rises to the forced bound one entry at
+        a time, and stops once the node is pruned."""
+        nonlocal nodes
+        nodes += 1
+        util = (util_raw + suffix[d]) / z
+        if pruned(util, f):
+            return False
+        if monotone:
+            for e in range(d, num_d):
+                low = min(cells(masks, 1 << e))
+                if low > f:
+                    f = low
+                    if pruned(util, f):
+                        return False
+        return True
+
     def walk(d: int, masks: list[int], fprime: list[float], util_raw: float) -> None:
         """The children of a node at entry d."""
+        nonlocal nodes, best_value, best_path
         bit = 1 << d
-        # k plain lookups; a KeyError sends the node's cells through cell().
-        try:
-            on = [memo[mask | bit] for memo, mask in zip(cells, masks)]
-        except KeyError:
-            on = [cell(a, mask | bit) for a, mask in enumerate(masks)]
+        on = cells(masks, bit)
         w_d = w[d]
         if d < last:
             for sub in subsets:
@@ -206,11 +250,11 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
                     util += w_d[a]
                     fp[a] = on[a]
                     held[a] |= bit
-                if expand(d + 1, util, max(fp)):
+                if expand(d + 1, util, max(fp), held):
                     path[d] = sub
                     walk(d + 1, held, fp, util)
             return
-        best["nodes"] += len(subsets)
+        nodes += len(subsets)
         for sub in subsets:
             util, fp = util_raw, fprime[:]
             for a in sub:
@@ -222,17 +266,19 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
                 value = util / z
             else:
                 value = util / z + lam * (tau - max(fp))
-            if value > best["value"]:
+            if value > best_value:
                 path[d] = sub
-                bits = np.zeros((num_d, k), dtype=bool)
-                for e, held_sub in enumerate(path):
-                    bits[e, list(held_sub)] = True
-                best["value"], best["bits"] = value, bits
+                best_value, best_path = value, path[:]
 
-    if expand(0, ev.util_raw, ev.f):
-        walk(0, [0] * k, ev.fprime.tolist(), ev.util_raw)
-    if best["bits"] is None:
+    # The root's expand may already flip, so the root state is read first.
+    util_raw, fprime = ev.util_raw, ev.fprime.tolist()
+    if expand(0, util_raw, ev.f, [0] * k):
+        walk(0, [0] * k, fprime, util_raw)
+    if best_path is None:
         if budget:
             raise InfeasibleError("no assignment meets the disclosure budget")
         raise InstanceError("search space unexpectedly empty")
-    return finalize_result(instance, Assignment(best["bits"]), best["nodes"], started, 0)
+    bits = np.zeros((num_d, k), dtype=bool)
+    for e, sub in enumerate(best_path):
+        bits[e, list(sub)] = True
+    return finalize_result(instance, Assignment(bits), nodes, started, 0)

@@ -77,6 +77,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -336,6 +338,23 @@ def _restart_workers(instance: Instance, params: SearchParams) -> int:
 _inherited: list = []
 
 
+def _init_worker(parent: int, args: tuple) -> None:
+    """A restart worker's initializer: keep ``args`` and die with the
+    parent. A worker blocks on a pipe whose write end it holds itself, so
+    a killed parent would leave it waiting for good; on Linux the kernel
+    sends it SIGKILL instead (PR_SET_PDEATHSIG), and a parent that died
+    before that was set shows as a changed parent pid."""
+    _inherited.extend(args)
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def _inherited_restart(rep: int):
     return _restart(*_inherited, rep)
 
@@ -357,7 +376,7 @@ def solve(instance: Instance, params: SearchParams) -> SolveResult:
         runs = [_restart(*args, rep) for rep in range(params.r)]
     else:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_inherited.extend, initargs=(args,)) as pool:
+                                 initializer=_init_worker, initargs=(os.getpid(), args)) as pool:
             runs = list(pool.map(_inherited_restart, range(params.r)))
     _, _, best_bits = max(runs, key=lambda run: run[1])  # max keeps the first best
     total = sum(run[0] for run in runs)

@@ -110,10 +110,12 @@ def test_discbudget_exact_maximizes_utility_under_budget():
 
 # -- leaf scoring and chunked enumeration against per-subset references -------
 
-def _reference_solve_exact(instance, formulation):
+def _reference_solve_exact(instance, formulation, forced_bound=True):
     """Branch-and-bound that flips at every node and scores each leaf from
     the evaluator's state after its flips: the per-node route that
-    ``solve_exact`` replaces with memoized per-adversary cells."""
+    ``solve_exact`` replaces with one memo of cells for all adversaries.
+    Its disclosure bound is the same forced bound, read by flips, or with
+    ``forced_bound`` False the node's partial disclosure alone."""
     subsets = _adversary_subsets(instance.k, instance.t)
     ev = IncrementalEvaluator(instance)
     z = instance._normalizer
@@ -129,15 +131,30 @@ def _reference_solve_exact(instance, formulation):
             return ev.util_raw / z
         return ev.util_raw / z + lam * (tau - ev.f)
 
-    def bound(d):
+    def forced(d):
+        """max over entries e >= d of min over adversaries a of a's f'
+        once it also takes e, read by flipping e onto a and undoing."""
+        lb = 0.0
+        for e in range(d, instance.num_entries):
+            low = np.inf
+            for a in range(instance.k):
+                log = []
+                ev._flip(e, a, True, log)
+                low = min(low, ev.fprime[a])
+                ev._undo(log)
+            lb = max(lb, low)
+        return lb
+
+    def bound(d, f):
         util = (ev.util_raw + suffix[d]) / z
         if budget:
             return util
-        return util + lam * (tau - (ev.f if monotone else 0.0))
+        return util + lam * (tau - (f if monotone else 0.0))
 
     def dfs(d):
         best["nodes"] += 1
-        if budget and monotone and ev.f >= tau:
+        f = max(ev.f, forced(d)) if monotone and forced_bound else ev.f
+        if budget and monotone and f >= tau:
             return
         if d == instance.num_entries:
             if budget and not (ev.f < tau):
@@ -147,7 +164,7 @@ def _reference_solve_exact(instance, formulation):
                 best["value"] = value
                 best["bits"] = ev.bits.copy()
             return
-        if bound(d) <= best["value"]:
+        if bound(d, f) <= best["value"]:
             return
         for sub in subsets:
             log = []
@@ -280,7 +297,7 @@ def test_branch_and_bound_flip_count(monkeypatch):
     calls = _count_flips(monkeypatch)
     # Strongly pruned (k, t) = (3, 1) instances: cells are filled only where
     # the search goes, so it flips no more than a search that flips at every
-    # node.
+    # node, even one that reads no forced bound.
     for family, aggregation in product(("step", "linear", "quadratic"),
                                        ("worst", "average")):
         inst = generate_instance(SynthConfig(8, 4, 3, 1, seed=8),
@@ -289,14 +306,67 @@ def test_branch_and_bound_flip_count(monkeypatch):
         solve_exact(inst)
         ours = calls[0]
         calls[0] = 0
-        _reference_solve_exact(inst, "tradeoff")
+        _reference_solve_exact(inst, "tradeoff", forced_bound=False)
         assert ours <= calls[0], (family, aggregation)
-    # Criterion 1's desk set: 9350 flips; the bound is the 11276 of eager
-    # tables (with a flip per node above the last entry for (2, 1)).
+    # Criterion 1's desk set: 6236 flips, against 9350 with a memo per
+    # adversary and the partial-disclosure bound.
     calls[0] = 0
     for trial in range(200):
         solve_exact(random_small_instance(1000 + trial))
-    assert calls[0] <= 11276
+    assert calls[0] <= 6236
+
+
+def _aggregate_after(ev, a, entries):
+    """a's aggregate once it holds ``entries`` (a held none before),
+    flipped in increasing order as the memo flips them; undone after."""
+    log = []
+    for e in sorted(entries):
+        ev._flip(e, a, True, log)
+    value = float(ev.fprime[a])
+    ev._undo(log)
+    return value
+
+
+def test_forced_bound_cells_are_admissible():
+    # The forced bound reads memo[M | e]: a's aggregate once it holds
+    # M and e. A completion gives some a a superset of M and e, so the
+    # bound is admissible when no such superset, flipped in increasing
+    # order, has a lower aggregate under the monotone families.
+    rng = np.random.default_rng(23)
+    seen, trials = set(), 0
+    for seed, family in product(range(40), ("step", "linear", "quadratic")):
+        aggregation = ("worst", "average")[seed % 2]
+        for inst in (random_small_instance(seed, family), generate_instance(
+                SynthConfig(10, 4, 3, 2, seed=seed), DisclosureModel(family, aggregation))):
+            seen.add((family, inst.model.aggregation))
+            ev = IncrementalEvaluator(inst)
+            num_d = inst.num_entries
+            for _ in range(6):
+                a = int(rng.integers(inst.k))
+                held = set(np.flatnonzero(rng.random(num_d) < 0.4).tolist())
+                e = int(rng.integers(num_d))
+                low = _aggregate_after(ev, a, held | {e})
+                extra = set(np.flatnonzero(rng.random(num_d) < 0.5).tolist())
+                assert _aggregate_after(ev, a, held | {e} | extra) >= low, (seed, family)
+                trials += 1
+    assert len(seen) == 6
+    assert trials == 1440
+
+
+def test_forced_bound_halves_desk_nodes():
+    # Criterion 1's desk set: 122392 nodes under the partial-disclosure
+    # bound alone.
+    assert sum(solve_exact(random_small_instance(1000 + trial)).iterations
+               for trial in range(200)) <= 122392 // 2
+
+
+def test_forced_bound_prunes_an_eight_entry_shape():
+    inst = generate_instance(SynthConfig(8, 3, 3, 2, seed=17),
+                             DisclosureModel("linear", "average"))
+    ours = solve_exact(inst)
+    plain = _reference_solve_exact(inst, "tradeoff", forced_bound=False)
+    assert np.array_equal(ours.assignment.bits, plain.assignment.bits)
+    assert 3 * ours.iterations <= plain.iterations
 
 
 def test_chunked_enumeration_matches_product_loop():

@@ -1,10 +1,15 @@
 """solve's restarts in forked worker processes: the same result as in
 process, bit for bit, errors that keep their type, no child left behind,
-and small solves that never start a pool."""
+also when the parent is killed, and small solves that never start a
+pool."""
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -129,3 +134,61 @@ def test_small_solves_stay_in_process(monkeypatch, inst, params):
     assert inst.num_entries <= 6 or params.r == 1
     assert heuristics._restart_workers(inst, params) == 1
     solve(inst, params)
+
+
+_KILLED_PARENT = """
+import os, sys, time
+from privpart import SearchParams, SynthConfig, generate_instance, heuristics, solve
+
+def restart(*args):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(30)
+
+heuristics._restart_workers = lambda instance, params: 2
+heuristics._restart = restart
+solve(generate_instance(SynthConfig(num_entries=200, num_properties=40, k=10, t=2, seed=7)),
+      SearchParams("grasp", "global", n=5, r=2, seed=1))
+"""
+# The directory privpart imports from, for the subprocess.
+_SRC = os.path.dirname(os.path.dirname(heuristics.__file__))
+
+
+def _alive(pid):
+    """Whether pid runs and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+def _wait_until(condition, seconds):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return condition()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_workers_die_with_a_killed_parent(tmp_path):
+    # Both workers write a file named by their pid and sleep; the parent
+    # is then killed mid-solve, and the kernel must kill them well before
+    # they wake.
+    parent = subprocess.Popen([sys.executable, "-c", _KILLED_PARENT, str(tmp_path)],
+                              env=dict(os.environ, PYTHONPATH=_SRC))
+    workers = []
+    try:
+        assert _wait_until(lambda: len(os.listdir(tmp_path)) == 2, 60)
+        workers = [int(name) for name in os.listdir(tmp_path)]
+        assert parent.pid not in workers
+        parent.kill()
+        parent.wait(timeout=10)
+        assert _wait_until(lambda: not any(map(_alive, workers)), 10)
+    finally:
+        parent.kill()
+        parent.wait(timeout=10)
+        for pid in filter(_alive, workers):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
