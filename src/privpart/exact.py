@@ -59,9 +59,20 @@ same bound.
 
 Enumeration builds each chunk of subset indices with numpy's C-order
 ``unravel_index``, which is ``itertools.product`` order, and hands the
-chunks to ``objective.best_draw`` as its draws: every assignment is
-scored by ``batch_objective``, the objective every result reports, and
-the first of equals wins.
+chunks to ``objective.best_draw`` as its draws; the first of equals
+wins. Utility, the unassigned count and the value are
+``batch_objective``'s, the objective every result reports. The
+disclosure is the max over adversaries a of table[M_a], M_a the mask of
+a's entries, where table[mask] is the clipped aggregate f' of one
+adversary holding exactly mask: all 2^|D| <= m^|D| masks, scored once
+per instance, in ``draw_chunks``, as one-adversary columns of
+``batch_disclosure``. That is bitwise ``batch_objective``'s own
+disclosure: a sparse-product column does not depend on n or on the
+other columns, the clip is elementwise, a's reduction is the same
+contiguous-row max or mean that ``aggregate_disclosure`` applies inside
+a k-adversary batch, and a max over adversaries is exact. The table is
+scored from scratch, not filled by ``_flip`` as the branch-and-bound
+memo is, so enumeration stays an independent check of branch-and-bound.
 
 ``formulation`` selects what is maximized:
 
@@ -81,7 +92,8 @@ import numpy as np
 from .evaluator import IncrementalEvaluator
 from .heuristics import SolveResult, finalize_result
 from .instance import Assignment, Instance, InstanceError, validate_instance
-from .objective import best_draw
+from .disclosure import aggregate_disclosure, batch_disclosure
+from .objective import best_draw, draw_chunks
 
 FORMULATIONS = ("tradeoff", "discbudget")
 
@@ -111,9 +123,27 @@ def _check_formulation(formulation: str) -> None:
         raise InstanceError(f"unknown formulation {formulation!r}")
 
 
+def _entry_set_table(instance: Instance) -> np.ndarray:
+    """table[mask]: the clipped aggregate f' of one adversary that holds
+    exactly the entries whose bits are set in mask, for all 2^|D| masks,
+    each mask a one-adversary column of ``batch_disclosure``."""
+    num_d = instance.num_entries
+    entry_bits = 1 << np.arange(num_d)
+    table = np.empty(1 << num_d)
+    start = 0
+    for c in draw_chunks(instance, len(table)):
+        masks = np.arange(start, start + c)
+        vec = batch_disclosure(instance, (masks[:, None, None] & entry_bits[:, None]) != 0)[1]
+        table[start:start + c] = aggregate_disclosure(np.clip(vec, 0.0, 1.0),
+                                                      instance.model.aggregation)
+        start += c
+    return table
+
+
 def enumerate_optimum(instance: Instance, formulation: str = "tradeoff") -> SolveResult:
     """Reference oracle: score every feasible assignment, in
-    ``itertools.product`` order, with ``best_draw``.
+    ``itertools.product`` order, with ``best_draw`` and the per-entry-set
+    disclosure table (see the module docstring).
 
     Kept deliberately independent of the branch-and-bound path (batch
     scoring from scratch instead of incremental state) so the two can
@@ -130,9 +160,17 @@ def enumerate_optimum(instance: Instance, formulation: str = "tradeoff") -> Solv
         raise SizeGuardError(
             f"enumeration space {total} exceeds cap {ENUMERATION_CAP}"
         )
-    masks = np.zeros((m, instance.k), dtype=bool)
-    for i, sub in enumerate(subsets):
-        masks[i, list(sub)] = True
+    masks = np.array([[a in sub for a in range(instance.k)] for sub in subsets])
+    table = _entry_set_table(instance)
+    entry_bits = 1 << np.arange(num_d)
+
+    def disclosure(bits: np.ndarray) -> np.ndarray:
+        # held[:, a]: the mask of the entries adversary a holds.
+        held = np.matmul(entry_bits, bits)
+        f = table[held[:, 0]]
+        for a in range(1, instance.k):
+            np.maximum(f, table[held[:, a]], out=f)
+        return f
 
     start = 0
 
@@ -141,9 +179,10 @@ def enumerate_optimum(instance: Instance, formulation: str = "tradeoff") -> Solv
         flat = np.arange(start, start + c)
         start += c
         # C-order unravel puts entry 0 slowest: itertools.product order.
-        return masks[np.stack(np.unravel_index(flat, (m,) * num_d), axis=1)]
+        return np.take(masks, np.array(np.unravel_index(flat, (m,) * num_d)).T, axis=0)
 
-    best_bits = best_draw(instance, draw, total, budget=formulation == "discbudget")
+    best_bits = best_draw(instance, draw, total, budget=formulation == "discbudget",
+                          disclosure=disclosure)
     if best_bits is None:
         raise InfeasibleError("no assignment meets the disclosure budget")
     return finalize_result(instance, Assignment(best_bits), total, started, 0)

@@ -48,25 +48,28 @@ class ObjectiveValue:
                               int(self.unassigned_count[i]), float(self.value[i]))
 
 
-def batch_objective(instance: Instance, bits: np.ndarray):
+def batch_objective(instance: Instance, bits: np.ndarray, disclosure: np.ndarray | None = None):
     """Penalized tradeoff of an (n, |D|, k) batch from scratch: an
     ``ObjectiveValue`` of (n,) arrays, and the (n, k, |P|) disclosure
     clipped to [0, 1]. Each draw's utility is the sum of its contiguous
     |D| k block, the same pairwise summation as a sum over one assignment,
-    so every value is that of scoring the draw alone."""
-    vec = np.clip(batch_disclosure(instance, bits)[1], 0.0, 1.0)
+    so every value is that of scoring the draw alone. Given the batch's
+    (n,) overall ``disclosure``, it builds no matrix and returns None."""
+    vec = None
+    if disclosure is None:
+        vec = np.clip(batch_disclosure(instance, bits)[1], 0.0, 1.0)
+        disclosure = aggregate_disclosure(vec, instance.model.aggregation)
     z = instance._normalizer
     if z <= 0.0:
         raise InstanceError("degenerate instance: all utility weights are zero")
     n = bits.shape[0]
     utility = (instance.utility_weights * bits).reshape(n, -1).sum(axis=1) / z
-    f = aggregate_disclosure(vec, instance.model.aggregation)
     # k whole-array ors, not a reduction over the short k axis per row.
     held = bits[:, :, 0].copy()
     for a in range(1, bits.shape[2]):
         held |= bits[:, :, a]
-    unassigned = np.count_nonzero(~held, axis=1)
-    return ObjectiveValue.compose(utility, f, unassigned, instance.lam, instance.tau), vec
+    unassigned = (~held).sum(axis=1)
+    return ObjectiveValue.compose(utility, disclosure, unassigned, instance.lam, instance.tau), vec
 
 
 def tradeoff_objective(instance: Instance, assignment: Assignment) -> ObjectiveValue:
@@ -82,17 +85,20 @@ def draw_chunks(instance: Instance, runs: int) -> list[int]:
     return [min(step, runs - start) for start in range(0, runs, step)]
 
 
-def best_draw(instance: Instance, draw, runs: int, budget: bool = False) -> np.ndarray | None:
+def best_draw(instance: Instance, draw, runs: int, budget: bool = False,
+              disclosure=None) -> np.ndarray | None:
     """Bits of the best of ``runs`` draws by penalized tradeoff, the first
     of equals. ``draw(c)`` returns the next c draws as a (c, |D|, k)
     tensor; drawing chunk after chunk consumes a generator exactly as
     drawing one at a time does. With ``budget`` a draw scores its utility
     if its disclosure is below tau and -inf otherwise, and the call
-    returns None when no draw qualifies."""
+    returns None when no draw qualifies. ``disclosure(bits)``, if given,
+    returns a chunk's (c,) overall disclosure for ``batch_objective``."""
     best_bits, best_value = None, -np.inf
     for c in draw_chunks(instance, runs):
         bits = draw(c)
-        obj = batch_objective(instance, bits)[0]
+        obj = batch_objective(instance, bits,
+                              None if disclosure is None else disclosure(bits))[0]
         values = (np.where(obj.disclosure < instance.tau, obj.utility, -np.inf)
                   if budget else obj.value)
         i = int(np.argmax(values))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from privpart import (
     SensitiveProperty,
     SizeGuardError,
     SynthConfig,
+    aggregate_disclosure,
+    batch_disclosure,
     enumerate_optimum,
     generate_instance,
     random_small_instance,
@@ -32,9 +35,9 @@ from privpart import (
     validate_instance,
 )
 from privpart.evaluator import IncrementalEvaluator
-from privpart.exact import FORMULATIONS, _adversary_subsets
+from privpart.exact import FORMULATIONS, _adversary_subsets, _entry_set_table
 from privpart.heuristics import finalize_result
-from privpart.objective import batch_objective, tradeoff_objective
+from privpart.objective import batch_objective, draw_chunks, tradeoff_objective
 from privpart import relaxation
 from privpart.relaxation import _lp_model, repair
 
@@ -385,6 +388,72 @@ def test_chunked_enumeration_matches_product_loop():
     for formulation in FORMULATIONS:
         assert _outcome(enumerate_optimum, big, formulation) == _outcome(
             _reference_enumerate, big, formulation)
+
+
+def _table_instances():
+    """Desk instances of every family x aggregation pair, and generated
+    step, linear and quadratic instances with 0, 8 and 130 properties
+    under both aggregations: average's pairwise summation changes its
+    blocking past 8 and past 128 elements."""
+    insts, seen, seed = [], set(), 0
+    while len(seen) < 8:
+        inst = random_small_instance(seed)
+        seed += 1
+        if (inst.model.family, inst.model.aggregation) not in seen:
+            seen.add((inst.model.family, inst.model.aggregation))
+            insts.append(inst)
+    for family in ("step", "linear", "quadratic"):
+        for aggregation in ("worst", "average"):
+            for num_props in (0, 8, 130):
+                insts.append(generate_instance(SynthConfig(7, num_props, 3, 2, seed=num_props),
+                                               DisclosureModel(family, aggregation)))
+    return insts
+
+
+def test_entry_set_table_equals_batch_scoring_bitwise():
+    # Each mask is held by adversary a inside a k-adversary batch whose
+    # other adversaries hold random entries: table[mask] is a's reduced
+    # row, and the max over adversaries of table[M_a] is the batch's
+    # aggregate.
+    rng = np.random.default_rng(5)
+    for inst in _table_instances():
+        table = _entry_set_table(inst)
+        num_d, k, mode = inst.num_entries, inst.k, inst.model.aggregation
+        masks = np.arange(1 << num_d)
+        assert table.shape == masks.shape
+        for a in range(k):
+            bits = rng.random((len(masks), num_d, k)) < 0.5
+            bits[:, :, a] = (masks[:, None] >> np.arange(num_d)) & 1 == 1
+            vec = np.clip(batch_disclosure(inst, bits)[1], 0.0, 1.0)
+            rows = [aggregate_disclosure(vec[i, a][None], mode) for i in masks]
+            assert np.array_equal(table, rows), (inst.model, inst.num_properties, a)
+            held = np.matmul(1 << np.arange(num_d), bits)
+            assert np.array_equal(table[held].max(axis=1), aggregate_disclosure(vec, mode))
+
+
+def test_entry_set_table_built_in_several_chunks():
+    inst = generate_instance(SynthConfig(14, 6, 2, 1, seed=3),
+                             DisclosureModel("linear", "average"), tau=0.6)
+    assert len(draw_chunks(inst, 1 << inst.num_entries)) > 1
+    for formulation in FORMULATIONS:
+        expected = _outcome(_reference_enumerate, inst, formulation)
+        assert expected[0] != "infeasible"
+        assert _outcome(enumerate_optimum, inst, formulation) == expected
+
+
+def test_nineteen_entry_enumeration_stays_in_chunks():
+    # 2**19 assignments: one float column per mask for the whole table
+    # at once would alone take 19 * 2**19 * 8 bytes = 76 MiB.
+    inst = generate_instance(SynthConfig(19, 8, 2, 1, seed=1),
+                             DisclosureModel("quadratic", "worst"))
+    tracemalloc.start()
+    try:
+        res = enumerate_optimum(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 2**19
+    assert peak < 64 << 20
 
 
 def _first_best_scored_alone(instance, formulation):
