@@ -110,6 +110,7 @@ import numpy as np
 
 from .disclosure import batch_disclosure
 from .instance import Assignment, Instance, InstanceError, Move
+from .objective import normalizer
 
 _INF = np.inf
 _NEG_INF = -np.inf
@@ -242,12 +243,10 @@ class IncrementalEvaluator:
     def __init__(self, instance: Instance, assignment: Assignment | None = None):
         if not instance.validated:
             raise InstanceError("instance must be validated first")
-        if instance._normalizer <= 0.0:
-            raise InstanceError("degenerate instance: all utility weights are zero")
         self.inst = instance
         self.k = instance.k
         self.num_p = instance.num_properties
-        self.z = instance._normalizer
+        self.z = normalizer(instance)
         self.worst = instance.model.aggregation == "worst"
 
         ew = instance._entry_weights  # |D| x |P| csr of a_dp
@@ -265,14 +264,14 @@ class IncrementalEvaluator:
         # The scan's other tables are built on first use too, so evaluators
         # that never scan (branch-and-bound, result checks) skip them.
         self._col_cache: np.ndarray | None = None
-        self._col_dirty = np.ones(self.k, dtype=bool)
+        self._col_dirty = set(range(self.k))
 
         self.reset(assignment)
 
     # -- state construction ---------------------------------------------
     def reset(self, assignment: Assignment | None = None) -> None:
         inst = self.inst
-        self._col_dirty[:] = True
+        self._col_dirty.update(range(self.k))
         self._window: _Window | None = None
         # The addition table (``_additions``), built on first use, and
         # the rows flips have touched since it was last read.
@@ -327,7 +326,7 @@ class IncrementalEvaluator:
             ))
         w = self.inst.utility_weights[d, a]
         step = 1 if on else -1
-        self._col_dirty[a] = True
+        self._col_dirty.add(a)
         if self._add_tab is not None:
             self._add_stale.append(d)
         self.bits[d, a] = on
@@ -363,7 +362,7 @@ class IncrementalEvaluator:
             self.fprime[a], self.f_row_sum[a] = fp, frs
             self.f_ap[a][props] = old_f
             self.kernel.restore(a, props, snap)
-            self._col_dirty[a] = True
+            self._col_dirty.add(a)
             if self._add_tab is not None:
                 self._add_stale.append(d)
 
@@ -448,7 +447,7 @@ class IncrementalEvaluator:
         return self._aggregates(win, i)
 
     # -- move gains ---------------------------------------------------------
-    def _gain(self, u, low, bonus):
+    def _gain(self, u, low, bonus, out=None):
         """The gain ``u + lam * (f - low) + bonus`` of a move with utility
         change u and orphan term bonus that leaves the overall disclosure
         at ``low``, on Python floats or on numpy arrays; an array ``low``
@@ -457,13 +456,14 @@ class IncrementalEvaluator:
         operation, on Python floats). Rounding is monotone, so at a lower
         bound on the new disclosure it is an upper bound on the move's
         gain. A low of -inf bounds nothing and gives +inf, also for
-        lam = 0 (not 0 * inf). Arrays get one new buffer; the rest of the
+        lam = 0 (not 0 * inf). Arrays get one new buffer, or run in
+        ``out`` (which may be low itself) if lam is not 0; the rest of the
         expression runs in it."""
         lam = self.inst.lam
         if lam == 0.0:
             gain = np.where(low == _NEG_INF, np.inf, 0.0)[()]
         else:
-            gain = self.f - low
+            gain = self.f - low if out is None else np.subtract(self.f, low, out=out)
             gain *= lam
         gain += u
         gain += bonus
@@ -519,7 +519,7 @@ class IncrementalEvaluator:
         """(|D|, k) matrix of addition gains; ineligible cells are -inf.
         Eligible means: bit unset and entry below the per-entry cap."""
         low = np.maximum(self._columns(), self._excluded_max()[0])
-        return self._gain(self._uz, low, self._additions())
+        return self._gain(self._uz, low, self._additions(), out=low)
 
     def _additions(self) -> np.ndarray:
         """The addition table of the module docstring, with the rows
@@ -620,13 +620,12 @@ class IncrementalEvaluator:
         """(|D|, k) table of ``add_col`` for every adversary: its
         aggregate once each entry joins it. Only the columns a flip has
         touched since the last call are recomputed."""
-        if self._col_cache is None:
+        if self._col_cache is None:  # every column is dirty since reset
             self._col_cache = np.empty((self.inst.num_entries, self.k))
-            self._col_dirty[:] = True
-        for a in np.flatnonzero(self._col_dirty).tolist():
+        for a in self._col_dirty:
             # Without properties no addition moves an aggregate.
             self._col_cache[:, a] = self.kernel.add_col(self, a) if self.num_p else self.fprime[a]
-            self._col_dirty[a] = False
+        self._col_dirty.clear()
         return self._col_cache
 
 
@@ -651,6 +650,9 @@ class _SumsKernel:
         # the family's two closed forms match operation for operation.
         self.col_floor = inst.model.aggregation == "worst" or average_exact
         self._seg: tuple | None = None  # worst segmented-max tables, built on first use
+        # Linear's average column reads no sums: its one division, made once.
+        self._linear_col = (inst._entry_colsum / inst.num_properties
+                            if inst.model.family == "linear" and inst.num_properties else None)
 
     def reset(self, state) -> None:
         self.s = state[0]
@@ -692,7 +694,10 @@ class _SumsKernel:
     def add_col(self, ev: IncrementalEvaluator, a: int) -> np.ndarray:
         inst, s_row = self.inst, self.s[a]
         if not ev.worst:
-            return ev.fprime[a] + self._average_col(inst, s_row) / ev.num_p
+            col = self._linear_col
+            if col is None:
+                col = self._average_col(inst, s_row) / ev.num_p
+            return ev.fprime[a] + col
         # Segmented max over each entry's incident properties. Entries in
         # no property keep fprime[a]; reduceat runs over the non-empty
         # segments only.

@@ -57,22 +57,42 @@ test, the bound, the node count and the leaf scores (strict `>`, first
 best wins) are those of a search that flips at every node and uses the
 same bound.
 
-Enumeration builds each chunk of subset indices with numpy's C-order
-``unravel_index``, which is ``itertools.product`` order, and hands the
-chunks to ``objective.best_draw`` as its draws; the first of equals
-wins. Utility, the unassigned count and the value are
-``batch_objective``'s, the objective every result reports. The
-disclosure is the max over adversaries a of table[M_a], M_a the mask of
-a's entries, where table[mask] is the clipped aggregate f' of one
-adversary holding exactly mask: all 2^|D| <= m^|D| masks, scored once
-per instance, in ``draw_chunks``, as one-adversary columns of
-``batch_disclosure``. That is bitwise ``batch_objective``'s own
-disclosure: a sparse-product column does not depend on n or on the
-other columns, the clip is elementwise, a's reduction is the same
-contiguous-row max or mean that ``aggregate_disclosure`` applies inside
-a k-adversary batch, and a max over adversaries is exact. The table is
-scored from scratch, not filled by ``_flip`` as the branch-and-bound
-memo is, so enumeration stays an independent check of branch-and-bound.
+Enumeration returns the first best assignment in ``itertools.product``
+order (entry 0 slowest) by ``batch_objective``, the objective every
+result reports. An assignment's disclosure is the max over adversaries
+a of table[M_a], M_a the mask of a's entries, where table[mask] is the
+clipped aggregate f' of one adversary holding exactly mask: all 2^|D|
+masks, scored once per instance in ``draw_chunks`` as one-adversary
+columns of ``batch_disclosure``. That is bitwise ``batch_objective``'s
+disclosure: a column does not depend on n or on the other columns, the
+clip is elementwise, a's reduction is the row max or mean of
+``aggregate_disclosure``, and a max over adversaries is exact.
+
+M_a and the utility are sums of per-entry choice tables: for each
+subset, bit d of each adversary's mask (exact in float) and the weight
+entry d earns. Their sums over all choice tuples of the first entries
+(the head) and of the last (the tail, at most one ``draw_chunks`` chunk
+of tuples unless one entry has more choices) are built once, one
+broadcast add per entry, and a block of assignments is one broadcast
+add of a run of head tuples to the tail. Its approximate values are
+``ObjectiveValue.compose`` of that utility over z and the table
+disclosure (every entry is assigned), or for ``discbudget`` the utility
+where the disclosure is below tau, an exact test, and -inf elsewhere.
+
+Only the order of the utility sum differs from ``batch_objective``. Any
+order of n = |D| t non-negative terms (plus exact zeros) is within
+gamma_(n-1) z of the true sum (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, sec. 4.2), and ``compose`` applies the same
+monotone operations to values of magnitude at most 2, so an approximate
+value is within delta = 2 (n + 2) 2^-53, about 1e-14, of the exact one.
+The first exact best, and every assignment tied with it, thus lies
+within 2 delta of the best approximate value. ``best_draw`` re-scores
+every assignment within ``MARGIN`` (at least 1000 delta under the cap)
+of it exactly, in product order, with the table disclosure. A draw's
+value does not depend on the other draws of its batch, so their first
+best is the first best of all, and a lone one is it. No table comes
+from ``_flip``, so enumeration stays an independent check of
+branch-and-bound.
 
 ``formulation`` selects what is maximized:
 
@@ -93,12 +113,15 @@ from .evaluator import IncrementalEvaluator
 from .heuristics import SolveResult, finalize_result
 from .instance import Assignment, Instance, InstanceError, validate_instance
 from .disclosure import aggregate_disclosure, batch_disclosure
-from .objective import best_draw, draw_chunks
+from .objective import ObjectiveValue, best_draw, draw_chunks, normalizer
 
 FORMULATIONS = ("tradeoff", "discbudget")
 
 ENUMERATION_CAP = 1_000_000
 SIZE_GUARD_BITS = 40.0
+# Enumeration re-scores exactly every assignment whose approximate value
+# is within MARGIN of the best one (see the module docstring).
+MARGIN = 1e-9
 
 
 class SizeGuardError(InstanceError):
@@ -140,10 +163,47 @@ def _entry_set_table(instance: Instance) -> np.ndarray:
     return table
 
 
+def _approximate_values(instance: Instance, masks: np.ndarray, table: np.ndarray,
+                        budget: bool):
+    """Yield (start, values) for consecutive blocks of all assignments
+    in product order: the approximate values of the module docstring,
+    the block's first at flat index start. masks[s] is subset s as a
+    (k,) bool row."""
+    m, (num_d, k) = len(masks), instance.utility_weights.shape
+    z, lam, tau = normalizer(instance), instance.lam, instance.tau
+    # choice[d, :, s]: bit d of each adversary's mask, then d's weight.
+    choice = np.empty((num_d, k + 1, m))
+    choice[:, :k] = masks.T * (2.0 ** np.arange(num_d))[:, None, None]
+    choice[:, k] = instance.utility_weights @ masks.T
+    step = draw_chunks(instance, m**num_d)[0]
+    split = num_d - 1
+    while split > 0 and m ** (num_d - split + 1) <= step:
+        split -= 1
+
+    def sums(entries: range) -> np.ndarray:
+        """(k + 1, n): ``choice`` summed over the n choice tuples of
+        entries, in product order."""
+        acc = np.zeros((k + 1, 1))
+        for d in entries:
+            acc = (acc[:, :, None] + choice[d][:, None, :]).reshape(k + 1, -1)
+        return acc
+
+    head, tail = sums(range(split)), sums(range(split, num_d))
+    runs = max(1, step // tail.shape[1])
+    for h0 in range(0, head.shape[1], runs):
+        block = head[:, h0:h0 + runs, None] + tail[:, None, :]
+        f = table[block[:k].astype(np.intp)].max(axis=0)
+        util = block[k]
+        util /= z
+        values = (np.where(f < tau, util, -np.inf) if budget
+                  else ObjectiveValue.compose(util, f, 0, lam, tau).value)
+        yield h0 * tail.shape[1], values.ravel()
+
+
 def enumerate_optimum(instance: Instance, formulation: str = "tradeoff") -> SolveResult:
-    """Reference oracle: score every feasible assignment, in
-    ``itertools.product`` order, with ``best_draw`` and the per-entry-set
-    disclosure table (see the module docstring).
+    """Reference oracle: the first best assignment in product order, by
+    approximate values and an exact re-score of those within ``MARGIN``
+    of the best (see the module docstring).
 
     Kept deliberately independent of the branch-and-bound path (batch
     scoring from scratch instead of incremental state) so the two can
@@ -162,27 +222,28 @@ def enumerate_optimum(instance: Instance, formulation: str = "tradeoff") -> Solv
         )
     masks = np.array([[a in sub for a in range(instance.k)] for sub in subsets])
     table = _entry_set_table(instance)
+    budget = formulation == "discbudget"
+    best, near = -np.inf, [(np.empty(0, dtype=np.intp), np.empty(0))]
+    for start, values in _approximate_values(instance, masks, table, budget):
+        top = values.max()
+        if top > -np.inf and top >= best - MARGIN:
+            best = max(best, top)
+            keep = np.flatnonzero(values >= best - MARGIN)
+            near.append((start + keep, values[keep]))
+    near = np.concatenate([i[v >= best - MARGIN] for i, v in near])
     entry_bits = 1 << np.arange(num_d)
-
-    def disclosure(bits: np.ndarray) -> np.ndarray:
-        # held[:, a]: the mask of the entries adversary a holds.
-        held = np.matmul(entry_bits, bits)
-        f = table[held[:, 0]]
-        for a in range(1, instance.k):
-            np.maximum(f, table[held[:, a]], out=f)
-        return f
-
     start = 0
 
     def draw(c: int) -> np.ndarray:
         nonlocal start
-        flat = np.arange(start, start + c)
+        flat = near[start:start + c]
         start += c
         # C-order unravel puts entry 0 slowest: itertools.product order.
         return np.take(masks, np.array(np.unravel_index(flat, (m,) * num_d)).T, axis=0)
 
-    best_bits = best_draw(instance, draw, total, budget=formulation == "discbudget",
-                          disclosure=disclosure)
+    best_bits = draw(1)[0] if len(near) == 1 else best_draw(
+        instance, draw, len(near), budget=budget,
+        disclosure=lambda bits: table[np.matmul(entry_bits, bits).T].max(axis=0))
     if best_bits is None:
         raise InfeasibleError("no assignment meets the disclosure budget")
     return finalize_result(instance, Assignment(best_bits), total, started, 0)

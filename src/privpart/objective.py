@@ -48,6 +48,13 @@ class ObjectiveValue:
                               int(self.unassigned_count[i]), float(self.value[i]))
 
 
+def normalizer(instance: Instance) -> float:
+    """The utility normalizer z, the best achievable total weight."""
+    if instance._normalizer <= 0.0:
+        raise InstanceError("degenerate instance: all utility weights are zero")
+    return instance._normalizer
+
+
 def batch_objective(instance: Instance, bits: np.ndarray, disclosure: np.ndarray | None = None):
     """Penalized tradeoff of an (n, |D|, k) batch from scratch: an
     ``ObjectiveValue`` of (n,) arrays, and the (n, k, |P|) disclosure
@@ -59,11 +66,8 @@ def batch_objective(instance: Instance, bits: np.ndarray, disclosure: np.ndarray
     if disclosure is None:
         vec = np.clip(batch_disclosure(instance, bits)[1], 0.0, 1.0)
         disclosure = aggregate_disclosure(vec, instance.model.aggregation)
-    z = instance._normalizer
-    if z <= 0.0:
-        raise InstanceError("degenerate instance: all utility weights are zero")
     n = bits.shape[0]
-    utility = (instance.utility_weights * bits).reshape(n, -1).sum(axis=1) / z
+    utility = (instance.utility_weights * bits).reshape(n, -1).sum(axis=1) / normalizer(instance)
     # k whole-array ors, not a reduction over the short k axis per row.
     held = bits[:, :, 0].copy()
     for a in range(1, bits.shape[2]):
@@ -93,7 +97,9 @@ def best_draw(instance: Instance, draw, runs: int, budget: bool = False,
     drawing one at a time does. With ``budget`` a draw scores its utility
     if its disclosure is below tau and -inf otherwise, and the call
     returns None when no draw qualifies. ``disclosure(bits)``, if given,
-    returns a chunk's (c,) overall disclosure for ``batch_objective``."""
+    returns a chunk's (c,) overall disclosure for ``batch_objective``.
+    Enumeration sets both when it re-scores its near-best assignments;
+    RAND+ and LP rounding set neither."""
     best_bits, best_value = None, -np.inf
     for c in draw_chunks(instance, runs):
         bits = draw(c)

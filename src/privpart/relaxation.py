@@ -32,7 +32,7 @@ import scipy.sparse as sp
 
 from .heuristics import SolveResult, finalize_result
 from .instance import Assignment, Instance, InstanceError, validate_instance
-from .objective import batch_objective, best_draw, draw_chunks
+from .objective import batch_objective, best_draw, draw_chunks, normalizer
 
 ROW_SUM_TOL = 1e-6
 LP_FAMILIES = ("step", "linear")
@@ -128,9 +128,7 @@ def solve_lp_relaxation(instance: Instance) -> FractionalSolution:
     family = instance.model.family
     if family not in LP_FAMILIES:
         raise InstanceError(f"LP relaxation supports {'|'.join(LP_FAMILIES)}, not {family!r}")
-    z = instance._normalizer
-    if z <= 0.0:
-        raise InstanceError("degenerate instance: all utility weights are zero")
+    z = normalizer(instance)
 
     c, a_ub, b_ub, nx = _lp_model(instance)
     res = linprog(c, a_ub, b_ub)

@@ -35,7 +35,8 @@ from privpart import (
     validate_instance,
 )
 from privpart.evaluator import IncrementalEvaluator
-from privpart.exact import FORMULATIONS, _adversary_subsets, _entry_set_table
+from privpart.exact import (FORMULATIONS, MARGIN, _adversary_subsets, _approximate_values,
+                            _entry_set_table)
 from privpart.heuristics import finalize_result
 from privpart.objective import batch_objective, draw_chunks, tradeoff_objective
 from privpart import relaxation
@@ -454,6 +455,85 @@ def test_nineteen_entry_enumeration_stays_in_chunks():
         tracemalloc.stop()
     assert res.iterations == 2**19
     assert peak < 64 << 20
+
+
+def test_enumeration_at_the_cap_stays_in_blocks():
+    # 10**6 assignments of 6 entries to 10 subsets: scoring them in one
+    # block instead of chunk-sized ones peaks at about 320 MiB.
+    inst = generate_instance(SynthConfig(6, 8, 10, 1, seed=1),
+                             DisclosureModel("linear", "worst"))
+    tracemalloc.start()
+    try:
+        res = enumerate_optimum(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 10**6
+    assert peak < 16 << 20
+
+
+def _approximate_and_exact(inst, budget):
+    """Every assignment's approximate value from ``_approximate_values``
+    and its value from ``batch_objective``, in product order: the
+    tradeoff value, or with budget the utility below tau and -inf
+    elsewhere."""
+    subsets = _adversary_subsets(inst.k, inst.t)
+    masks = np.array([[a in sub for a in range(inst.k)] for sub in subsets])
+    approx = []
+    for start, values in _approximate_values(inst, masks, _entry_set_table(inst), budget):
+        assert start == sum(map(len, approx))
+        approx.append(values)
+    exact = []
+    for bits in _product_chunks(inst):
+        obj = batch_objective(inst, bits)[0]
+        exact.append(np.where(obj.disclosure < inst.tau, obj.utility, -np.inf) if budget
+                     else obj.value)
+    return np.concatenate(approx), np.concatenate(exact)
+
+
+def _product_chunks(inst, chunk=1 << 14):
+    """All assignments as (c, |D|, k) bits, in ``itertools.product``
+    order."""
+    subsets = _adversary_subsets(inst.k, inst.t)
+    masks = np.zeros((len(subsets), inst.k), dtype=bool)
+    for i, sub in enumerate(subsets):
+        masks[i, list(sub)] = True
+    combos = list(product(range(len(subsets)), repeat=inst.num_entries))
+    for start in range(0, len(combos), chunk):
+        yield masks[np.array(combos[start:start + chunk])]
+
+
+def test_approximate_values_lie_within_delta_of_the_exact_ones():
+    # delta = 2 (n + 2) 2^-53 with n = |D| t, the module docstring's
+    # bound; the margin is far above it.
+    insts, seen = [], set()
+    for seed in range(60):
+        inst = random_small_instance(seed)
+        seen.add((inst.model.family, inst.model.aggregation))
+        insts += [inst, _tied(inst)]
+    assert len(seen) == 8
+    insts.append(validate_instance(Instance(  # 10 subsets, 10**5 assignments
+        DependencyHypergraph(5, [SensitiveProperty(0, (0, 2, 4), (0.5, 0.3, 0.2))]),
+        np.random.default_rng(0).random((5, 4)), 4, 2,
+        model=DisclosureModel("linear", "average"),
+    )))
+    for inst in insts:
+        delta = 2 * (inst.num_entries * inst.t + 2) * 2.0**-53
+        assert 1000 * delta <= MARGIN
+        for budget in (False, True):
+            approx, exact = _approximate_and_exact(inst, budget)
+            assert np.array_equal(approx == -np.inf, exact == -np.inf)
+            finite = exact > -np.inf
+            assert np.all(np.abs(approx[finite] - exact[finite]) <= delta), (inst.model, budget)
+
+
+def test_enumeration_matches_product_loop_on_200_seeds():
+    for seed in range(200):
+        inst = random_small_instance(seed)
+        for case in (inst, _tied(inst)):
+            for formulation in FORMULATIONS:
+                assert _outcome(enumerate_optimum, case, formulation) == _outcome(
+                    _reference_enumerate, case, formulation), (seed, formulation)
 
 
 def _first_best_scored_alone(instance, formulation):
