@@ -7,9 +7,9 @@ disclosure family shares: the bits, per-entry counts, raw utility and
 unassigned count, the (k, |P|) disclosure ``f_ap``, each adversary's
 aggregate ``fprime`` and row sum ``f_row_sum``, and the overall ``f``.
 Only average aggregation reads ``f_row_sum``, so only it keeps the sums
-current (worst skips a per-flip sum); the array exists, and is logged,
-under both. The family's own running state lives in one kernel, picked
-once in ``__init__``:
+current (worst skips a per-flip sum); the array exists under both. The
+family's own running state lives in one kernel, picked once in
+``__init__``:
 
 * ``_SumsKernel`` (step, linear, quadratic) keeps ``s[a, p]``, the sum of
   the member weights adversary a holds on property p, and ``f_ap = g(s)``:
@@ -21,11 +21,11 @@ once in ``__init__``:
 Both offer the same operations, each handed the evaluator whose shared
 state it reads and never writes: ``row``, the kernel state a's row
 holds on d's keys once d joins or leaves a, and d's new values, which
-flips, removal scores and undo share; ``add_block``, for a block of
-entries and every adversary, the state and values each entry would write
-on joining it; ``window_row``, one of those rows; ``add_col``, a's
-aggregate once each entry joins it; and ``snapshot``/``restore`` of a's
-state on d's keys, in the form ``row`` returns. Only the evaluator
+flips and removal scores share; ``add_block``, for a block of entries
+and every adversary, the state and values each entry would write on
+joining it; ``window_row``, one of those rows; ``add_col``, a's
+aggregate once each entry joins it; and ``restore``, which writes a's
+state on d's keys in the form ``row`` returns. Only the evaluator
 writes ``f_ap``, ``fprime`` and ``f``; it builds its access paths on
 these operations. Each scores a move with one expression, ``_gain``,
 from the move's utility change, its orphan term and f_new, the new
@@ -58,12 +58,12 @@ eligible addition (1.0 for an entry with no adversary, else 0.0) and
 to their gains as one array of the gains' shape, which applies the bonus
 and masks the ineligible cells at once; the new disclosure they add it
 to is finite (k >= 2), so a masked cell is -inf also at lam = 0. Once
-the table exists, ``_flip`` and ``_undo`` list the rows they touch and
-the next read rewrites just those; ``reset`` drops it, and an evaluator
-that never scans globally (myopic construction, branch-and-bound, result
-checks) pays one attribute test per flip. So no step of a scan builds a
-per-entry column and broadcasts it along the short k axis, which on a
-(500, 5) matrix cost more than half of the call.
+the table exists, ``_flip`` lists the rows it touches and the next read
+rewrites just those; ``reset`` drops it, and an evaluator that never
+scans globally (myopic construction, result checks) pays one attribute
+test per flip. So no step of a scan builds a per-entry column and
+broadcasts it along the short k axis, which on a (500, 5) matrix cost
+more than half of the call.
 
 Additions are scored in windows. ``windows(entries)`` cuts a sequence
 of entries, in order, into maximal runs of which no two share kernel
@@ -95,13 +95,6 @@ the new values into ``f_ap`` and ``_refresh_agg``. Worst or average
 aggregation is chosen only in that tail of ``_flip``, ``_refresh_agg``,
 ``_row_aggregate``, ``_aggregates``, the kernels' ``add_block`` and
 ``add_col`` and the sums kernel's ``col_floor``.
-
-``_flip(d, a, on, log)`` records in ``log`` what the flip is about to
-change of adversary a alone: its kernel state and ``f_ap`` row on d's
-properties, ``fprime[a]`` and ``f_row_sum[a]``, plus the shared scalars.
-``_undo(log)`` writes the records back in reverse. Restoring snapshots
-rather than undoing the arithmetic keeps the state bit-exact across
-millions of branch-and-bound trials.
 """
 
 from __future__ import annotations
@@ -262,7 +255,7 @@ class IncrementalEvaluator:
         # Lazy per-adversary candidate columns for the global construction
         # scan; a flip only invalidates the touched adversary's column.
         # The scan's other tables are built on first use too, so evaluators
-        # that never scan (branch-and-bound, result checks) skip them.
+        # that never scan (myopic construction, result checks) skip them.
         self._col_cache: np.ndarray | None = None
         self._col_dirty = set(range(self.k))
 
@@ -305,11 +298,11 @@ class IncrementalEvaluator:
     def assignment(self) -> Assignment:
         return Assignment(self.bits.copy())
 
-    # -- mutation with snapshot-restore ------------------------------------
+    # -- mutation -------------------------------------------------------------
     def _props(self, d: int) -> np.ndarray:
         return self._pcols[self._indptr[d]:self._indptr[d + 1]]
 
-    def _flip(self, d: int, a: int, on: bool, log: list | None) -> None:
+    def _flip(self, d: int, a: int, on: bool) -> None:
         if bool(self.bits[d, a]) == on:
             raise InstanceError(f"bit ({d}, {a}) {'already' if on else 'not'} set")
         win, i = self._window, None
@@ -318,12 +311,6 @@ class IncrementalEvaluator:
             if i is None:  # any other flip may change what the window read
                 self._window = None
         props = self._props(d)
-        if log is not None:
-            log.append((
-                d, a, on, self.counts[d], self.util_raw, self.c_unassigned, self.f,
-                self.fprime[a], self.f_row_sum[a], props, self.f_ap[a][props],
-                self.kernel.snapshot(d, a, props),
-            ))
         w = self.inst.utility_weights[d, a]
         step = 1 if on else -1
         self._col_dirty.add(a)
@@ -354,18 +341,6 @@ class IncrementalEvaluator:
             f_row[props] = new_f
             self._refresh_agg(a, change, rescan)
 
-    def _undo(self, log: list) -> None:
-        for (d, a, on, count, util, c_un, f, fp, frs, props, old_f, snap) in reversed(log):
-            self.bits[d, a] = not on
-            self.counts[d] = count
-            self.util_raw, self.c_unassigned, self.f = util, c_un, f
-            self.fprime[a], self.f_row_sum[a] = fp, frs
-            self.f_ap[a][props] = old_f
-            self.kernel.restore(a, props, snap)
-            self._col_dirty.add(a)
-            if self._add_tab is not None:
-                self._add_stale.append(d)
-
     def _refresh_agg(self, a: int, change: float, rescan: bool = True) -> None:
         """Refresh a's aggregate after a's row changed: average adds
         ``change`` to the row sum; worst rescans the row, or with
@@ -384,12 +359,12 @@ class IncrementalEvaluator:
     def add(self, d: int, a: int) -> None:
         """Add entry d to adversary a: ``apply`` of Move('add', d, to=a),
         without building the Move."""
-        self._flip(d, a, True, None)
+        self._flip(d, a, True)
 
     def apply(self, move: Move) -> None:
         # A swap is a removal followed by an addition.
         if move.kind != "add":
-            self._flip(move.entry, move.from_adversary, False, None)
+            self._flip(move.entry, move.from_adversary, False)
         if move.kind != "remove":
             self.add(move.entry, move.to_adversary)
 
@@ -717,9 +692,6 @@ class _SumsKernel:
         out[rows] = np.maximum(ev.fprime[a], seg_max)
         return out
 
-    def snapshot(self, d: int, a: int, props: np.ndarray) -> np.ndarray:
-        return self.s[a][props]
-
     def restore(self, a: int, props: np.ndarray, s: np.ndarray) -> None:
         self.s[a][props] = s
 
@@ -805,10 +777,6 @@ class _CosineKernel:
         block of every entry."""
         win = ev._score_block(range(ev.inst.num_entries))
         return np.array([ev._aggregates(win, win.row[d])[a] for d in range(ev.inst.num_entries)])
-
-    def snapshot(self, d: int, a: int, props: np.ndarray):
-        u = int(self.e_user[d])
-        return u, self.norms[a, u], self.dots[a][props]
 
     def restore(self, a: int, props: np.ndarray, state) -> None:
         u, norm_u, dots = state

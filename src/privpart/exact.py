@@ -9,28 +9,13 @@ best conceivable disclosure term. For a cosine kernel, which is not
 monotone, that term assumes zero disclosure.
 
 Adversaries do not collude, so an adversary's aggregate f' is a function
-of the set of entries it holds: every adversary starts from the same
-empty state, and the kernel and aggregation read only its own row. The
-walk keeps one memo, mask -> f', for all k adversaries, where bit e of
-the mask stands for entry e. Each adversary keeps a stack of its flips
-(entry, undo log, mask held after the flip) in increasing entry order;
-on a miss for adversary a the walk undoes a's stack down to the longest
-prefix of the mask, flips the missing entries onto a in increasing
-order by `_flip`, and memoizes every mask it passes.
-
-Each memo value is bitwise the value a search that flips at every node
-would read there: a's state (its kernel state, its row of f_ap, its row
-sum and aggregate) depends only on which entries a holds and on their
-order, never on other adversaries or on a itself, and every route adds
-a's entries in increasing order by the same `_flip`. A logged `_flip`
-records exactly that state of a, plus the shared scalars, and `_undo`
-writes it back, so undoing one adversary's stack out of global order
-leaves every other adversary's state exact. Entries leave a only
-through `_undo`, never by a removing flip, since a removal takes a
-different float path than an addition. The shared state (`util_raw`,
-`counts`, `c_unassigned`, `f`) goes stale under such undos, so the walk
-reads only `fprime[a]` mid-search: a node's f is the max of its k
-cells, its utility is the root's `util_raw` plus the weights in subset
+of the set of entries it holds: the kernel and aggregation read only its
+own column of the assignment. The walk keeps one memo, mask -> f', for
+all k adversaries, where bit e of the mask stands for entry e: the part
+of enumeration's table (below) that the walk reads, filled as it goes by
+``_set_disclosure``, so each value is bitwise the table's. A miss in the
+walk scores every missing cell of the entry's children in one call. A
+node's f is the max of its k cells, its utility the weights in path
 order, and a new best's bits come from the walk's path of subsets alone.
 
 The disclosure bound of a node whose entries before d are assigned,
@@ -40,33 +25,32 @@ adversary a holding masks[a], is max(f, lb) with the forced bound
 
 Every entry e >= d goes to at least one adversary a, whose final set is
 then a superset of masks[a] and e. Monotone kernels never lower an
-aggregate when an entry joins: step, linear and quadratic sums of
-non-negative weights only grow, and so do their values. Under worst
-aggregation that holds after float rounding too (each operation is
-monotone in its operands and a max is exact), so every completion's
-disclosure is at least lb. Under average aggregation a's row sum is
-accumulated by differences, so a superset reached through other entries
-can round differently in its last bits: it is no smaller in exact
-arithmetic, the same slack the utility term's suffix sums already have,
-and the tests check the inequality in float on random instances of the
-three families in both aggregations.
+aggregate when an entry joins, after float rounding too: a column sums
+its terms (each >= 0, and an exact 0 for an entry a does not hold) in a
+fixed member order, and step's count test, linear and quadratic values,
+the clip, the mean over properties and the max are monotone, as is each
+rounded operation. So under both aggregations every completion's
+disclosure is at least lb; the tests check the inequality in float on
+random instances of the three families in both aggregations.
 
-A node raises f to lb one entry at a time and stops once it is pruned;
-that changes which cells are filled, never a decision. So the budget
-test, the bound, the node count and the leaf scores (strict `>`, first
-best wins) are those of a search that flips at every node and uses the
-same bound.
+Under a monotone kernel a node scores every cell its bound may read in
+one call, then raises f to lb one entry at a time and stops once it is
+pruned; that changes which cells are filled, never a decision. So the
+budget test, the bound, the node count and the leaf scores (strict `>`,
+first best wins) are those of a search that scores every node from
+scratch and uses the same bound.
 
 Enumeration returns the first best assignment in ``itertools.product``
 order (entry 0 slowest) by ``batch_objective``, the objective every
 result reports. An assignment's disclosure is the max over adversaries
 a of table[M_a], M_a the mask of a's entries, where table[mask] is the
 clipped aggregate f' of one adversary holding exactly mask: all 2^|D|
-masks, scored once per instance in ``draw_chunks`` as one-adversary
-columns of ``batch_disclosure``. That is bitwise ``batch_objective``'s
-disclosure: a column does not depend on n or on the other columns, the
-clip is elementwise, a's reduction is the row max or mean of
-``aggregate_disclosure``, and a max over adversaries is exact.
+masks, scored once per instance in ``draw_chunks`` by
+``_set_disclosure`` as one-adversary columns of ``batch_disclosure``.
+That is bitwise ``batch_objective``'s disclosure: a column does not
+depend on n or on the other columns, the clip is elementwise, a's
+reduction is the row max or mean of ``aggregate_disclosure``, and a max
+over adversaries is exact.
 
 M_a and the utility are sums of per-entry choice tables: for each
 subset, bit d of each adversary's mask (exact in float) and the weight
@@ -90,9 +74,7 @@ within 2 delta of the best approximate value. ``best_draw`` re-scores
 every assignment within ``MARGIN`` (at least 1000 delta under the cap)
 of it exactly, in product order, with the table disclosure. A draw's
 value does not depend on the other draws of its batch, so their first
-best is the first best of all, and a lone one is it. No table comes
-from ``_flip``, so enumeration stays an independent check of
-branch-and-bound.
+best is the first best of all, and a lone one is it.
 
 ``formulation`` selects what is maximized:
 
@@ -109,7 +91,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .evaluator import IncrementalEvaluator
 from .heuristics import SolveResult, finalize_result
 from .instance import Assignment, Instance, InstanceError, validate_instance
 from .disclosure import aggregate_disclosure, batch_disclosure
@@ -146,19 +127,22 @@ def _check_formulation(formulation: str) -> None:
         raise InstanceError(f"unknown formulation {formulation!r}")
 
 
+def _set_disclosure(instance: Instance, masks: np.ndarray) -> np.ndarray:
+    """The clipped aggregate f' of one adversary that holds exactly the
+    entries whose bits are set in masks[i], for each i: one-adversary
+    columns of ``batch_disclosure``."""
+    entry_bits = 1 << np.arange(instance.num_entries)
+    vec = batch_disclosure(instance, (masks[:, None, None] & entry_bits[:, None]) != 0)[1]
+    return aggregate_disclosure(np.clip(vec, 0.0, 1.0), instance.model.aggregation)
+
+
 def _entry_set_table(instance: Instance) -> np.ndarray:
-    """table[mask]: the clipped aggregate f' of one adversary that holds
-    exactly the entries whose bits are set in mask, for all 2^|D| masks,
-    each mask a one-adversary column of ``batch_disclosure``."""
-    num_d = instance.num_entries
-    entry_bits = 1 << np.arange(num_d)
-    table = np.empty(1 << num_d)
+    """table[mask]: ``_set_disclosure`` of mask, for all 2^|D| masks,
+    scored in ``draw_chunks``."""
+    table = np.empty(1 << instance.num_entries)
     start = 0
     for c in draw_chunks(instance, len(table)):
-        masks = np.arange(start, start + c)
-        vec = batch_disclosure(instance, (masks[:, None, None] & entry_bits[:, None]) != 0)[1]
-        table[start:start + c] = aggregate_disclosure(np.clip(vec, 0.0, 1.0),
-                                                      instance.model.aggregation)
+        table[start:start + c] = _set_disclosure(instance, np.arange(start, start + c))
         start += c
     return table
 
@@ -205,9 +189,8 @@ def enumerate_optimum(instance: Instance, formulation: str = "tradeoff") -> Solv
     approximate values and an exact re-score of those within ``MARGIN``
     of the best (see the module docstring).
 
-    Kept deliberately independent of the branch-and-bound path (batch
-    scoring from scratch instead of incremental state) so the two can
-    cross-check each other.
+    Branch-and-bound reads the same table values, so the two cross-check
+    the search and its bounds, not the disclosure.
     """
     instance = validate_instance(instance)
     _check_formulation(formulation)
@@ -261,7 +244,6 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
         )
 
     subsets = _adversary_subsets(instance.k, instance.t)
-    ev = IncrementalEvaluator(instance)
     k, num_d, z = instance.k, instance.num_entries, instance._normalizer
     # Optimistic utility still collectible from entry d onward.
     suffix = np.zeros(num_d + 1)
@@ -270,47 +252,24 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
     w = instance.utility_weights.tolist()
     lam, tau = instance.lam, instance.tau
     budget = formulation == "discbudget"
-    monotone = ev.kernel.monotone
+    monotone = instance.model.family != "cosine"
 
     best_value, best_path, nodes = -math.inf, None, 0
     last = num_d - 1
-    # memo[mask]: f' of any adversary that holds exactly the entries
-    # whose bits are set in mask (one table for all k: an adversary's
-    # aggregate depends on its entries alone); stacks[a]: a's flips as
-    # (entry, log, mask held after it), from which a miss is filled;
-    # path[d]: the subset of entry d on the walk.
-    memo = {0: float(ev.fprime[0])}
-    stacks: list[list[tuple[int, list, int]]] = [[] for _ in range(k)]
+    # memo[mask]: ``_set_disclosure`` of mask, the f' of any adversary
+    # that holds exactly those entries (one table for all k: an
+    # adversary's aggregate depends on its entries alone), filled by
+    # cells(); path[d]: the subset of entry d on the walk.
+    memo: dict[int, float] = {}
     path: list[tuple[int, ...]] = [()] * num_d
 
-    def cell(a: int, mask: int) -> float:
-        """memo[mask]. On a miss, keep the longest prefix of mask on a's
-        stack, then flip the rest of mask onto a in increasing order."""
-        if mask in memo:
-            return memo[mask]
-        stack = stacks[a]
-        while stack and stack[-1][2] != mask & ((2 << stack[-1][0]) - 1):
-            ev._undo(stack.pop()[1])
-        held = stack[-1][2] if stack else 0
-        rest = mask ^ held
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            x = low.bit_length() - 1
-            log: list = []
-            ev._flip(x, a, True, log)
-            held |= low
-            stack.append((x, log, held))
-            memo[held] = float(ev.fprime[a])
-        return memo[mask]
-
-    def cells(masks: list[int], bit: int) -> list[float]:
-        """memo[masks[a] | bit] for each adversary a: k plain lookups,
-        and on a KeyError the k cells through cell()."""
-        try:
-            return [memo[mask | bit] for mask in masks]
-        except KeyError:
-            return [cell(a, mask | bit) for a, mask in enumerate(masks)]
+    def cells(masks: list[int]) -> list[float]:
+        """memo[mask] for each mask, those it lacks scored in one call."""
+        missing = [mask for mask in masks if mask not in memo]
+        if missing:
+            missing = sorted(set(missing))
+            memo.update(zip(missing, _set_disclosure(instance, np.array(missing)).tolist()))
+        return [memo[mask] for mask in masks]
 
     def pruned(util: float, f: float) -> bool:
         """Whether no completion beats the best, when util bounds their
@@ -321,16 +280,18 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
 
     def expand(d: int, util_raw: float, f: float, masks: list[int]) -> bool:
         """Count the node at entry d; False if its subtree is pruned.
-        Under a monotone kernel f rises to the forced bound one entry at
-        a time, and stops once the node is pruned."""
+        Under a monotone kernel the node reads every cell of its forced
+        bound, then f rises to the bound one entry at a time and stops
+        once the node is pruned."""
         nonlocal nodes
         nodes += 1
         util = (util_raw + suffix[d]) / z
         if pruned(util, f):
             return False
         if monotone:
-            for e in range(d, num_d):
-                low = min(cells(masks, 1 << e))
+            forced = cells([mask | 1 << e for e in range(d, num_d) for mask in masks])
+            for i in range(0, len(forced), k):
+                low = min(forced[i:i + k])
                 if low > f:
                     f = low
                     if pruned(util, f):
@@ -341,7 +302,7 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
         """The children of a node at entry d."""
         nonlocal nodes, best_value, best_path
         bit = 1 << d
-        on = cells(masks, bit)
+        on = cells([mask | bit for mask in masks])
         w_d = w[d]
         if d < last:
             for sub in subsets:
@@ -370,10 +331,9 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
                 path[d] = sub
                 best_value, best_path = value, path[:]
 
-    # The root's expand may already flip, so the root state is read first.
-    util_raw, fprime = ev.util_raw, ev.fprime.tolist()
-    if expand(0, util_raw, ev.f, [0] * k):
-        walk(0, [0] * k, fprime, util_raw)
+    root = cells([0] * k)
+    if expand(0, 0.0, max(root), [0] * k):
+        walk(0, [0] * k, root, 0.0)
     if best_path is None:
         if budget:
             raise InfeasibleError("no assignment meets the disclosure budget")

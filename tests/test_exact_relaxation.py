@@ -34,7 +34,7 @@ from privpart import (
     solve_lp_relaxation,
     validate_instance,
 )
-from privpart.evaluator import IncrementalEvaluator
+from privpart import exact
 from privpart.exact import (FORMULATIONS, MARGIN, _adversary_subsets, _approximate_values,
                             _entry_set_table)
 from privpart.heuristics import finalize_result
@@ -114,70 +114,71 @@ def test_discbudget_exact_maximizes_utility_under_budget():
 
 # -- leaf scoring and chunked enumeration against per-subset references -------
 
+def _scratch_aggregates(instance, batch):
+    """(n, k): each adversary's clipped f' in each assignment of the
+    (n, |D|, k) batch, from a full-k ``batch_disclosure``: the row max or
+    mean of its clipped values, 0 without properties."""
+    vec = np.clip(batch_disclosure(instance, batch)[1], 0.0, 1.0)
+    if vec.shape[-1] == 0:
+        return np.zeros(vec.shape[:2])
+    return vec.max(axis=2) if instance.model.aggregation == "worst" else vec.mean(axis=2)
+
+
 def _reference_solve_exact(instance, formulation, forced_bound=True):
-    """Branch-and-bound that flips at every node and scores each leaf from
-    the evaluator's state after its flips: the per-node route that
-    ``solve_exact`` replaces with one memo of cells for all adversaries.
-    Its disclosure bound is the same forced bound, read by flips, or with
-    ``forced_bound`` False the node's partial disclosure alone."""
+    """Branch-and-bound that scores every node from scratch: it keeps its
+    own bits and the utility summed in path order, and reads the node's f
+    as the max of ``_scratch_aggregates`` of its bits. Its disclosure
+    bound is the same forced bound, each cell scored from the node's bits
+    with one more bit set, or with ``forced_bound`` False the node's
+    partial disclosure alone."""
     subsets = _adversary_subsets(instance.k, instance.t)
-    ev = IncrementalEvaluator(instance)
+    num_d, k = instance.num_entries, instance.k
+    bits = np.zeros((num_d, k), dtype=bool)
+    w = instance.utility_weights.tolist()
     z = instance._normalizer
-    suffix = np.zeros(instance.num_entries + 1)
+    suffix = np.zeros(num_d + 1)
     suffix[:-1] = np.cumsum(instance._top_t_sum[::-1])[::-1]
     lam, tau = instance.lam, instance.tau
     budget = formulation == "discbudget"
     monotone = instance.model.family != "cosine"
     best = {"value": -np.inf, "bits": None, "nodes": 0}
 
-    def node_value():
-        if budget:
-            return ev.util_raw / z
-        return ev.util_raw / z + lam * (tau - ev.f)
-
     def forced(d):
         """max over entries e >= d of min over adversaries a of a's f'
-        once it also takes e, read by flipping e onto a and undoing."""
-        lb = 0.0
-        for e in range(d, instance.num_entries):
-            low = np.inf
-            for a in range(instance.k):
-                log = []
-                ev._flip(e, a, True, log)
-                low = min(low, ev.fprime[a])
-                ev._undo(log)
-            lb = max(lb, low)
-        return lb
+        once it also takes e."""
+        trials = np.repeat(bits[None], (num_d - d) * k, axis=0)
+        cells = [(e, a) for e in range(d, num_d) for a in range(k)]
+        for i, (e, a) in enumerate(cells):
+            trials[i, e, a] = True
+        fp = _scratch_aggregates(instance, trials)[np.arange(len(cells)), [a for _, a in cells]]
+        return max(0.0, fp.reshape(num_d - d, k).min(axis=1).max())
 
-    def bound(d, f):
-        util = (ev.util_raw + suffix[d]) / z
-        if budget:
-            return util
-        return util + lam * (tau - (f if monotone else 0.0))
-
-    def dfs(d):
+    def dfs(d, util_raw):
         best["nodes"] += 1
-        f = max(ev.f, forced(d)) if monotone and forced_bound else ev.f
+        node_f = _scratch_aggregates(instance, bits[None])[0].max()
+        f = max(node_f, forced(d)) if monotone and forced_bound and d < num_d else node_f
         if budget and monotone and f >= tau:
             return
-        if d == instance.num_entries:
-            if budget and not (ev.f < tau):
+        if d == num_d:
+            if budget and not (node_f < tau):
                 return
-            value = node_value()
+            value = util_raw / z if budget else util_raw / z + lam * (tau - node_f)
             if value > best["value"]:
                 best["value"] = value
-                best["bits"] = ev.bits.copy()
+                best["bits"] = bits.copy()
             return
-        if bound(d, f) <= best["value"]:
+        util = (util_raw + suffix[d]) / z
+        if (util if budget else util + lam * (tau - (f if monotone else 0.0))) <= best["value"]:
             return
         for sub in subsets:
-            log = []
+            util = util_raw
             for a in sub:
-                ev._flip(d, a, True, log)
-            dfs(d + 1)
-            ev._undo(log)
+                bits[d, a] = True
+                util += w[d][a]
+            dfs(d + 1, util)
+            bits[d] = False
 
-    dfs(0)
+    dfs(0, 0.0)
     if best["bits"] is None:
         raise InfeasibleError("no assignment meets the disclosure budget")
     return finalize_result(instance, Assignment(best["bits"]), best["nodes"], 0.0, 0)
@@ -285,57 +286,58 @@ def test_tail_tables_match_per_subset_branch_and_bound_beyond_desk_scale():
     _assert_matches_reference(_deeper_instances())
 
 
-def _count_flips(monkeypatch):
-    calls = [0]
-    flip = IncrementalEvaluator._flip
+def test_branch_and_bound_matches_enumeration_on_linear_average_shapes():
+    # Linear/average 9x3 shapes, plain and tied: with f' accumulated by
+    # incremental flips the best differed from enumeration's in the last
+    # bit of the value, and so in its bits.
+    for case in _deeper_instances()[14:16]:
+        ours, oracle = solve_exact(case), enumerate_optimum(case)
+        assert (case.model.family, case.model.aggregation, case.k) == ("linear", "average", 3)
+        assert ours.objective.value == oracle.objective.value
+        assert np.array_equal(ours.assignment.bits, oracle.assignment.bits)
 
-    def counted(self, *args):
-        calls[0] += 1
-        return flip(self, *args)
 
-    monkeypatch.setattr(IncrementalEvaluator, "_flip", counted)
-    return calls
+def test_branch_and_bound_scores_each_mask_once(monkeypatch):
+    # Every mask branch-and-bound scores goes through one
+    # ``_set_disclosure`` call, none twice in a solve, and its memo value
+    # is bitwise enumeration's table entry. Criterion 1's desk set scores
+    # 4671 masks.
+    scored = []
+    original = exact._set_disclosure
 
+    def recorded(instance, masks):
+        values = original(instance, masks)
+        scored.append((masks.copy(), values.copy()))
+        return values
 
-def test_branch_and_bound_flip_count(monkeypatch):
-    calls = _count_flips(monkeypatch)
-    # Strongly pruned (k, t) = (3, 1) instances: cells are filled only where
-    # the search goes, so it flips no more than a search that flips at every
-    # node, even one that reads no forced bound.
-    for family, aggregation in product(("step", "linear", "quadratic"),
-                                       ("worst", "average")):
-        inst = generate_instance(SynthConfig(8, 4, 3, 1, seed=8),
-                                 DisclosureModel(family, aggregation))
-        calls[0] = 0
-        solve_exact(inst)
-        ours = calls[0]
-        calls[0] = 0
-        _reference_solve_exact(inst, "tradeoff", forced_bound=False)
-        assert ours <= calls[0], (family, aggregation)
-    # Criterion 1's desk set: 6236 flips, against 9350 with a memo per
-    # adversary and the partial-disclosure bound.
-    calls[0] = 0
+    monkeypatch.setattr(exact, "_set_disclosure", recorded)
+    total = 0
     for trial in range(200):
-        solve_exact(random_small_instance(1000 + trial))
-    assert calls[0] <= 6236
+        inst = random_small_instance(1000 + trial)
+        scored.clear()
+        solve_exact(inst)
+        masks = np.concatenate([m for m, _ in scored])
+        values = np.concatenate([v for _, v in scored])
+        table = _entry_set_table(inst)
+        assert len(set(masks.tolist())) == masks.size, trial
+        assert values.tobytes() == table[masks].tobytes(), trial
+        total += masks.size
+    assert total == 4671
 
 
-def _aggregate_after(ev, a, entries):
-    """a's aggregate once it holds ``entries`` (a held none before),
-    flipped in increasing order as the memo flips them; undone after."""
-    log = []
-    for e in sorted(entries):
-        ev._flip(e, a, True, log)
-    value = float(ev.fprime[a])
-    ev._undo(log)
-    return value
+def _aggregate_after(inst, a, entries):
+    """a's clipped aggregate f' once it holds exactly ``entries`` and no
+    other adversary holds any, from scratch."""
+    bits = np.zeros((1, inst.num_entries, inst.k), dtype=bool)
+    bits[0, list(entries), a] = True
+    return float(_scratch_aggregates(inst, bits)[0, a])
 
 
 def test_forced_bound_cells_are_admissible():
     # The forced bound reads memo[M | e]: a's aggregate once it holds
     # M and e. A completion gives some a a superset of M and e, so the
-    # bound is admissible when no such superset, flipped in increasing
-    # order, has a lower aggregate under the monotone families.
+    # bound is admissible when no such superset has a lower aggregate
+    # under the monotone families, in float.
     rng = np.random.default_rng(23)
     seen, trials = set(), 0
     for seed, family in product(range(40), ("step", "linear", "quadratic")):
@@ -343,15 +345,14 @@ def test_forced_bound_cells_are_admissible():
         for inst in (random_small_instance(seed, family), generate_instance(
                 SynthConfig(10, 4, 3, 2, seed=seed), DisclosureModel(family, aggregation))):
             seen.add((family, inst.model.aggregation))
-            ev = IncrementalEvaluator(inst)
             num_d = inst.num_entries
             for _ in range(6):
                 a = int(rng.integers(inst.k))
                 held = set(np.flatnonzero(rng.random(num_d) < 0.4).tolist())
                 e = int(rng.integers(num_d))
-                low = _aggregate_after(ev, a, held | {e})
+                low = _aggregate_after(inst, a, held | {e})
                 extra = set(np.flatnonzero(rng.random(num_d) < 0.5).tolist())
-                assert _aggregate_after(ev, a, held | {e} | extra) >= low, (seed, family)
+                assert _aggregate_after(inst, a, held | {e} | extra) >= low, (seed, family)
                 trials += 1
     assert len(seen) == 6
     assert trials == 1440
