@@ -5,40 +5,42 @@ Both enumerate per-entry adversary subsets of size 1..t, so the search
 space is (number of subsets)^|D|; a hard size guard keeps them on desk
 scale. Branch-and-bound prunes with an admissible bound: optimistic
 remaining utility (each remaining entry at its top-t weights) plus the
-best conceivable disclosure term. For a cosine kernel, which is not
-monotone, that term assumes zero disclosure.
+least disclosure any completion can reach.
 
 Adversaries do not collude, so an adversary's aggregate f' is a function
 of the set of entries it holds: the kernel and aggregation read only its
-own column of the assignment. The walk keeps one memo, mask -> f', for
-all k adversaries, where bit e of the mask stands for entry e: the part
-of enumeration's table (below) that the walk reads, filled as it goes by
-``_set_disclosure``, so each value is bitwise the table's. A miss in the
-walk scores every missing cell of the entry's children in one call. A
-node's f is the max of its k cells, its utility the weights in path
-order, and a new best's bits come from the walk's path of subsets alone.
+own column of the assignment. The walk reads enumeration's table (below),
+mask -> f' for all k adversaries, where bit e of the mask stands for
+entry e, built once per solve. A leaf's f is the max of its k table
+cells, its utility the weights in path order, and a new best's bits come
+from the walk's path of subsets alone.
 
-The disclosure bound of a node whose entries before d are assigned,
-adversary a holding masks[a], is max(f, lb) with the forced bound
+The bounds read low[mask], the min of the table over the supersets of
+mask: the superset form of the fast zeta transform (Björklund et al.,
+STOC 2007), |D| in-place min passes. A node whose entries before d are
+assigned, adversary a holding masks[a], has the disclosure bound
+max(f, lb), with f the max over a of low[masks[a]] and the forced bound
 
-    lb = max over e >= d of (min over a of memo[masks[a] | 1 << e]).
+    lb = max over e >= d of (min over a of low[masks[a] | 1 << e]).
 
-Every entry e >= d goes to at least one adversary a, whose final set is
-then a superset of masks[a] and e. Monotone kernels never lower an
-aggregate when an entry joins, after float rounding too: a column sums
-its terms (each >= 0, and an exact 0 for an entry a does not hold) in a
-fixed member order, and step's count test, linear and quadratic values,
-the clip, the mean over properties and the max are monotone, as is each
-rounded operation. So under both aggregations every completion's
-disclosure is at least lb; the tests check the inequality in float on
-random instances of the three families in both aggregations.
+Every completion gives each a a superset of masks[a], and each entry
+e >= d to some a, whose final set then also holds e. A min is exact, so
+every completion's disclosure is at least the bound, in float too,
+whatever the kernel: cosine is bounded like the rest.
 
-Under a monotone kernel a node scores every cell its bound may read in
-one call, then raises f to lb one entry at a time and stops once it is
-pruned; that changes which cells are filled, never a decision. So the
-budget test, the bound, the node count and the leaf scores (strict `>`,
-first best wins) are those of a search that scores every node from
-scratch and uses the same bound.
+A monotone kernel never lowers an aggregate when an entry joins, after
+float rounding too: a column sums its terms (each >= 0, and an exact 0
+for an entry a does not hold) in a fixed member order, and step's count
+test, linear and quadratic values, the clip, the mean over properties
+and the max are monotone, as is each rounded operation. So under step,
+linear and quadratic, low is bitwise the table, and the bound and node
+count are those of the table's own cells; the tests check both.
+
+A node raises f to lb one entry at a time and stops once it is pruned,
+which changes no decision: the budget test, the bound, the node count
+and the leaf scores (strict `>`, first best wins) are those of a search
+that scores every node from scratch with the same bound. The table costs
+2^|D| masks however hard the search prunes; the size guard keeps |D| <= 20.
 
 Enumeration returns the first best assignment in ``itertools.product``
 order (entry 0 slowest) by ``batch_objective``, the objective every
@@ -147,6 +149,16 @@ def _entry_set_table(instance: Instance) -> np.ndarray:
     return table
 
 
+def _superset_minimum(table: np.ndarray) -> np.ndarray:
+    """low[mask]: the min of table over the supersets of mask, by one
+    in-place min per entry over the masks without and with its bit."""
+    low = table.copy()
+    for i in range(len(low).bit_length() - 1):
+        pair = low.reshape(-1, 2, 1 << i)
+        np.minimum(pair[:, 0], pair[:, 1], out=pair[:, 0])
+    return low
+
+
 def _approximate_values(instance: Instance, masks: np.ndarray, table: np.ndarray,
                         budget: bool):
     """Yield (start, values) for consecutive blocks of all assignments
@@ -252,88 +264,72 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
     w = instance.utility_weights.tolist()
     lam, tau = instance.lam, instance.tau
     budget = formulation == "discbudget"
-    monotone = instance.model.family != "cosine"
+    # Read through memoryviews: a float per index, no list of 2^|D|.
+    table = _entry_set_table(instance)
+    low = memoryview(_superset_minimum(table))
+    table = memoryview(table)
 
     best_value, best_path, nodes = -math.inf, None, 0
     last = num_d - 1
-    # memo[mask]: ``_set_disclosure`` of mask, the f' of any adversary
-    # that holds exactly those entries (one table for all k: an
-    # adversary's aggregate depends on its entries alone), filled by
-    # cells(); path[d]: the subset of entry d on the walk.
-    memo: dict[int, float] = {}
+    # path[d]: the subset of entry d on the walk.
     path: list[tuple[int, ...]] = [()] * num_d
-
-    def cells(masks: list[int]) -> list[float]:
-        """memo[mask] for each mask, those it lacks scored in one call."""
-        missing = [mask for mask in masks if mask not in memo]
-        if missing:
-            missing = sorted(set(missing))
-            memo.update(zip(missing, _set_disclosure(instance, np.array(missing)).tolist()))
-        return [memo[mask] for mask in masks]
 
     def pruned(util: float, f: float) -> bool:
         """Whether no completion beats the best, when util bounds their
         utility term and f their disclosure from below."""
         if budget:
-            return (monotone and f >= tau) or util <= best_value
-        return util + lam * (tau - (f if monotone else 0.0)) <= best_value
+            return f >= tau or util <= best_value
+        return util + lam * (tau - f) <= best_value
 
-    def expand(d: int, util_raw: float, f: float, masks: list[int]) -> bool:
+    def expand(d: int, util_raw: float, masks: list[int]) -> bool:
         """Count the node at entry d; False if its subtree is pruned.
-        Under a monotone kernel the node reads every cell of its forced
-        bound, then f rises to the bound one entry at a time and stops
-        once the node is pruned."""
+        f rises from the node's bound to the forced bound one entry at a
+        time and stops once the node is pruned."""
         nonlocal nodes
         nodes += 1
         util = (util_raw + suffix[d]) / z
+        f = max([low[mask] for mask in masks])
         if pruned(util, f):
             return False
-        if monotone:
-            forced = cells([mask | 1 << e for e in range(d, num_d) for mask in masks])
-            for i in range(0, len(forced), k):
-                low = min(forced[i:i + k])
-                if low > f:
-                    f = low
-                    if pruned(util, f):
-                        return False
+        for e in range(d, num_d):
+            bit = 1 << e
+            forced = min([low[mask | bit] for mask in masks])
+            if forced > f:
+                f = forced
+                if pruned(util, f):
+                    return False
         return True
 
-    def walk(d: int, masks: list[int], fprime: list[float], util_raw: float) -> None:
+    def walk(d: int, masks: list[int], util_raw: float) -> None:
         """The children of a node at entry d."""
         nonlocal nodes, best_value, best_path
         bit = 1 << d
-        on = cells([mask | bit for mask in masks])
         w_d = w[d]
-        if d < last:
-            for sub in subsets:
-                util, fp, held = util_raw, fprime[:], masks[:]
-                for a in sub:
-                    util += w_d[a]
-                    fp[a] = on[a]
-                    held[a] |= bit
-                if expand(d + 1, util, max(fp), held):
-                    path[d] = sub
-                    walk(d + 1, held, fp, util)
-            return
-        nodes += len(subsets)
+        if d == last:
+            nodes += len(subsets)
         for sub in subsets:
-            util, fp = util_raw, fprime[:]
+            util, held = util_raw, masks[:]
             for a in sub:
                 util += w_d[a]
-                fp[a] = on[a]
+                held[a] |= bit
+            if d < last:
+                if expand(d + 1, util, held):
+                    path[d] = sub
+                    walk(d + 1, held, util)
+                continue
+            f = max([table[mask] for mask in held])
             if budget:
-                if not max(fp) < tau:
+                if not f < tau:
                     continue
                 value = util / z
             else:
-                value = util / z + lam * (tau - max(fp))
+                value = util / z + lam * (tau - f)
             if value > best_value:
                 path[d] = sub
                 best_value, best_path = value, path[:]
 
-    root = cells([0] * k)
-    if expand(0, 0.0, max(root), [0] * k):
-        walk(0, [0] * k, root, 0.0)
+    if expand(0, 0.0, [0] * k):
+        walk(0, [0] * k, 0.0)
     if best_path is None:
         if budget:
             raise InfeasibleError("no assignment meets the disclosure budget")

@@ -124,13 +124,32 @@ def _scratch_aggregates(instance, batch):
     return vec.max(axis=2) if instance.model.aggregation == "worst" else vec.mean(axis=2)
 
 
+def _brute_superset_minimum(instance):
+    """(table, low): each mask's clipped f' from ``_scratch_aggregates``
+    with adversary 0 holding exactly the mask, and low[mask] the min of
+    table over its supersets, taken over all 3^|D| (mask, superset)
+    pairs: per entry, out of both, in the superset only, or in both."""
+    num_d = instance.num_entries
+    masks = np.arange(1 << num_d)
+    bits = np.zeros((len(masks), num_d, instance.k), dtype=bool)
+    bits[:, :, 0] = (masks[:, None] >> np.arange(num_d)) & 1 == 1
+    table = _scratch_aggregates(instance, bits)[:, 0]
+    mask, sup = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for e in range(num_d):
+        mask = (mask[:, None] + (np.array([0, 0, 1]) << e)).ravel()
+        sup = (sup[:, None] + (np.array([0, 1, 1]) << e)).ravel()
+    low = np.full(len(masks), np.inf)
+    np.minimum.at(low, mask, table[sup])
+    return table, low
+
+
 def _reference_solve_exact(instance, formulation, forced_bound=True):
     """Branch-and-bound that scores every node from scratch: it keeps its
-    own bits and the utility summed in path order, and reads the node's f
+    own bits and the utility summed in path order, and reads a leaf's f
     as the max of ``_scratch_aggregates`` of its bits. Its disclosure
-    bound is the same forced bound, each cell scored from the node's bits
-    with one more bit set, or with ``forced_bound`` False the node's
-    partial disclosure alone."""
+    bound is the same: the max over adversaries of ``low`` at the held
+    set and the forced bound, from ``_brute_superset_minimum``, or with
+    ``forced_bound`` False the first term alone."""
     subsets = _adversary_subsets(instance.k, instance.t)
     num_d, k = instance.num_entries, instance.k
     bits = np.zeros((num_d, k), dtype=bool)
@@ -140,26 +159,14 @@ def _reference_solve_exact(instance, formulation, forced_bound=True):
     suffix[:-1] = np.cumsum(instance._top_t_sum[::-1])[::-1]
     lam, tau = instance.lam, instance.tau
     budget = formulation == "discbudget"
-    monotone = instance.model.family != "cosine"
+    low = _brute_superset_minimum(instance)[1]
+    entry_bits = 1 << np.arange(num_d)
     best = {"value": -np.inf, "bits": None, "nodes": 0}
-
-    def forced(d):
-        """max over entries e >= d of min over adversaries a of a's f'
-        once it also takes e."""
-        trials = np.repeat(bits[None], (num_d - d) * k, axis=0)
-        cells = [(e, a) for e in range(d, num_d) for a in range(k)]
-        for i, (e, a) in enumerate(cells):
-            trials[i, e, a] = True
-        fp = _scratch_aggregates(instance, trials)[np.arange(len(cells)), [a for _, a in cells]]
-        return max(0.0, fp.reshape(num_d - d, k).min(axis=1).max())
 
     def dfs(d, util_raw):
         best["nodes"] += 1
-        node_f = _scratch_aggregates(instance, bits[None])[0].max()
-        f = max(node_f, forced(d)) if monotone and forced_bound and d < num_d else node_f
-        if budget and monotone and f >= tau:
-            return
         if d == num_d:
+            node_f = _scratch_aggregates(instance, bits[None])[0].max()
             if budget and not (node_f < tau):
                 return
             value = util_raw / z if budget else util_raw / z + lam * (tau - node_f)
@@ -167,8 +174,15 @@ def _reference_solve_exact(instance, formulation, forced_bound=True):
                 best["value"] = value
                 best["bits"] = bits.copy()
             return
+        held = entry_bits @ bits
+        f = low[held].max()
+        if forced_bound:
+            # Entry e >= d joins some adversary's held set.
+            f = max(f, low[held | entry_bits[d:, None]].min(axis=1).max())
+        if budget and f >= tau:
+            return
         util = (util_raw + suffix[d]) / z
-        if (util if budget else util + lam * (tau - (f if monotone else 0.0))) <= best["value"]:
+        if (util if budget else util + lam * (tau - f)) <= best["value"]:
             return
         for sub in subsets:
             util = util_raw
@@ -299,9 +313,10 @@ def test_branch_and_bound_matches_enumeration_on_linear_average_shapes():
 
 def test_branch_and_bound_scores_each_mask_once(monkeypatch):
     # Every mask branch-and-bound scores goes through one
-    # ``_set_disclosure`` call, none twice in a solve, and its memo value
-    # is bitwise enumeration's table entry. Criterion 1's desk set scores
-    # 4671 masks.
+    # ``_set_disclosure`` call, none twice in a solve, and its value is
+    # bitwise enumeration's table entry. Each solve scores its whole
+    # table, so criterion 1's desk set scores the sum of its 2^|D|, 5380
+    # masks.
     scored = []
     original = exact._set_disclosure
 
@@ -322,7 +337,7 @@ def test_branch_and_bound_scores_each_mask_once(monkeypatch):
         assert len(set(masks.tolist())) == masks.size, trial
         assert values.tobytes() == table[masks].tobytes(), trial
         total += masks.size
-    assert total == 4671
+    assert total == 5380
 
 
 def _aggregate_after(inst, a, entries):
@@ -334,10 +349,9 @@ def _aggregate_after(inst, a, entries):
 
 
 def test_forced_bound_cells_are_admissible():
-    # The forced bound reads memo[M | e]: a's aggregate once it holds
-    # M and e. A completion gives some a a superset of M and e, so the
-    # bound is admissible when no such superset has a lower aggregate
-    # under the monotone families, in float.
+    # Under the monotone families no superset of M and e gives a a lower
+    # aggregate than M and e do, in float. So there the superset minimum
+    # is the table itself, and the bounds read the table's own cells.
     rng = np.random.default_rng(23)
     seen, trials = set(), 0
     for seed, family in product(range(40), ("step", "linear", "quadratic")):
@@ -433,6 +447,26 @@ def test_entry_set_table_equals_batch_scoring_bitwise():
             assert np.array_equal(table[held].max(axis=1), aggregate_disclosure(vec, mode))
 
 
+def test_superset_minimum_matches_brute_force():
+    # Bitwise the min over all (mask, superset) pairs for every family x
+    # aggregation pair, and bitwise the table itself under the monotone
+    # families, whose tables never fall when an entry joins.
+    seen, lowered = set(), 0
+    for inst in _table_instances():
+        table = _entry_set_table(inst)
+        low = exact._superset_minimum(table)
+        brute_table, brute_low = _brute_superset_minimum(inst)
+        assert table.tobytes() == brute_table.tobytes()
+        assert low.tobytes() == brute_low.tobytes(), inst.model
+        if inst.model.family == "cosine":
+            lowered += bool((low < table).any())
+        else:
+            assert low.tobytes() == table.tobytes(), inst.model
+        seen.add((inst.model.family, inst.model.aggregation))
+    assert len(seen) == 8
+    assert lowered > 0
+
+
 def test_entry_set_table_built_in_several_chunks():
     inst = generate_instance(SynthConfig(14, 6, 2, 1, seed=3),
                              DisclosureModel("linear", "average"), tau=0.6)
@@ -471,6 +505,30 @@ def test_enumeration_at_the_cap_stays_in_blocks():
         tracemalloc.stop()
     assert res.iterations == 10**6
     assert peak < 16 << 20
+
+
+def test_branch_and_bound_at_the_size_guard(monkeypatch):
+    # 20 entries at k=2, t=1 is the largest |D| the guard admits: the
+    # table and its superset minimum are 2**20 floats, 8 MiB each.
+    inst = generate_instance(SynthConfig(20, 12, 2, 1, seed=1),
+                             DisclosureModel("linear", "worst"))
+    tracemalloc.start()
+    try:
+        ours = solve_exact(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
+    # 2**20 assignments, just past enumeration's cap, which bounds its
+    # time, not what it returns.
+    monkeypatch.setattr(exact, "ENUMERATION_CAP", 1 << 20)
+    oracle = enumerate_optimum(inst)
+    assert ours.objective.value == oracle.objective.value
+    assert np.array_equal(ours.assignment.bits, oracle.assignment.bits)
+    past = generate_instance(SynthConfig(21, 12, 2, 1, seed=1),
+                             DisclosureModel("linear", "worst"))
+    with pytest.raises(SizeGuardError):
+        solve_exact(past)
 
 
 def _approximate_and_exact(inst, budget):

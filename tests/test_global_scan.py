@@ -181,21 +181,30 @@ def test_scan_matches_reference_formulas_bitwise_on_walks_and_reset():
 
 
 def test_exact_and_myopic_evaluators_never_build_the_table(monkeypatch):
-    built = []
-    original = IncrementalEvaluator._additions
+    # solve_exact builds no evaluator at all; a myopic one never builds
+    # the global addition table.
+    inits, built = [], []
+    original_init, original_additions = IncrementalEvaluator.__init__, IncrementalEvaluator._additions
+
+    def init_spy(ev, *args, **kwargs):
+        inits.append(ev)
+        original_init(ev, *args, **kwargs)
 
     def spy(ev):
         built.append(ev)
-        return original(ev)
+        return original_additions(ev)
 
+    monkeypatch.setattr(IncrementalEvaluator, "__init__", init_spy)
     monkeypatch.setattr(IncrementalEvaluator, "_additions", spy)
     for seed in range(12):
         inst = random_small_instance(950 + seed)
         solve_exact(inst)
+        assert inits == [], seed
         for params in (SearchParams("greedy", "myopic"), SearchParams("grasp", "myopic", n=2)):
             ev = IncrementalEvaluator(inst)
             construction(inst, params, np.random.default_rng(seed), evaluator=ev)
             assert ev._add_tab is None and ev._add_stale == []
+        inits.clear()
     assert built == []
 
 
