@@ -6,10 +6,12 @@ than full re-evaluations. ``IncrementalEvaluator`` keeps the state every
 disclosure family shares: the bits, per-entry counts, raw utility and
 unassigned count, the (k, |P|) disclosure ``f_ap``, each adversary's
 aggregate ``fprime`` and row sum ``f_row_sum``, and the overall ``f``.
-Only average aggregation reads ``f_row_sum``, so only it keeps the sums
-current (worst skips a per-flip sum); the array exists under both. The
-family's own running state lives in one kernel, picked once in
-``__init__``:
+``fprime`` and ``f_row_sum`` are lists of k Python floats, which the
+per-entry paths read and write without converting; the numpy readers
+take ``np.asarray`` of them. Only average aggregation reads
+``f_row_sum``, so only it keeps the sums current (worst skips a per-flip
+sum); the list exists under both. The family's own running state lives
+in one kernel, picked once in ``__init__``:
 
 * ``_SumsKernel`` (step, linear, quadratic) keeps ``s[a, p]``, the sum of
   the member weights adversary a holds on property p, and ``f_ap = g(s)``:
@@ -23,15 +25,16 @@ state it reads and never writes: ``row``, the kernel state a's row
 holds on d's keys once d joins or leaves a, and d's new values, which
 flips and removal scores share; ``add_block``, for a block of entries
 and every adversary, the state and values each entry would write on
-joining it; ``window_row``, one of those rows; ``add_col``, a's
-aggregate once each entry joins it; and ``restore``, which writes a's
-state on d's keys in the form ``row`` returns. Only the evaluator
-writes ``f_ap``, ``fprime`` and ``f``; it builds its access paths on
-these operations. Each scores a move with one expression, ``_gain``,
-from the move's utility change, its orphan term and f_new, the new
-overall disclosure: the max of the ``_excluded_max`` table's entry for
-the adversaries the move touches (the largest fprime outside them) and
-their new aggregates.
+joining it; ``window_row``, one of those rows; ``add_cols``, which
+writes for some adversaries each one's aggregate once each entry joins
+it (its column of a table); and ``restore``, which writes a's state on
+d's keys in the form ``row`` returns. Only the evaluator writes
+``f_ap``, ``fprime`` and ``f``; it builds its access paths on these
+operations. Each scores a move with one expression, ``_gain``, from the
+move's utility change, its orphan term and f_new, the new overall
+disclosure: the max of the ``_excluded_max`` table's entry for the
+adversaries the move touches (the largest fprime outside them) and their
+new aggregates.
 
 * ``add_gain_row(d)``   -- gains for adding entry d to each adversary,
                            as a list of k Python floats: the expression
@@ -41,7 +44,9 @@ their new aggregates.
 * ``add_gain_matrix()`` -- gains for every eligible addition, from one
                            column per adversary (``_columns``), cached
                            until a flip touches that adversary, and the
-                           addition table (``_additions``)
+                           addition table (``_additions``); the columns
+                           a flip made stale are recomputed in one
+                           ``add_cols`` call
 * ``neighborhood_gains(d)`` -- gains of entry d's local-search neighbors,
                            on Python floats
 * ``neighborhood_gain_bounds()`` -- for every entry at once, the same
@@ -65,11 +70,27 @@ test per flip. So no step of a scan builds a per-entry column and
 broadcasts it along the short k axis, which on a (500, 5) matrix cost
 more than half of the call.
 
+The columns have closed forms. The sums kernel's are per adversary
+(``add_col``). The cosine kernel's come from one ``add_block`` over a
+layout of every entry, built on the first call, for every adversary at
+once; the aggregate of each entry is then ``_aggregates``'s expression
+on numpy arrays, which round as Python floats do: under average
+``fprime[a] + shift[a] / |P|``, under worst ``max(fprime[a], top[a])``
+with a rescan of a's row only for the entries one of whose values
+falls. So every column entry is bitwise the aggregate an addition of
+that entry reads, and the gain bound floors at it (``col_floor``) for
+every kernel but average quadratic, whose closed forms sum in different
+orders.
+
 Additions are scored in windows. ``windows(entries)`` cuts a sequence
 of entries, in order, into maximal runs of which no two share kernel
 state: no property, and for cosine no user either (two friends share
 their property), as listed by the instance's ``_conflict_keys``.
-``open_window(run)`` scores the run for every adversary in one
+``window_layouts(entries)`` lays each run out as a ``_Block``, which
+depends only on the run and the incidence, so the myopic construction
+cuts and lays out its windows once and opens them again in every pass
+that visits the same entries (from an empty evaluator, every pass).
+``open_window(layout)`` scores the run for every adversary in one
 ``add_block`` call. Adding one entry of the run to an adversary changes
 only the state under its own keys, which no other entry of the run
 reads, so each entry's block rows stay what a one-entry block would
@@ -93,8 +114,8 @@ a's full row, and so does the score of that addition.
 Every flip ends in one tail: ``kernel.restore`` of the new state,
 the new values into ``f_ap`` and ``_refresh_agg``. Worst or average
 aggregation is chosen only in that tail of ``_flip``, ``_refresh_agg``,
-``_row_aggregate``, ``_aggregates``, the kernels' ``add_block`` and
-``add_col`` and the sums kernel's ``col_floor``.
+``_row_aggregate``, ``_aggregates``, and the kernels' ``add_block``,
+columns and ``col_floor``.
 """
 
 from __future__ import annotations
@@ -280,11 +301,11 @@ class IncrementalEvaluator:
         state, f_ap = batch_disclosure(inst, self.bits[None])
         self.kernel.reset(state)
         self.f_ap = f_ap[0].copy()  # for linear, f_ap is state itself
-        self.f_row_sum = self.f_ap.sum(axis=1)
-        self.fprime = np.zeros(self.k)
+        self.f_row_sum = self.f_ap.sum(axis=1).tolist()
+        self.fprime = [0.0] * self.k
         for a in range(self.k if self.num_p else 0):
             self._refresh_agg(a, 0.0)
-        self.f = max(self.fprime.tolist())
+        self.f = max(self.fprime)
 
     # -- objective views --------------------------------------------------
     @property
@@ -354,7 +375,7 @@ class IncrementalEvaluator:
             self.fprime[a] = float(self.f_ap[a].max())
         else:
             self.fprime[a] = max(self.fprime[a], change)
-        self.f = max(self.fprime.tolist())
+        self.f = max(self.fprime)
 
     def add(self, d: int, a: int) -> None:
         """Add entry d to adversary a: ``apply`` of Move('add', d, to=a),
@@ -385,22 +406,27 @@ class IncrementalEvaluator:
                 held = set(own)
         return runs
 
-    def _score_block(self, entries) -> _Window:
-        blk = _Block(self, entries)
+    def window_layouts(self, entries) -> list[tuple[list[int], _Block]]:
+        """``windows(entries)``, each run with its ``_Block`` layout for
+        ``open_window``. A layout depends only on its run and the
+        incidence, so it may be opened again in a later pass."""
+        return [(run, _Block(self, run)) for run in self.windows(entries)]
+
+    def _score_block(self, blk: _Block) -> _Window:
         return _Window(blk, *self.kernel.add_block(self, blk))
 
-    def open_window(self, entries) -> None:
-        """Score ``entries``, one run of ``windows``, for every adversary
-        in one kernel call; ``add_gain_row`` and additions of them read
-        the result until a flip outside it."""
-        self._window = self._score_block(entries)
+    def open_window(self, blk: _Block) -> None:
+        """Score ``blk``, the layout of one run of ``windows``, for every
+        adversary in one kernel call; ``add_gain_row`` and additions of
+        its entries read the result until a flip outside it."""
+        self._window = self._score_block(blk)
 
     def _aggregates(self, win: _Window, i: int) -> list[float]:
         """Each adversary's aggregate once row i of win joins it, on
         Python floats, which round as numpy does."""
-        fp, score = self.fprime.tolist(), win.score[i]
+        fp, score = self.fprime, win.score[i]
         if score is None:  # no property: no aggregate moves
-            return fp
+            return fp.copy()
         if not self.worst:
             num_p = self.num_p
             return [f + x / num_p for f, x in zip(fp, score)]
@@ -417,7 +443,7 @@ class IncrementalEvaluator:
         win = self._window
         i = win.row.get(d) if win is not None else None
         if i is None:
-            self.open_window((d,))
+            self.open_window(_Block(self, (d,)))
             win, i = self._window, 0
         return self._aggregates(win, i)
 
@@ -451,7 +477,7 @@ class IncrementalEvaluator:
         table, as lists of floats, which k values build faster than
         numpy. Each row of an adversary outside the top two is the
         diagonal list, shared: read only."""
-        fp, k = self.fprime.tolist(), self.k
+        fp, k = self.fprime, self.k
         top = sorted(fp)
         v0, v1, v2 = top[-1], top[-2], top[-3] if k > 2 else _NEG_INF
         i0 = fp.index(v0)
@@ -470,7 +496,7 @@ class IncrementalEvaluator:
         operation, with the excluded-max diagonal read in O(k): the
         largest fprime, and for its first holder the runner-up."""
         agg = self._add_aggregates(d)
-        fp = self.fprime.tolist()
+        fp = self.fprime
         second, top = sorted(fp)[-2:]
         first = fp.index(top)
         # max(excl, y), as ``max`` picks it; only ``first`` excludes top.
@@ -547,7 +573,7 @@ class IncrementalEvaluator:
             if not held[a]:
                 continue
             rem_f = (self._row_aggregate(a, props, self.kernel.row(self, d, a, False)[1])
-                     if props.size else float(self.fprime[a]))
+                     if props.size else self.fprime[a])
             out.append((Move("remove", d, from_adversary=a),
                         gain(-uz[a], max(excl[a][a], rem_f), -1.0 if count == 1 else 0.0)))
             for b in free:
@@ -563,18 +589,18 @@ class IncrementalEvaluator:
         moves at lower bounds on their new disclosure: the excluded max
         of the adversaries a move touches, and for an addition or a swap
         to b also a floor on b's new aggregate. Where the kernel's
-        ``col_floor`` is set, the floor is the entry's own ``add_col``
-        entry, bitwise the aggregate the move would read, so an
-        addition's bound is its gain. Otherwise a monotone kernel's floor
-        is fprime[b] (running sums are clamped at 0, so 2 s.a + a.a >= 0
-        for average quadratic), and any other kernel gets none. The
-        removed entry's own change is left out of a swap's bound."""
+        ``col_floor`` is set, the floor is the entry's own column entry
+        (``_columns``), bitwise the aggregate the move would read, so an
+        addition's bound is its gain. The one kernel without it, average
+        quadratic, is monotone, so its floor is fprime[b] (running sums
+        are clamped at 0, so 2 s.a + a.a >= 0). The removed entry's own
+        change is left out of a swap's bound."""
         inst, bits, counts = self.inst, self.bits, self.counts
         diag, excl = self._excluded_max()
         if self.kernel.col_floor:
             floor = self._columns()
         else:
-            floor = np.broadcast_to(self.fprime if self.kernel.monotone else _NEG_INF, bits.shape)
+            floor = np.broadcast_to(np.asarray(self.fprime), bits.shape)
         # low is finite (k >= 2), so ineligible cells stay -inf at lam = 0.
         best = self._gain(self._uz, np.maximum(diag, floor), self._additions()).max(axis=1)
         rem = self._gain(-self._uz, np.broadcast_to(diag, bits.shape),
@@ -592,15 +618,18 @@ class IncrementalEvaluator:
         return best
 
     def _columns(self) -> np.ndarray:
-        """(|D|, k) table of ``add_col`` for every adversary: its
+        """(|D|, k) table of the kernel's ``add_cols``: each adversary's
         aggregate once each entry joins it. Only the columns a flip has
-        touched since the last call are recomputed."""
+        touched since the last call are recomputed, in one kernel call."""
         if self._col_cache is None:  # every column is dirty since reset
             self._col_cache = np.empty((self.inst.num_entries, self.k))
-        for a in self._col_dirty:
-            # Without properties no addition moves an aggregate.
-            self._col_cache[:, a] = self.kernel.add_col(self, a) if self.num_p else self.fprime[a]
-        self._col_dirty.clear()
+        dirty = self._col_dirty
+        if dirty and self.num_p:
+            self.kernel.add_cols(self, dirty, self._col_cache)
+        else:  # without properties no addition moves an aggregate
+            for a in dirty:
+                self._col_cache[:, a] = self.fprime[a]
+        dirty.clear()
         return self._col_cache
 
 
@@ -612,8 +641,6 @@ class _SumsKernel:
     Operations that read the state every family shares take the
     evaluator as their first argument; the kernel keeps no reference to
     it, so an evaluator is freed as soon as its last user drops it."""
-
-    monotone = True
 
     def __init__(self, inst: Instance, pcols, g, average_block, average_col, average_exact: bool):
         self.inst = inst
@@ -666,6 +693,11 @@ class _SumsKernel:
         it joins a, in ``row``'s form."""
         return state[a, lo:hi]
 
+    def add_cols(self, ev: IncrementalEvaluator, adversaries, out: np.ndarray) -> None:
+        """``add_col(ev, a)`` into column a of out, for each adversary a."""
+        for a in adversaries:
+            out[:, a] = self.add_col(ev, a)
+
     def add_col(self, ev: IncrementalEvaluator, a: int) -> np.ndarray:
         inst, s_row = self.inst, self.s[a]
         if not ev.worst:
@@ -709,16 +741,17 @@ class _CosineKernel:
     it as a flip that skips it would, so the state is bitwise the one a
     fresh evaluator reaches by replaying the moves."""
 
-    # Not monotone: an added entry inflates its user's norm without
-    # necessarily adding overlap, so a component can fall. The gain bound
-    # reads no column: each costs a block of every entry.
-    monotone = False
-    col_floor = False
+    # An added entry inflates its user's norm without necessarily adding
+    # overlap, so a component can fall; the gain bound floors at add_cols'
+    # entries, which are bitwise the additions' aggregates under both
+    # aggregations.
+    col_floor = True
 
     def __init__(self, inst: Instance):
         t = inst._cosine
         self.e_user, self.e_sq = t.user_idx, t.sq_counts
         self.partner, self.other, self.prod = t.member_partner, t.member_other, t.member_prod
+        self._col_block: _Block | None = None  # add_cols' layout of every entry
 
     def reset(self, state) -> None:
         self.norms, self.dots = state[0][0], state[1][0]
@@ -772,11 +805,28 @@ class _CosineKernel:
         # the user pair shares nothing and the value is 0.
         return np.divide(dots, np.sqrt(denom), out=np.zeros(dots.shape), where=denom > 0.0)
 
-    def add_col(self, ev: IncrementalEvaluator, a: int) -> np.ndarray:
-        """No column closed form: a's aggregate of each entry, from one
-        block of every entry."""
-        win = ev._score_block(range(ev.inst.num_entries))
-        return np.array([ev._aggregates(win, win.row[d])[a] for d in range(ev.inst.num_entries)])
+    def add_cols(self, ev: IncrementalEvaluator, adversaries, out: np.ndarray) -> None:
+        """Into column a of out, for each adversary a: a's aggregate once
+        each entry joins it, as ``_aggregates`` computes it, from one
+        ``add_block`` of every entry (see the module docstring). An entry
+        in no property keeps fprime[a]."""
+        if self._col_block is None:
+            self._col_block = _Block(ev, range(ev.inst.num_entries))
+        blk = self._col_block
+        _, new_f, score, _, falls = self.add_block(ev, blk)
+        rows = blk.entries[blk.empty:]
+        for a in adversaries:
+            f = ev.fprime[a]
+            if ev.worst:
+                vals = np.maximum(f, score[a])
+                for i in np.flatnonzero(falls[a]).tolist():
+                    lo, hi = blk.spans[blk.empty + i]
+                    vals[i] = ev._row_aggregate(a, blk.props[lo:hi], new_f[a, lo:hi])
+            else:
+                vals = score[a] / ev.num_p
+                vals += f
+            out[:, a] = f
+            out[rows, a] = vals
 
     def restore(self, a: int, props: np.ndarray, state) -> None:
         u, norm_u, dots = state

@@ -44,7 +44,9 @@ of the window do not read, apart from the aggregates, which each
 ``add_gain_row`` reads as they stand when its entry is visited. So every
 entry's gains, the selections, the RNG draws and the moves are those of
 a loop that scores one entry at a time, bit for bit; a dense instance
-just gets windows of one.
+just gets windows of one. The windows and their layouts depend only on
+the entries a pass visits, so they are built once and reused by every
+pass that visits the same entries: from an empty evaluator, every pass.
 
 Local search skips an entry without scoring its neighbors when its gain
 bound is not positive (an exact form of the "don't-look bits" of Bentley,
@@ -53,17 +55,16 @@ ORSA J. Computing 4, 1992). The bound
 expression every move is scored with, evaluated at lower bounds on the
 move's new overall disclosure: the largest aggregate of the adversaries
 the move does not touch, and for an addition or a swap to b also a floor
-on b's new aggregate. Where the evaluator's column of b (``add_col``,
+on b's new aggregate. Where the evaluator's column of b (``add_cols``,
 cached for the global construction scan) is bitwise the value the move
-reads (step, linear and quadratic under worst aggregation, step and
-linear under average), the floor is the entry's own column entry, so an
-addition's bound is its gain. Average quadratic floors at b's current
-aggregate (lam in [0, 1] and a_dp >= 0 are validated, and running sums
-are clamped at 0 on removal, so adding an entry cannot lower it), and
-cosine, whose aggregate can fall, gets no floor. The expression does not
-increase with the disclosure, also after float rounding, so the bound is
-at least every gain the entry would score, a skipped entry is one on
-which no move could have been accepted, and the moves are those of the
+reads (every family and aggregation but average quadratic), the floor
+is the entry's own column entry, so an addition's bound is its gain.
+Average quadratic floors at b's current aggregate (lam in [0, 1] and
+a_dp >= 0 are validated, and running sums are clamped at 0 on removal,
+so adding an entry cannot lower it). The expression does not increase
+with the disclosure, also after float rounding, so the bound is at least
+every gain the entry would score, a skipped entry is one on which no
+move could have been accepted, and the moves are those of the
 unscreened pass.
 
 The r restarts of ``solve`` each draw only from their own child of
@@ -71,10 +72,15 @@ The r restarts of ``solve`` each draw only from their own child of
 (parallel GRASP: Pardalos, Pitsoulis & Resende, 1995) once r * |D| * k
 reaches ``FAN_OUT_CELLS`` and two CPUs are usable; the first best in
 restart order is kept either way, so where they ran does not matter.
+A worker freezes the objects it inherits (``gc.freeze``): a full
+collection walks every tracked object and writes to its page, so in a
+forked worker it would copy every page of the parent's heap that holds
+one.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -259,12 +265,18 @@ def _construct_global(ev: IncrementalEvaluator, params: SearchParams, rng) -> in
 def _construct_myopic(ev: IncrementalEvaluator, params: SearchParams, rng) -> int:
     inst = ev.inst
     order = rng.permutation(inst.num_entries)  # fixed entry ordering per run
-    applied = 0
+    applied, visit, layouts = 0, None, []
     for _ in range(inst.t):
         # A pass adds only to the entry it visits, so the entries still
-        # below the cap are known when it starts.
-        for window in ev.windows(order[ev.counts[order] < inst.t]):
-            ev.open_window(window)
+        # below the cap are known when it starts. Their windows and
+        # layouts depend on nothing else, so a pass that visits the
+        # entries the last one did (every pass, from an empty evaluator)
+        # reuses them.
+        below = order[ev.counts[order] < inst.t]
+        if visit is None or not np.array_equal(below, visit):
+            visit, layouts = below, ev.window_layouts(below)
+        for window, layout in layouts:
+            ev.open_window(layout)
             for d in window:
                 a = _select_from_gain_row(ev.add_gain_row(d), params, rng)
                 if a is not None:
@@ -339,12 +351,14 @@ _inherited: list = []
 
 
 def _init_worker(parent: int, args: tuple) -> None:
-    """A restart worker's initializer: keep ``args`` and die with the
+    """A restart worker's initializer: keep ``args``, freeze the objects
+    inherited from the parent (see the module docstring) and die with the
     parent. A worker blocks on a pipe whose write end it holds itself, so
     a killed parent would leave it waiting for good; on Linux the kernel
     sends it SIGKILL instead (PR_SET_PDEATHSIG), and a parent that died
     before that was set shows as a changed parent pid."""
     _inherited.extend(args)
+    gc.freeze()
     if sys.platform.startswith("linux"):
         import ctypes
 

@@ -1,6 +1,7 @@
-"""The global construction scan reads a kept addition table and an
-unbuffered worst-column gather; both must give the bits of the formulas
-they replaced, copied here as references."""
+"""The global construction scan reads a kept addition table, an
+unbuffered worst-column gather and the cosine column's closed form; each
+must give the bits of the formulas it replaced, copied here as
+references."""
 
 import warnings
 
@@ -21,7 +22,7 @@ from privpart import (
     synthetic_checkin_lines,
     validate_instance,
 )
-from privpart.evaluator import IncrementalEvaluator, _Block, _SumsKernel
+from privpart.evaluator import IncrementalEvaluator, _Block, _CosineKernel, _SumsKernel
 from privpart.exact import solve_exact
 from privpart.heuristics import construction
 
@@ -71,10 +72,14 @@ def _cases():
 
 def _reference_columns(ev):
     """Reference columns: the worst sums kernel's gather through the
-    default np.take, written through np.full and a fancy assignment;
-    every other kernel's own add_col."""
+    default np.take, written through np.full and a fancy assignment; the
+    cosine kernel's per-entry ``_aggregates`` over one window of every
+    entry; the average sums kernel's own add_col."""
     kn, inst = ev.kernel, ev.inst
     cols = np.empty((inst.num_entries, ev.k))
+    if ev.num_p and isinstance(kn, _CosineKernel):
+        win = ev._score_block(_Block(ev, range(inst.num_entries)))
+        aggs = [ev._aggregates(win, win.row[d]) for d in range(inst.num_entries)]
     for a in range(ev.k):
         if not ev.num_p:
             cols[:, a] = ev.fprime[a]
@@ -85,6 +90,8 @@ def _reference_columns(ev):
             seg_max = np.maximum.reduceat(kn.g(inst, vals, kn.pcols), kn.indptr[rows])
             out[rows] = np.maximum(ev.fprime[a], seg_max)
             cols[:, a] = out
+        elif isinstance(kn, _CosineKernel):
+            cols[:, a] = [agg[a] for agg in aggs]
         else:
             cols[:, a] = kn.add_col(ev, a)
     return cols
@@ -114,7 +121,7 @@ def _reference_bounds(ev, cols):
     if ev.kernel.col_floor:
         floor = cols
     else:
-        floor = np.broadcast_to(ev.fprime if ev.kernel.monotone else _NEG_INF, bits.shape)
+        floor = np.broadcast_to(ev.fprime, bits.shape)  # average quadratic, a monotone kernel
     add = _reference_gain(ev, ev._uz, np.maximum(diag, floor),
                           (counts == 0).astype(np.float64)[:, None])
     best = np.where(~bits & (counts < inst.t)[:, None], add, _NEG_INF).max(axis=1)

@@ -26,7 +26,7 @@ from privpart import (
     tradeoff_objective,
     validate_instance,
 )
-from privpart.evaluator import IncrementalEvaluator
+from privpart.evaluator import IncrementalEvaluator, _Block
 from privpart.heuristics import RCL_ALPHA, _select_from_gain_matrix, _select_from_gain_row
 
 from checked_evaluator import CheckedEvaluator
@@ -273,7 +273,8 @@ def test_scalar_other_max_matches_numpy_reference():
     for gains in _selection_rows():
         fprime = np.where(np.isinf(gains), 0.0, np.abs(gains))  # aggregates are finite, >= 0
         k = fprime.size
-        diag, excl = IncrementalEvaluator._excluded_max(SimpleNamespace(fprime=fprime, k=k))
+        ev = SimpleNamespace(fprime=fprime.tolist(), k=k)  # the evaluator keeps a list
+        diag, excl = IncrementalEvaluator._excluded_max(ev)
         assert np.array_equal(diag, _other_max_numpy(fprime))
         for a, b in product(range(k), repeat=2):
             rest = [fprime[c] for c in range(k) if c not in (a, b)]
@@ -298,7 +299,7 @@ def _recorded_construction(inst, params, seed, evaluator=IncrementalEvaluator):
     moves, blocks, alone = [], [], []
     add, score, row = ev.add, ev._score_block, ev.kernel.row
     ev.add = lambda d, a: moves.append(Move("add", d, to_adversary=a)) or add(d, a)
-    ev._score_block = lambda entries: blocks.append(len(entries)) or score(entries)
+    ev._score_block = lambda blk: blocks.append(len(blk.order)) or score(blk)
     ev.kernel.row = lambda ev_, d, a, on: alone.append((d, a, on)) or row(ev_, d, a, on)
     construction(inst, params, np.random.default_rng(seed), evaluator=ev)
     return ev, moves, blocks, alone
@@ -425,6 +426,79 @@ def test_myopic_construction_passes_cross_check_on_location_instance():
         assert len(moves) >= inst.num_entries
 
 
+def _t3_instance():
+    """t=3 over sparse properties, so that windows hold several entries."""
+    return generate_instance(SynthConfig(150, 40, k=4, t=3, p_f=0.02, seed=66),
+                             model=DisclosureModel("linear", "average"))
+
+
+def test_myopic_construction_lays_windows_out_once_from_an_empty_evaluator(monkeypatch):
+    # From an empty evaluator every pass visits every entry, so one
+    # windows() call and one layout per window serve all t passes.
+    built = []
+    init = _Block.__init__
+
+    def spy(blk, ev, entries):
+        built.append(len(entries))
+        init(blk, ev, entries)
+
+    monkeypatch.setattr(_Block, "__init__", spy)
+    for inst in (_small_location_instance(), _t3_instance()):
+        for seed, params in enumerate((SearchParams("greedy", "myopic"),
+                                       SearchParams("grasp", "myopic", n=3))):
+            ev, runs, opened = IncrementalEvaluator(inst), [], []
+            windows, score = ev.windows, ev._score_block
+            ev.windows = lambda entries: runs.append(windows(entries)) or runs[-1]
+            ev._score_block = lambda blk: opened.append(blk) or score(blk)
+            built.clear()
+            construction(inst, params, np.random.default_rng(seed), evaluator=ev)
+            assert len(runs) == 1
+            assert built == [len(run) for run in runs[0]]
+            assert sum(built) == inst.num_entries and max(built) > 1
+            assert opened == opened[:len(built)] * inst.t  # each pass opens the same layouts
+
+
+def _per_pass_myopic(ev, params, rng):
+    """Myopic construction that cuts and lays out its windows anew in
+    every pass."""
+    inst = ev.inst
+    order = rng.permutation(inst.num_entries)
+    for _ in range(inst.t):
+        for window in ev.windows(order[ev.counts[order] < inst.t]):
+            ev.open_window(_Block(ev, window))
+            for d in window:
+                a = _select_from_gain_row(ev.add_gain_row(d), params, rng)
+                if a is not None:
+                    ev.add(d, a)
+
+
+def test_myopic_construction_from_a_partial_assignment_equals_per_pass_layouts():
+    # Entries one addition below the cap leave the visiting list once they
+    # get it, so the list changes between passes and the layouts are
+    # built again.
+    rng = np.random.default_rng(9)
+    rebuilt = 0
+    for inst in (_small_location_instance(k=3), _t3_instance()):
+        for seed, params in enumerate((SearchParams("greedy", "myopic"),
+                                       SearchParams("grasp", "myopic", n=3))):
+            bits = np.zeros((inst.num_entries, inst.k), dtype=bool)
+            for d in range(inst.num_entries):
+                bits[d, rng.choice(inst.k, int(rng.integers(inst.t)), replace=False)] = True
+            ev, calls = IncrementalEvaluator(inst, Assignment(bits)), []
+            ours = np.random.default_rng(seed)
+            windows = ev.windows
+            ev.windows = lambda entries: calls.append(entries.size) or windows(entries)
+            construction(inst, params, ours, evaluator=ev)
+            ref, theirs = IncrementalEvaluator(inst, Assignment(bits)), np.random.default_rng(seed)
+            _per_pass_myopic(ref, params, theirs)
+            assert np.array_equal(ev.bits, ref.bits), (inst.model, params)
+            assert np.asarray(ev.fprime).tobytes() == np.asarray(ref.fprime).tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert calls[0] > calls[-1]
+            rebuilt += len(calls) - 1
+    assert rebuilt >= 4
+
+
 def _in_lockstep(ev, ref, lists, paired):
     """Make ``ev.apply`` apply each move to ref too and compare the two
     states bitwise after it, and the kernel rows of a removal before it;
@@ -443,7 +517,7 @@ def _in_lockstep(ev, ref, lists, paired):
         ref.apply(move)
         for name in ("kernel.norms", "kernel.dots", "f_ap", "fprime", "f_row_sum"):
             got, want = attrgetter(name)(ev), attrgetter(name)(ref)
-            assert got.tobytes() == want.tobytes(), (move, name)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (move, name)
         assert ev.f == ref.f
 
     ev.apply = both
@@ -651,15 +725,20 @@ def test_screened_local_search_matches_unscreened_reference():
 
 
 def test_local_search_skips_entries_on_location_instance():
-    inst = _small_location_instance()
-    rng = np.random.default_rng(0)
-    ev = IncrementalEvaluator(inst)
-    construction(inst, SearchParams("greedy", "myopic"), rng, evaluator=ev)
-    scored = []
-    scan = ev.neighborhood_gains
-    ev.neighborhood_gains = lambda d: scored.append(d) or scan(d)
-    local_search(inst, None, rng, evaluator=ev)
-    assert len(scored) < inst.num_entries
+    # Cosine average floors additions and swaps at the entry's own column
+    # entry, so after either construction no entry needs scoring.
+    for k in (5, 2):
+        inst = _small_location_instance(k=k)
+        for scope in ("myopic", "global"):
+            rng = np.random.default_rng(0)
+            ev = IncrementalEvaluator(inst)
+            assert ev.kernel.col_floor
+            construction(inst, SearchParams("greedy", scope), rng, evaluator=ev)
+            scored = []
+            scan = ev.neighborhood_gains
+            ev.neighborhood_gains = lambda d: scored.append(d) or scan(d)
+            local_search(inst, None, rng, evaluator=ev)
+            assert scored == [], (k, scope, len(scored))
 
 
 def test_screen_skips_most_entries_after_global_construction_at_scale():

@@ -1,8 +1,9 @@
 """solve's restarts in forked worker processes: the same result as in
-process, bit for bit, errors that keep their type, no child left behind,
-also when the parent is killed, and small solves that never start a
-pool."""
+process, bit for bit, errors that keep their type, workers that freeze
+the objects they inherit, no child left behind, also when the parent is
+killed, and small solves that never start a pool."""
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -99,6 +100,23 @@ def test_worker_error_keeps_its_type_and_leaves_no_child(monkeypatch):
         solve(_synth(200, 10), SearchParams("grasp", "global", n=5, r=3, seed=1))
     assert multiprocessing.active_children() == []
     assert threading.active_count() == 1
+
+
+def test_workers_freeze_the_objects_they_inherit(monkeypatch):
+    # A worker's full collection must not walk, and so copy, the pages of
+    # the parent's heap. Each stub restart reports its worker's frozen
+    # object count as its move count.
+    def restart(instance, params, streams, rep):
+        bits = np.zeros((instance.num_entries, instance.k), dtype=bool)
+        return gc.get_freeze_count(), float(rep), bits
+
+    monkeypatch.setattr(heuristics, "_restart", restart)
+    _force_workers(monkeypatch, 2)
+    inst = _synth(200, 10)
+    assert solve(inst, SearchParams("grasp", "global", n=5, r=2, seed=1)).iterations > 1000
+    _force_workers(monkeypatch, 1)
+    assert solve(inst, SearchParams("grasp", "global", n=5, r=2, seed=1)).iterations == 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_worker_count_is_bounded_by_restarts_and_usable_cpus():
