@@ -88,14 +88,10 @@ def aggregate_disclosure(vector: np.ndarray, mode: str):
     vector = np.asarray(vector, dtype=np.float64)
     if vector.shape[-1] == 0:
         out = np.zeros(vector.shape[:-2])
+    elif mode == "worst":
+        out = vector.max(axis=(-2, -1))
     else:
-        rows = vector if mode == "worst" else vector.mean(axis=-1, keepdims=True)
-        # k whole-array maxima, not a reduction over the short k axis per
-        # row; a max is exact, so the bits are the same.
-        out = rows[..., 0, :].copy()
-        for a in range(1, rows.shape[-2]):
-            np.maximum(out, rows[..., a, :], out=out)
-        out = out.max(axis=-1)
+        out = vector.mean(axis=-1).max(axis=-1)
     return out if out.ndim else float(out)
 
 

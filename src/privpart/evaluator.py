@@ -48,13 +48,12 @@ new aggregates.
                            a flip made stale are recomputed in one
                            ``add_cols`` call
 * ``neighborhood_gains(d)`` -- gains of entry d's local-search neighbors,
-                           on Python floats
+                           on Python floats; additions read d's row of
+                           the columns
 * ``neighborhood_gain_bounds()`` -- for every entry at once, the same
                            expression at lower bounds on f_new, hence an
-                           upper bound on its neighbors' gains; it reads
-                           the cached columns where the kernel's
-                           ``col_floor`` says they are bitwise the
-                           additions' values
+                           upper bound on its neighbors' gains; it floors
+                           additions and swaps at the columns
 
 The addition table is one (|D|, k) array, built when a gain matrix or
 the gain bounds first need it: a cell holds the orphan bonus of an
@@ -77,15 +76,16 @@ once; the aggregate of each entry is then ``_aggregates``'s expression
 on numpy arrays, which round as Python floats do: under average
 ``fprime[a] + shift[a] / |P|``, under worst ``max(fprime[a], top[a])``
 with a rescan of a's row only for the entries one of whose values
-falls. So every column entry is bitwise the aggregate an addition of
-that entry reads, and the gain bound floors at it (``col_floor``) for
-every kernel but average quadratic, whose closed forms sum in different
-orders.
+falls. The sums kernel's average block forms run its columns'
+operations in the same order (quadratic sums ``s.w`` member by member,
+as the sparse product does). So under both aggregations every column
+entry is bitwise the aggregate an addition of that entry reads, and the
+gain bound and ``neighborhood_gains`` read it in its place.
 
-Additions are scored in windows. ``windows(entries)`` cuts a sequence
-of entries, in order, into maximal runs of which no two share kernel
-state: no property, and for cosine no user either (two friends share
-their property), as listed by the instance's ``_conflict_keys``.
+Myopic additions are scored in windows. ``windows(entries)`` cuts a
+sequence of entries, in order, into maximal runs of which no two share
+kernel state: no property, and for cosine no user either (two friends
+share their property), as listed by the instance's ``_conflict_keys``.
 ``window_layouts(entries)`` lays each run out as a ``_Block``, which
 depends only on the run and the incidence, so the myopic construction
 cuts and lays out its windows once and opens them again in every pass
@@ -105,8 +105,9 @@ drops the window. The block reduces each entry's columns group by group
 of entries with one degree, reshaped to (k, entries, degree), which
 numpy sums row by row exactly as it sums the entry's own row
 (``np.add.reduceat`` adds in another order), so a window gives the
-one-entry loop's bits. An entry outside the open window is scored in a
-window of its own, so every addition score takes this one path. Under
+one-entry loop's bits. ``add_gain_row`` scores an entry outside the
+open window in a window of its own; every other addition reads its
+column, bitwise equal. Under
 worst, an addition merges its largest new value into the aggregate;
 under cosine worst, where a value of d's properties falls, it rescans
 a's full row, and so does the score of that addition.
@@ -114,8 +115,8 @@ a's full row, and so does the score of that addition.
 Every flip ends in one tail: ``kernel.restore`` of the new state,
 the new values into ``f_ap`` and ``_refresh_agg``. Worst or average
 aggregation is chosen only in that tail of ``_flip``, ``_refresh_agg``,
-``_row_aggregate``, ``_aggregates``, and the kernels' ``add_block``,
-columns and ``col_floor``.
+``_row_aggregate``, ``_aggregates``, and the kernels' ``add_block`` and
+columns.
 """
 
 from __future__ import annotations
@@ -130,15 +131,11 @@ _INF = np.inf
 _NEG_INF = -np.inf
 
 
-def _quadratic_average_block(kn: _SumsKernel, blk: _Block, s) -> np.ndarray:
-    """``2 s.w + w.w`` of each entry of blk with properties, for every
-    adversary. A matrix-vector product has no bitwise block form, so
-    each entry's ``s @ w`` runs as it does for the entry alone."""
-    cols = []
-    for d in blk.entries[blk.empty:].tolist():
-        props, w = kn._props_w(d)
-        cols.append(2.0 * (kn.s[:, props] @ w) + kn.inst._entry_sqsum[d])
-    return np.array(cols).reshape(-1, kn.s.shape[0]).T
+def _sum_in_order(x: np.ndarray, axis: int) -> np.ndarray:
+    """x summed along axis one element after another, as a sparse
+    matrix-vector product sums each row (``np.add.reduce`` sums long
+    rows pairwise)."""
+    return np.add.accumulate(x, axis=axis).take(-1, axis=axis)
 
 
 # Per family of the sums kernel: the value g(inst, s, props) of sums s
@@ -147,30 +144,27 @@ def _quadratic_average_block(kn: _SumsKernel, blk: _Block, s) -> np.ndarray:
 # adversary (kernel, block, s: (k, L) sums on the block's properties),
 # and for one adversary and every entry (s: that adversary's (|P|,)
 # sums). Summing g differences instead would round differently and so
-# change results. The last field says whether the two closed forms run
-# the same operations in the same order, so that a column entry is
-# bitwise the block's value: step's counts and linear's shared
-# ``_entry_colsum`` are, quadratic's ``s @ w`` and sparse matvec sum in
-# different orders.
+# change results. The two forms run the same operations in the same
+# order, so a column entry is bitwise the block's value: step's exact
+# counts, linear's shared ``_entry_colsum``, and quadratic's ``s.w``
+# summed in member order, as the sparse product sums it.
 _SUMS_FAMILIES = {
     "step": (
         lambda inst, s, props: (s == inst._sizes[props]).astype(np.float64),
-        lambda kn, blk, s: blk.reduce(s == kn.inst._sizes[blk.props] - 1.0, np.add),
+        lambda kn, blk, s: blk.reduce(s == kn.inst._sizes[blk.props] - 1.0, np.add.reduce),
         lambda inst, s: inst._entry_weights @ (s == inst._sizes - 1.0).astype(np.float64),
-        True,
     ),
     "linear": (
         lambda inst, s, props: s,
         lambda kn, blk, s: np.repeat(kn.inst._entry_colsum[None, blk.entries[blk.empty:]],
                                      s.shape[0], axis=0),
         lambda inst, s: inst._entry_colsum,
-        True,
     ),
     "quadratic": (
         lambda inst, s, props: s**2,
-        _quadratic_average_block,
+        lambda kn, blk, s: (2.0 * blk.reduce(s * kn.w[blk.at], _sum_in_order)
+                            + kn.inst._entry_sqsum[blk.entries[blk.empty:]]),
         lambda inst, s: 2.0 * (inst._entry_weights @ s) + inst._entry_sqsum,
-        False,
     ),
 }
 
@@ -188,7 +182,7 @@ class _Block:
 
     def __init__(self, ev: IncrementalEvaluator, entries):
         ptr = ev._indptr
-        if len(entries) == 1:  # a dense instance's window, or a local-search score
+        if len(entries) == 1:  # a dense instance's window, or a row outside the window
             d = entries[0]
             n = ptr[d + 1] - ptr[d]
             self.order, self.deg, self.spans = [d], [n], [(0, n)]
@@ -215,15 +209,15 @@ class _Block:
         self.props = ev._pcols[self.at]
 
     def reduce(self, x: np.ndarray, how) -> np.ndarray:
-        """The ufunc ``how`` reduced over each entry's columns of the
-        (k, L) block x, for the entries with properties: (k, entries -
-        empty). The entries of one degree n reduce as one (k, entries, n)
-        view, which numpy reduces row by row as it reduces a lone (k, n)
-        row."""
+        """``how(view, axis)``, a reduction such as a ufunc's ``reduce``,
+        over each entry's columns of the (k, L) block x, for the entries
+        with properties: (k, entries - empty). The entries of one degree n
+        reduce as one (k, entries, n) view, which numpy reduces row by row
+        as it reduces a lone (k, n) row."""
         parts, lo = [], 0
         for n, count in self.runs:
             hi = lo + n * count
-            parts.append(how.reduce(x[:, lo:hi].reshape(x.shape[0], count, n), axis=2))
+            parts.append(how(x[:, lo:hi].reshape(x.shape[0], count, n), axis=2))
             lo = hi
         if len(parts) == 1:
             return parts[0]
@@ -273,8 +267,9 @@ class IncrementalEvaluator:
         self.kernel = (_CosineKernel(instance) if family == "cosine"
                        else _SumsKernel(instance, self._pcols, *_SUMS_FAMILIES[family]))
 
-        # Lazy per-adversary candidate columns for the global construction
-        # scan; a flip only invalidates the touched adversary's column.
+        # Lazy per-adversary addition columns for the global construction
+        # scan, the gain bounds and local search's additions; a flip only
+        # invalidates the touched adversary's column.
         # The scan's other tables are built on first use too, so evaluators
         # that never scan (myopic construction, result checks) skip them.
         self._col_cache: np.ndarray | None = None
@@ -560,7 +555,7 @@ class IncrementalEvaluator:
         count = int(self.counts[d])
         held = self.bits[d].tolist()
         free = [b for b in range(self.k) if not held[b]]
-        add_f = self._add_aggregates(d) if free else None
+        add_f = self._columns()[d].tolist() if free else None
         excl = self._excluded_max()[1]
         props = self._props(d)
         out: list[tuple[Move, float]] = []
@@ -588,19 +583,13 @@ class IncrementalEvaluator:
         Each bound is the gain expression (``_gain``) of the entry's
         moves at lower bounds on their new disclosure: the excluded max
         of the adversaries a move touches, and for an addition or a swap
-        to b also a floor on b's new aggregate. Where the kernel's
-        ``col_floor`` is set, the floor is the entry's own column entry
-        (``_columns``), bitwise the aggregate the move would read, so an
-        addition's bound is its gain. The one kernel without it, average
-        quadratic, is monotone, so its floor is fprime[b] (running sums
-        are clamped at 0, so 2 s.a + a.a >= 0). The removed entry's own
-        change is left out of a swap's bound."""
+        to b also a floor on b's new aggregate: the entry's own column
+        entry (``_columns``), bitwise the aggregate the move would read, so
+        an addition's bound is its gain. The removed entry's own change is
+        left out of a swap's bound."""
         inst, bits, counts = self.inst, self.bits, self.counts
         diag, excl = self._excluded_max()
-        if self.kernel.col_floor:
-            floor = self._columns()
-        else:
-            floor = np.broadcast_to(np.asarray(self.fprime), bits.shape)
+        floor = self._columns()
         # low is finite (k >= 2), so ineligible cells stay -inf at lam = 0.
         best = self._gain(self._uz, np.maximum(diag, floor), self._additions()).max(axis=1)
         rem = self._gain(-self._uz, np.broadcast_to(diag, bits.shape),
@@ -642,15 +631,11 @@ class _SumsKernel:
     evaluator as their first argument; the kernel keeps no reference to
     it, so an evaluator is freed as soon as its last user drops it."""
 
-    def __init__(self, inst: Instance, pcols, g, average_block, average_col, average_exact: bool):
+    def __init__(self, inst: Instance, pcols, g, average_block, average_col):
         self.inst = inst
         ew = inst._entry_weights
         self.indptr, self.pcols, self.w = ew.indptr, pcols, ew.data
         self.g, self._average_block, self._average_col = g, average_block, average_col
-        # Whether add_col's entries are bitwise add_block's values: always
-        # under worst (a max is exact in any order), under average where
-        # the family's two closed forms match operation for operation.
-        self.col_floor = inst.model.aggregation == "worst" or average_exact
         self._seg: tuple | None = None  # worst segmented-max tables, built on first use
         # Linear's average column reads no sums: its one division, made once.
         self._linear_col = (inst._entry_colsum / inst.num_properties
@@ -682,10 +667,10 @@ class _SumsKernel:
         new_s = s + self.w[blk.at]
         new_f = self.g(self.inst, new_s, props)
         if ev.worst:
-            top = blk.reduce(new_f, np.maximum)
+            top = blk.reduce(new_f, np.maximum.reduce)
             return new_s, new_f, top, top, None
         return (new_s, new_f, self._average_block(self, blk, s),
-                blk.reduce(new_f - ev.f_ap.take(props, axis=1), np.add), None)
+                blk.reduce(new_f - ev.f_ap.take(props, axis=1), np.add.reduce), None)
 
     @staticmethod
     def window_row(state, i: int, a: int, lo: int, hi: int) -> np.ndarray:
@@ -741,12 +726,6 @@ class _CosineKernel:
     it as a flip that skips it would, so the state is bitwise the one a
     fresh evaluator reaches by replaying the moves."""
 
-    # An added entry inflates its user's norm without necessarily adding
-    # overlap, so a component can fall; the gain bound floors at add_cols'
-    # entries, which are bitwise the additions' aggregates under both
-    # aggregations.
-    col_floor = True
-
     def __init__(self, inst: Instance):
         t = inst._cosine
         self.e_user, self.e_sq = t.user_idx, t.sq_counts
@@ -786,9 +765,10 @@ class _CosineKernel:
         new_f = self._cosine(dots, denom)
         old_f = ev.f_ap.take(props, axis=1)
         if ev.worst:
-            top = blk.reduce(new_f, np.maximum)
-            return (users, norm_u, dots), new_f, top, top, blk.reduce(new_f < old_f, np.logical_or)
-        shift = blk.reduce(new_f - old_f, np.add)
+            top = blk.reduce(new_f, np.maximum.reduce)
+            falls = blk.reduce(new_f < old_f, np.logical_or.reduce)
+            return (users, norm_u, dots), new_f, top, top, falls
+        shift = blk.reduce(new_f - old_f, np.add.reduce)
         return (users, norm_u, dots), new_f, shift, shift, None
 
     @staticmethod

@@ -55,13 +55,11 @@ ORSA J. Computing 4, 1992). The bound
 expression every move is scored with, evaluated at lower bounds on the
 move's new overall disclosure: the largest aggregate of the adversaries
 the move does not touch, and for an addition or a swap to b also a floor
-on b's new aggregate. Where the evaluator's column of b (``add_cols``,
-cached for the global construction scan) is bitwise the value the move
-reads (every family and aggregation but average quadratic), the floor
-is the entry's own column entry, so an addition's bound is its gain.
-Average quadratic floors at b's current aggregate (lam in [0, 1] and
-a_dp >= 0 are validated, and running sums are clamped at 0 on removal,
-so adding an entry cannot lower it). The expression does not increase
+on b's new aggregate, the entry's own entry of the evaluator's cached
+column of b (``add_cols``), which is bitwise the value the move reads
+under every family and aggregation, so an addition's bound is its gain. ``neighborhood_gains`` reads its
+additions from the same columns, which the bounds have just refreshed,
+so local search lays out no window. The expression does not increase
 with the disclosure, also after float rounding, so the bound is at least
 every gain the entry would score, a skipped entry is one on which no
 move could have been accepted, and the moves are those of the

@@ -288,11 +288,9 @@ def test_incremental_matches_scratch_on_long_walks_at_scale(shape):
 @pytest.mark.parametrize("aggregation", ["worst", "average"])
 @pytest.mark.parametrize("family", ["step", "linear", "quadratic"])
 def test_add_gain_matrix_matches_add_gain_row_on_random_walks(family, aggregation):
-    # The gain screen floors additions and swaps at the cached column
-    # wherever the kernel's col_floor is set, which needs every column
-    # entry to be the row's bits. Average quadratic sums s @ w and its
-    # sparse matvec in different orders, so it keeps a tolerance.
-    exact = (family, aggregation) != ("quadratic", "average")
+    # The gain screen floors additions and swaps at the cached column,
+    # and local search scores its additions from it, which needs every
+    # column entry to be the row's bits.
     rng = np.random.default_rng(7)
     num_d, k, t = 9, 3, 2
     for _ in range(5):
@@ -307,18 +305,14 @@ def test_add_gain_matrix_matches_add_gain_row_on_random_walks(family, aggregatio
             lam=0.8, tau=0.2, model=DisclosureModel(family, aggregation),
         ))
         ev = IncrementalEvaluator(inst)
-        assert ev.kernel.col_floor == exact
         for _ in range(40):
             gains = ev.add_gain_matrix()
             eligible = ~ev.bits & (ev.counts < t)[:, None]
             assert np.all(gains[~eligible] == -np.inf)
             for d, a in zip(*np.nonzero(eligible)):
                 row = ev.add_gain_row(int(d))[a]
-                if exact:
-                    assert gains[d, a] == row
-                    assert ev._columns()[d, a] == ev._add_aggregates(int(d))[a]
-                else:
-                    assert abs(gains[d, a] - row) <= 1e-12
+                assert gains[d, a] == row
+                assert ev._columns()[d, a] == ev._add_aggregates(int(d))[a]
             d = int(rng.integers(num_d))
             setbits = np.nonzero(ev.bits[d])[0]
             unset = np.nonzero(~ev.bits[d])[0]

@@ -1,7 +1,8 @@
-"""The global construction scan reads a kept addition table, an
-unbuffered worst-column gather and the cosine column's closed form; each
-must give the bits of the formulas it replaced, copied here as
-references."""
+"""The global construction scan and the gain bounds read a kept
+addition table and each kernel's columns in closed form; each must give
+the bits of a reference written here: the table's formula, and for the
+columns the aggregate each entry's addition reads from one window of
+every entry."""
 
 import warnings
 
@@ -15,14 +16,16 @@ from privpart import (
     Move,
     SearchParams,
     SensitiveProperty,
+    SynthConfig,
     build_location_instance,
+    generate_instance,
     ingest_checkins,
     rand_plus,
     random_small_instance,
     synthetic_checkin_lines,
     validate_instance,
 )
-from privpart.evaluator import IncrementalEvaluator, _Block, _CosineKernel, _SumsKernel
+from privpart.evaluator import IncrementalEvaluator, _Block
 from privpart.exact import solve_exact
 from privpart.heuristics import construction
 
@@ -67,34 +70,22 @@ def _cases():
                 cases += [_random_instance(rng, family, aggregation, lam, full=full)
                           for full in (False, True)]
             cases += [_with(inst, aggregation, lam) for inst in cosine]
+    # Entries in a dozen properties each, where pairwise, sequential and
+    # BLAS sums part ways.
+    cfg = SynthConfig(num_entries=200, num_properties=40, k=4, t=2, p_f=0.3, seed=5)
+    cases += [generate_instance(cfg, DisclosureModel(family, "average"), lam=0.7)
+              for family in ("quadratic", "linear")]
     return cases
 
 
 def _reference_columns(ev):
-    """Reference columns: the worst sums kernel's gather through the
-    default np.take, written through np.full and a fancy assignment; the
-    cosine kernel's per-entry ``_aggregates`` over one window of every
-    entry; the average sums kernel's own add_col."""
-    kn, inst = ev.kernel, ev.inst
-    cols = np.empty((inst.num_entries, ev.k))
-    if ev.num_p and isinstance(kn, _CosineKernel):
-        win = ev._score_block(_Block(ev, range(inst.num_entries)))
-        aggs = [ev._aggregates(win, win.row[d]) for d in range(inst.num_entries)]
-    for a in range(ev.k):
-        if not ev.num_p:
-            cols[:, a] = ev.fprime[a]
-        elif ev.worst and isinstance(kn, _SumsKernel):
-            rows = np.flatnonzero(np.diff(kn.indptr))
-            vals = np.take(kn.s[a], kn.pcols) + kn.w
-            out = np.full(inst.num_entries, ev.fprime[a])
-            seg_max = np.maximum.reduceat(kn.g(inst, vals, kn.pcols), kn.indptr[rows])
-            out[rows] = np.maximum(ev.fprime[a], seg_max)
-            cols[:, a] = out
-        elif isinstance(kn, _CosineKernel):
-            cols[:, a] = [agg[a] for agg in aggs]
-        else:
-            cols[:, a] = kn.add_col(ev, a)
-    return cols
+    """Reference columns: each entry's ``_aggregates`` over one window of
+    every entry, the value an addition of it reads."""
+    inst = ev.inst
+    if not ev.num_p:
+        return np.tile(ev.fprime, (inst.num_entries, 1))
+    win = ev._score_block(_Block(ev, range(inst.num_entries)))
+    return np.array([ev._aggregates(win, win.row[d]) for d in range(inst.num_entries)])
 
 
 def _reference_gain(ev, u, low, bonus):
@@ -118,11 +109,7 @@ def _reference_gain_matrix(ev, cols):
 def _reference_bounds(ev, cols):
     inst, bits, counts = ev.inst, ev.bits, ev.counts
     diag, excl = ev._excluded_max()
-    if ev.kernel.col_floor:
-        floor = cols
-    else:
-        floor = np.broadcast_to(ev.fprime, bits.shape)  # average quadratic, a monotone kernel
-    add = _reference_gain(ev, ev._uz, np.maximum(diag, floor),
+    add = _reference_gain(ev, ev._uz, np.maximum(diag, cols),
                           (counts == 0).astype(np.float64)[:, None])
     best = np.where(~bits & (counts < inst.t)[:, None], add, _NEG_INF).max(axis=1)
     rem = _reference_gain(ev, -ev._uz, np.broadcast_to(diag, bits.shape),
@@ -134,7 +121,7 @@ def _reference_bounds(ev, cols):
         if rows.size == 0:
             continue
         swap = _reference_gain(ev, (w[rows] - w[rows, a][:, None]) / ev.z,
-                               np.maximum(excl[a], floor[rows]), 0.0)
+                               np.maximum(excl[a], cols[rows]), 0.0)
         swap[bits[rows]] = _NEG_INF
         best[rows] = np.maximum(best[rows], swap.max(axis=1))
     return best

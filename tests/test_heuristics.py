@@ -652,9 +652,9 @@ def test_gain_bounds_cover_every_neighbor_gain():
 
 
 def test_addition_gains_are_one_expression_on_every_path():
-    # neighborhood_gains scores its additions on Python floats, add_gain_row
-    # on a numpy row and the bound on the (|D|, k) matrix; all three must
-    # evaluate the same expression to the same bits.
+    # neighborhood_gains scores its additions from the cached columns,
+    # add_gain_row from a window and the bound on the (|D|, k) matrix; all
+    # three must evaluate the same expression to the same bits.
     rows = tight = 0
     for i, (inst, scope) in enumerate(_screen_cases()):
         ev = _walked_evaluator(inst, i, scope)
@@ -667,7 +667,7 @@ def test_addition_gains_are_one_expression_on_every_path():
                 assert [float(g).hex() for _, g in adds] == \
                     [float(row[b]).hex() for b, _ in adds], (i, d)
                 rows += 1
-            if ev.kernel.col_floor and moves and len(adds) == len(moves):
+            if moves and len(adds) == len(moves):
                 # An entry with no adversary: its bound is its best gain.
                 assert bound[d] == max(g for _, g in adds), (i, d)
                 tight += 1
@@ -678,7 +678,7 @@ def test_gain_bound_keeps_quadratic_floor_as_removed_sums_clamp_at_zero():
     # Weights 1 and 2**-53 on one property: adding both to adversary 0 and
     # removing them again would leave its running sum at -2**-53 in plain
     # float arithmetic. Weights are nonnegative, so removal clamps the sum
-    # at 0, and the fprime floor of the average quadratic bound stays safe.
+    # at 0; the bound, which floors at the columns, still covers every gain.
     props = [SensitiveProperty(0, (0, 1), (1.0, 2.0**-53)),
              SensitiveProperty(1, (2, 3), (2.0**-40, 1.0 - 2.0**-40))]
     w = np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
@@ -732,7 +732,6 @@ def test_local_search_skips_entries_on_location_instance():
         for scope in ("myopic", "global"):
             rng = np.random.default_rng(0)
             ev = IncrementalEvaluator(inst)
-            assert ev.kernel.col_floor
             construction(inst, SearchParams("greedy", scope), rng, evaluator=ev)
             scored = []
             scan = ev.neighborhood_gains
@@ -748,7 +747,6 @@ def test_screen_skips_most_entries_after_global_construction_at_scale():
     rng = np.random.default_rng(1)
     ev = IncrementalEvaluator(inst)
     construction(inst, SearchParams("greedy", "global"), rng, evaluator=ev)
-    assert ev.kernel.col_floor
     scored = []
     scan = ev.neighborhood_gains
     ev.neighborhood_gains = lambda d: scored.append(d) or scan(d)
