@@ -16,7 +16,7 @@ column of the assignment.
 assignments at once from an (n, |D|, k) bit tensor and returns the
 unclipped (n, k, |P|) values together with the running state the
 incremental evaluator keeps. Every from-scratch path goes through it:
-the evaluator's ``reset`` (n = 1, unclipped), and, clipped to [0, 1],
+a new evaluator's state (n = 1, unclipped), and, clipped to [0, 1],
 the exact solvers' one-adversary columns (``exact._set_disclosure``),
 ``disclosure_vector`` and the batched objective.
 """

@@ -63,11 +63,11 @@ to their gains as one array of the gains' shape, which applies the bonus
 and masks the ineligible cells at once; the new disclosure they add it
 to is finite (k >= 2), so a masked cell is -inf also at lam = 0. Once
 the table exists, ``_flip`` lists the rows it touches and the next read
-rewrites just those; ``reset`` drops it, and an evaluator that never
-scans globally (myopic construction, result checks) pays one attribute
-test per flip. So no step of a scan builds a per-entry column and
-broadcasts it along the short k axis, which on a (500, 5) matrix cost
-more than half of the call.
+rewrites just those; an evaluator that never scans globally (myopic
+construction, result checks) pays one attribute test per flip. So no
+step of a scan builds a per-entry column and broadcasts it along the
+short k axis, which on a (500, 5) matrix cost more than half of the
+call.
 
 The columns have closed forms. The sums kernel's are per adversary
 (``add_col``). The cosine kernel's come from one ``add_block`` over a
@@ -274,26 +274,20 @@ class IncrementalEvaluator:
         # that never scan (myopic construction, result checks) skip them.
         self._col_cache: np.ndarray | None = None
         self._col_dirty = set(range(self.k))
-
-        self.reset(assignment)
-
-    # -- state construction ---------------------------------------------
-    def reset(self, assignment: Assignment | None = None) -> None:
-        inst = self.inst
-        self._col_dirty.update(range(self.k))
         self._window: _Window | None = None
         # The addition table (``_additions``), built on first use, and
         # the rows flips have touched since it was last read.
         self._add_tab: np.ndarray | None = None
         self._add_stale: list[int] = []
+
         if assignment is None:
-            assignment = Assignment.empty(inst)
+            assignment = Assignment.empty(instance)
         self.bits = assignment.bits.copy()
         self.counts = assignment.per_entry_count.copy()
-        self.util_raw = float((inst.utility_weights * self.bits).sum())
+        self.util_raw = float((instance.utility_weights * self.bits).sum())
         self.c_unassigned = int(np.count_nonzero(self.counts == 0))
 
-        state, f_ap = batch_disclosure(inst, self.bits[None])
+        state, f_ap = batch_disclosure(instance, self.bits[None])
         self.kernel.reset(state)
         self.f_ap = f_ap[0].copy()  # for linear, f_ap is state itself
         self.f_row_sum = self.f_ap.sum(axis=1).tolist()
@@ -610,7 +604,7 @@ class IncrementalEvaluator:
         """(|D|, k) table of the kernel's ``add_cols``: each adversary's
         aggregate once each entry joins it. Only the columns a flip has
         touched since the last call are recomputed, in one kernel call."""
-        if self._col_cache is None:  # every column is dirty since reset
+        if self._col_cache is None:  # every column is dirty since __init__
             self._col_cache = np.empty((self.inst.num_entries, self.k))
         dirty = self._col_dirty
         if dirty and self.num_p:

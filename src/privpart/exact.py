@@ -72,11 +72,12 @@ Numerical Algorithms, 2002, sec. 4.2), and ``compose`` applies the same
 monotone operations to values of magnitude at most 2, so an approximate
 value is within delta = 2 (n + 2) 2^-53, about 1e-14, of the exact one.
 The first exact best, and every assignment tied with it, thus lies
-within 2 delta of the best approximate value. ``best_draw`` re-scores
-every assignment within ``MARGIN`` (at least 1000 delta under the cap)
-of it exactly, in product order, with the table disclosure. A draw's
-value does not depend on the other draws of its batch, so their first
-best is the first best of all, and a lone one is it.
+within 2 delta of the best approximate value. Every assignment within
+``MARGIN`` (at least 1000 delta under the cap) of it is re-scored from
+scratch, in product order, by ``best_draw`` and ``batch_objective``, as
+RAND+ and LP rounding are; that disclosure is bitwise the table's. A
+draw's value does not depend on the other draws of its batch, so their
+first best is the first best of all, and a lone one is it.
 
 ``formulation`` selects what is maximized:
 
@@ -226,7 +227,6 @@ def enumerate_optimum(instance: Instance, formulation: str = "tradeoff") -> Solv
             keep = np.flatnonzero(values >= best - MARGIN)
             near.append((start + keep, values[keep]))
     near = np.concatenate([i[v >= best - MARGIN] for i, v in near])
-    entry_bits = 1 << np.arange(num_d)
     start = 0
 
     def draw(c: int) -> np.ndarray:
@@ -236,9 +236,7 @@ def enumerate_optimum(instance: Instance, formulation: str = "tradeoff") -> Solv
         # C-order unravel puts entry 0 slowest: itertools.product order.
         return np.take(masks, np.array(np.unravel_index(flat, (m,) * num_d)).T, axis=0)
 
-    best_bits = draw(1)[0] if len(near) == 1 else best_draw(
-        instance, draw, len(near), budget=budget,
-        disclosure=lambda bits: table[np.matmul(entry_bits, bits).T].max(axis=0))
+    best_bits = draw(1)[0] if len(near) == 1 else best_draw(instance, draw, len(near), budget)
     if best_bits is None:
         raise InfeasibleError("no assignment meets the disclosure budget")
     return finalize_result(instance, Assignment(best_bits), total, started, 0)
@@ -256,7 +254,7 @@ def solve_exact(instance: Instance, formulation: str = "tradeoff") -> SolveResul
         )
 
     subsets = _adversary_subsets(instance.k, instance.t)
-    k, num_d, z = instance.k, instance.num_entries, instance._normalizer
+    k, num_d, z = instance.k, instance.num_entries, normalizer(instance)
     # Optimistic utility still collectible from entry d onward.
     suffix = np.zeros(num_d + 1)
     suffix[:-1] = np.cumsum(instance._top_t_sum[::-1])[::-1]

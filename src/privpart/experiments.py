@@ -208,9 +208,9 @@ def _round_lp(instance: Instance, frac, seed: int, overrides: dict | None) -> So
 
 
 def _check_family(name: str, instance: Instance) -> None:
-    if name in ("lp", "ilp") and instance.model.family not in LP_FAMILIES:
+    if name == "lp" and instance.model.family not in LP_FAMILIES:
         raise InstanceError(
-            f"{name} supports {'|'.join(LP_FAMILIES)} families, not {instance.model.family!r}"
+            f"lp supports {'|'.join(LP_FAMILIES)} families, not {instance.model.family!r}"
         )
 
 

@@ -9,6 +9,11 @@ cardinality-feasible assignment scores utility in [0, 1]. Subtracting
 the number of unassigned entries guarantees (for lam in [0, 1]) that
 assigning an orphan entry always beats leaving it, which is what lets
 the heuristics run unconstrained on the lower bound.
+
+``batch_objective`` is the one from-scratch scorer: every reported
+objective, and every pick among random draws or near-best enumerated
+assignments (``best_draw``), is its value. Its z is ``normalizer``'s,
+which refuses an instance whose utility weights are all zero.
 """
 
 from __future__ import annotations
@@ -55,17 +60,14 @@ def normalizer(instance: Instance) -> float:
     return instance._normalizer
 
 
-def batch_objective(instance: Instance, bits: np.ndarray, disclosure: np.ndarray | None = None):
+def batch_objective(instance: Instance, bits: np.ndarray):
     """Penalized tradeoff of an (n, |D|, k) batch from scratch: an
     ``ObjectiveValue`` of (n,) arrays, and the (n, k, |P|) disclosure
     clipped to [0, 1]. Each draw's utility is the sum of its contiguous
     |D| k block, the same pairwise summation as a sum over one assignment,
-    so every value is that of scoring the draw alone. Given the batch's
-    (n,) overall ``disclosure``, it builds no matrix and returns None."""
-    vec = None
-    if disclosure is None:
-        vec = np.clip(batch_disclosure(instance, bits)[1], 0.0, 1.0)
-        disclosure = aggregate_disclosure(vec, instance.model.aggregation)
+    so every value is that of scoring the draw alone."""
+    vec = np.clip(batch_disclosure(instance, bits)[1], 0.0, 1.0)
+    disclosure = aggregate_disclosure(vec, instance.model.aggregation)
     n = bits.shape[0]
     utility = (instance.utility_weights * bits).reshape(n, -1).sum(axis=1) / normalizer(instance)
     # k whole-array ors, not a reduction over the short k axis per row.
@@ -89,22 +91,19 @@ def draw_chunks(instance: Instance, runs: int) -> list[int]:
     return [min(step, runs - start) for start in range(0, runs, step)]
 
 
-def best_draw(instance: Instance, draw, runs: int, budget: bool = False,
-              disclosure=None) -> np.ndarray | None:
+def best_draw(instance: Instance, draw, runs: int, budget: bool = False) -> np.ndarray | None:
     """Bits of the best of ``runs`` draws by penalized tradeoff, the first
     of equals. ``draw(c)`` returns the next c draws as a (c, |D|, k)
     tensor; drawing chunk after chunk consumes a generator exactly as
     drawing one at a time does. With ``budget`` a draw scores its utility
     if its disclosure is below tau and -inf otherwise, and the call
-    returns None when no draw qualifies. ``disclosure(bits)``, if given,
-    returns a chunk's (c,) overall disclosure for ``batch_objective``.
-    Enumeration sets both when it re-scores its near-best assignments;
-    RAND+ and LP rounding set neither."""
+    returns None when no draw qualifies. RAND+, LP rounding and
+    enumeration's re-score of its near-best assignments all go through
+    it."""
     best_bits, best_value = None, -np.inf
     for c in draw_chunks(instance, runs):
         bits = draw(c)
-        obj = batch_objective(instance, bits,
-                              None if disclosure is None else disclosure(bits))[0]
+        obj = batch_objective(instance, bits)[0]
         values = (np.where(obj.disclosure < instance.tau, obj.utility, -np.inf)
                   if budget else obj.value)
         i = int(np.argmax(values))

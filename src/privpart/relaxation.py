@@ -102,7 +102,7 @@ def _lp_model(instance: Instance):
 
     b_prop = np.repeat(instance._sizes - 1.0, k) if family == "step" else np.zeros(y_rows.size)
     b_ub = np.concatenate([np.tile([-1.0, float(instance.t)], num_d), b_prop])
-    c = -(instance.utility_weights / instance._normalizer).ravel()
+    c = -(instance.utility_weights / normalizer(instance)).ravel()
     if family == "linear":
         c = np.append(c, instance.lam)
     n_vars = c.size

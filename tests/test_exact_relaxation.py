@@ -73,6 +73,17 @@ def test_exact_discbudget_infeasible_when_everything_leaks():
         enumerate_optimum(inst, formulation="discbudget")
 
 
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+@pytest.mark.parametrize("solver", [solve_exact, enumerate_optimum])
+def test_exact_solvers_reject_an_all_zero_utility_instance(solver, formulation):
+    # z = 0: branch-and-bound read it past the positivity check and ended
+    # in a ZeroDivisionError.
+    hg = DependencyHypergraph(2, [SensitiveProperty(0, (0, 1))])
+    inst = validate_instance(Instance(hg, np.zeros((2, 2)), 2, 1))
+    with pytest.raises(InstanceError, match="degenerate instance"):
+        solver(inst, formulation)
+
+
 def test_exact_matches_greedy_without_properties():
     rng = np.random.default_rng(4)
     w = rng.random((5, 3))

@@ -15,6 +15,7 @@ from privpart import (
     run_algorithm,
     run_experiment,
     solve,
+    solve_exact,
 )
 import privpart.experiments as experiments
 from privpart.cli import EXIT_FAIL, EXIT_OK, main
@@ -133,6 +134,31 @@ def test_cli_gen_solve_roundtrip(tmp_path):
     doc = json.loads(out_path.read_text())
     assert doc["unassigned"] == 0
     assert len(doc["assignment"]) == 20
+
+
+@pytest.mark.parametrize("algorithm", experiments.ALGORITHMS)
+def test_cli_solve_all_zero_utility_instance_is_an_error(tmp_path, capsys, algorithm):
+    # ilp used to end in a ZeroDivisionError traceback here.
+    doc = {
+        "num_entries": 2, "num_adversaries": 2, "t": 1, "lambda": 1.0, "tau_I": 0.0,
+        "model": {"family": "step", "aggregation": "worst"},
+        "properties": [{"id": 0, "members": [0, 1], "weights": None}],
+        "utility_weights": [[0.0, 0.0], [0.0, 0.0]],
+    }
+    inst_path = tmp_path / "zero.json"
+    inst_path.write_text(json.dumps(doc))
+    assert main(["solve", "--instance", str(inst_path), "--algorithm", algorithm]) == EXIT_FAIL
+    assert capsys.readouterr().err == (
+        "error: degenerate instance: all utility weights are zero\n")
+
+
+@pytest.mark.parametrize("family", ["quadratic", "cosine"])
+def test_ilp_cell_runs_branch_and_bound_on_every_family(family):
+    for seed in range(6):
+        inst = random_small_instance(seed, family)
+        cell, reference = run_algorithm("ilp", inst, seed), solve_exact(inst)
+        assert cell.assignment == reference.assignment, seed
+        assert cell.objective == reference.objective and cell.iterations == reference.iterations
 
 
 def test_cli_ilp_size_guard_exit_code(tmp_path):
@@ -290,33 +316,62 @@ def _bench_config_text(tmp_path, **over):
                                   "geodata_without_paths", "string_seed",
                                   "output_dir_not_a_path", "negative_seed",
                                   "string_override", "float_override",
-                                  "unknown_override_key", "override_of_unknown_algorithm"])
+                                  "unknown_override_key", "override_of_unknown_algorithm",
+                                  "empty_seeds", "document_not_an_object",
+                                  "algorithms_not_a_list", "source_not_an_object",
+                                  "source_without_a_kind", "source_with_two_kinds",
+                                  "synth_source_not_an_object", "file_source_not_a_path"])
 def test_cli_bench_rejects_malformed_config(tmp_path, capsys, case):
-    text = {
-        "invalid_json": lambda: '{"source": ',
-        "missing_source": lambda: json.dumps({"algorithms": ["greedy"], "seeds": [0],
-                                              "output_dir": str(tmp_path / "out")}),
-        "unknown_synth_key": lambda: _bench_config_text(
-            tmp_path, source=synth_source(entries=30)),
-        "params_not_an_object": lambda: _bench_config_text(tmp_path, params={"greedy": 5}),
-        "fractional_synth_count": lambda: _bench_config_text(
-            tmp_path, source=synth_source(num_entries=2.5)),
-        "geodata_without_paths": lambda: _bench_config_text(
+    text, message = {
+        "invalid_json": (lambda: '{"source": ', "not a valid config document"),
+        "missing_source": (lambda: json.dumps({"algorithms": ["greedy"], "seeds": [0],
+                                               "output_dir": str(tmp_path / "out")}),
+                           "config is missing source"),
+        "unknown_synth_key": (lambda: _bench_config_text(
+            tmp_path, source=synth_source(entries=30)), "bad synth source"),
+        "params_not_an_object": (lambda: _bench_config_text(tmp_path, params={"greedy": 5}),
+                                 "params must map algorithm names to objects"),
+        "fractional_synth_count": (lambda: _bench_config_text(
+            tmp_path, source=synth_source(num_entries=2.5)), "num_entries"),
+        "geodata_without_paths": (lambda: _bench_config_text(
             tmp_path, source={"geodata": {"friends": "f.txt"}}, algorithms=["greedyl"]),
-        "string_seed": lambda: _bench_config_text(tmp_path, seeds=["a"]),
-        "output_dir_not_a_path": lambda: _bench_config_text(tmp_path, output_dir=5),
-        "negative_seed": lambda: _bench_config_text(tmp_path, seeds=[0, -3]),
-        "string_override": lambda: _bench_config_text(tmp_path, params={"grasp": {"n": "5"}}),
-        "float_override": lambda: _bench_config_text(tmp_path, params={"grasp": {"r": 2.5}}),
-        "unknown_override_key": lambda: _bench_config_text(
-            tmp_path, params={"rand+": {"restart": 5}}),
-        "override_of_unknown_algorithm": lambda: _bench_config_text(
-            tmp_path, params={"grsap": {"n": 5}}),
-    }[case]()
+            "geodata source needs checkins and friends paths"),
+        "string_seed": (lambda: _bench_config_text(tmp_path, seeds=["a"]),
+                        "seeds and k_values must be integers"),
+        "output_dir_not_a_path": (lambda: _bench_config_text(tmp_path, output_dir=5),
+                                  "config output_dir must be a path"),
+        "negative_seed": (lambda: _bench_config_text(tmp_path, seeds=[0, -3]),
+                          "seeds must be non-negative"),
+        "string_override": (lambda: _bench_config_text(tmp_path, params={"grasp": {"n": "5"}}),
+                            "grasp override n must be an integer"),
+        "float_override": (lambda: _bench_config_text(tmp_path, params={"grasp": {"r": 2.5}}),
+                           "grasp override r must be an integer"),
+        "unknown_override_key": (lambda: _bench_config_text(
+            tmp_path, params={"rand+": {"restart": 5}}), "rand+ takes no override 'restart'"),
+        "override_of_unknown_algorithm": (lambda: _bench_config_text(
+            tmp_path, params={"grsap": {"n": 5}}), "params names unknown algorithm 'grsap'"),
+        "empty_seeds": (lambda: _bench_config_text(tmp_path, seeds=[]),
+                        "config needs at least one seed"),
+        "document_not_an_object": (lambda: "[1, 2]", "config must be a JSON object"),
+        "algorithms_not_a_list": (lambda: _bench_config_text(tmp_path, algorithms="greedy"),
+                                  "config algorithms, seeds and k_values must be lists"),
+        "source_not_an_object": (lambda: _bench_config_text(tmp_path, source=["synth"]),
+                                 "source must be an object"),
+        "source_without_a_kind": (lambda: _bench_config_text(tmp_path, source={}),
+                                  "source must contain exactly one of file|synth|geodata"),
+        "source_with_two_kinds": (lambda: _bench_config_text(
+            tmp_path, source={**synth_source(), "file": "x.json"}),
+            "source must contain exactly one of file|synth|geodata"),
+        "synth_source_not_an_object": (lambda: _bench_config_text(
+            tmp_path, source={"synth": [30, 6, 2, 1]}), "source synth must be an object"),
+        "file_source_not_a_path": (lambda: _bench_config_text(tmp_path, source={"file": 5}),
+                                   "source file must be a path"),
+    }[case]
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(text)
+    cfg_path.write_text(text())
     assert main(["bench", "--config", str(cfg_path)]) == EXIT_FAIL
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
     assert not (tmp_path / "out" / "results.csv").exists()
 
 

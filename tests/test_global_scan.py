@@ -168,7 +168,7 @@ def test_scan_matches_reference_formulas_bitwise_on_walks_and_reset():
             if i == 14:
                 bits = rng.random((inst.num_entries, inst.k)) < 0.3
                 bits[np.cumsum(bits, axis=1) > inst.t] = False
-                ev.reset(Assignment(bits))
+                ev = IncrementalEvaluator(inst, Assignment(bits))
                 assert ev._add_tab is None
                 _check(ev)
     assert len(seen) == 32 and empty > 20, (len(seen), empty)

@@ -13,14 +13,18 @@ from privpart import (
     InstanceError,
     Move,
     MoveError,
+    SearchParams,
     SensitiveProperty,
     SynthConfig,
+    aggregate_disclosure,
     generate_instance,
     instance_from_json,
     instance_to_json,
+    rand_plus,
     random_small_instance,
     validate_instance,
 )
+from privpart.relaxation import FractionalSolution, round_and_repair
 
 
 def small_instance(model=DisclosureModel("step", "worst"), k=2, t=1, weights=None):
@@ -73,6 +77,66 @@ def test_validate_rejects_non_finite_property_weights(bad):
     doc["properties"][0]["weights"] = [bad, 1.0]
     with pytest.raises(InstanceError, match="non-finite weight"):
         instance_from_json(json.dumps(doc))  # the json module reads NaN and Infinity
+
+
+def _raw(members=(0, 1), weights=(0.5, 0.5), **over):
+    """An unvalidated two-entry linear/worst instance with one property,
+    its members, weights or an ``Instance`` argument replaced."""
+    args = dict(utility_weights=[[0.9, 0.1], [0.1, 0.8]], k=2, t=1,
+                model=DisclosureModel("linear", "worst"))
+    args.update(over)
+    return Instance(DependencyHypergraph(2, [SensitiveProperty(0, members, weights)]), **args)
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"lam": 1.5}, r"lambda must lie in \[0, 1\], got 1.5"),
+    ({"lam": -0.25}, r"lambda must lie in \[0, 1\], got -0.25"),
+    ({"tau": 2.0}, r"tau must lie in \[0, 1\], got 2.0"),
+    ({"tau": float("nan")}, r"tau must lie in \[0, 1\], got nan"),
+    ({"utility_weights": [[0.9, float("inf")], [0.1, 0.8]]}, "utility weights must be finite"),
+    ({"utility_weights": [[0.9, 0.1], [float("nan"), 0.8]]}, "utility weights must be finite"),
+    ({"entries": [DataEntry(1), DataEntry(0)]}, "entry ids must be dense, got 1 at position 0"),
+    ({"members": (1, 1)}, "property 0 has duplicate members"),
+    ({"members": (0, 2)}, "property 0 member 2 out of range"),
+    ({"members": (-1, 0)}, "property 0 member -1 out of range"),
+    ({"weights": (-0.5, 1.5)}, "property 0: negative weight"),
+], ids=["lambda-above-1", "lambda-below-0", "tau-above-1", "nan-tau", "infinite-utility",
+       "nan-utility", "non-dense-entry-ids", "duplicate-members", "member-past-the-end",
+       "negative-member", "negative-property-weight"])
+def test_validate_rejects_out_of_range_values(over, message):
+    with pytest.raises(InstanceError, match=message):
+        validate_instance(_raw(**over))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: DisclosureModel("cubic", "worst"), InstanceError,
+     "unknown disclosure family 'cubic'"),
+    (lambda: DisclosureModel("step", "median"), InstanceError, "unknown aggregation 'median'"),
+    (lambda: Move("jump", 0, to_adversary=1), MoveError, "unknown move kind 'jump'"),
+    (lambda: SynthConfig(10, 2, 2, 1, p_f="0.3"), InstanceError, "p_f and p_u must be numbers"),
+    (lambda: SynthConfig(10, 2, 2, 1, p_u=None), InstanceError, "p_f and p_u must be numbers"),
+    (lambda: SynthConfig(10, 2, 2, 1, p_f=1.5), InstanceError,
+     r"p_f and p_u must lie in \[0, 1\]"),
+    (lambda: SynthConfig(10, 2, 2, 1, p_u=-0.1), InstanceError,
+     r"p_f and p_u must lie in \[0, 1\]"),
+    (lambda: SynthConfig(0, 2, 2, 1), InstanceError, "need at least one entry"),
+    (lambda: SearchParams("tabu"), InstanceError, "unknown strategy 'tabu'"),
+    (lambda: SearchParams("greedy", "local"), InstanceError, "unknown scope 'local'"),
+    (lambda: SearchParams("grasp", n=0), InstanceError, "candidate-list size n must be >= 1"),
+    (lambda: SearchParams(r=0), InstanceError, "repetition count r must be >= 1"),
+    (lambda: rand_plus(random_small_instance(0), runs=0), InstanceError, "runs must be >= 1"),
+    (lambda: round_and_repair(validate_instance(small_instance()),
+                              FractionalSolution(np.full((2, 2), 0.5), 0.0), runs=0),
+     InstanceError, "runs must be >= 1"),
+    (lambda: aggregate_disclosure(np.zeros((2, 3)), "median"), InstanceError,
+     "unknown aggregation 'median'"),
+], ids=["unknown-family", "unknown-aggregation", "unknown-move-kind", "string-p_f", "null-p_u",
+       "p_f-above-1", "p_u-below-0", "no-entries", "unknown-strategy", "unknown-scope",
+       "zero-n", "zero-r", "rand-plus-zero-runs", "rounding-zero-runs",
+       "aggregate-unknown-mode"])
+def test_constructors_and_solvers_reject_invalid_arguments(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def _incidence_documents():

@@ -13,6 +13,7 @@ from privpart import (
     synthetic_checkin_lines,
     tradeoff_objective,
 )
+from privpart.cli import main
 from privpart.geodata import AggregatedEntry
 from privpart.instance import Assignment
 
@@ -144,6 +145,35 @@ def test_build_is_deterministic_in_seed():
     a = instance_to_json(build_location_instance(entries, friends, k=3, t=2, seed=11))
     b = instance_to_json(build_location_instance(entries, friends, k=3, t=2, seed=11))
     assert a == b
+
+
+def test_user_and_edge_caps_subsample_deterministically(tmp_path):
+    lines, friends = synthetic_checkin_lines(num_users=40, num_edges=60, num_entries=200, seed=3)
+    entries = ingest_checkins(lines).entries
+    edges = {frozenset(edge) for edge in friends}
+
+    def capped(seed):
+        return build_location_instance(entries, friends, k=3, t=2, seed=seed,
+                                       max_users=25, max_edges=8)
+
+    text = instance_to_json(capped(4))
+    assert instance_to_json(capped(4)) == text
+    assert instance_to_json(capped(5)) != text
+    inst = capped(4)
+    kept = {e.payload[0] for e in inst.entries}
+    assert len(kept) == 25 and inst.num_properties == 8
+    for p in inst.hypergraph.properties:
+        users = {inst.entries[d].payload[0] for d in p.members}
+        assert users <= kept and frozenset(users) in edges
+    # The ingest verb's caps are the same call.
+    checkins, friends_path = tmp_path / "checkins.tsv", tmp_path / "friends.txt"
+    checkins.write_text("\n".join(lines) + "\n")
+    friends_path.write_text("\n".join(f"{a}\t{b}" for a, b in friends) + "\n")
+    out = tmp_path / "capped.json"
+    assert main(["ingest", "--checkins", str(checkins), "--friends", str(friends_path),
+                 "--k", "3", "--t", "2", "--seed", "4", "--max-users", "25",
+                 "--max-edges", "8", "-o", str(out)]) == 0
+    assert out.read_text() == text
 
 
 def test_build_weight_rule_region_vs_rest():
