@@ -263,10 +263,6 @@ class IncrementalEvaluator:
         self._pcols = ew.indices.astype(np.intp)
         self._uz = instance.utility_weights / self.z
 
-        family = instance.model.family
-        self.kernel = (_CosineKernel(instance) if family == "cosine"
-                       else _SumsKernel(instance, self._pcols, *_SUMS_FAMILIES[family]))
-
         # Lazy per-adversary addition columns for the global construction
         # scan, the gain bounds and local search's additions; a flip only
         # invalidates the touched adversary's column.
@@ -288,7 +284,9 @@ class IncrementalEvaluator:
         self.c_unassigned = int(np.count_nonzero(self.counts == 0))
 
         state, f_ap = batch_disclosure(instance, self.bits[None])
-        self.kernel.reset(state)
+        family = instance.model.family
+        self.kernel = (_CosineKernel(instance, state) if family == "cosine"
+                       else _SumsKernel(instance, state, self._pcols, *_SUMS_FAMILIES[family]))
         self.f_ap = f_ap[0].copy()  # for linear, f_ap is state itself
         self.f_row_sum = self.f_ap.sum(axis=1).tolist()
         self.fprime = [0.0] * self.k
@@ -625,8 +623,9 @@ class _SumsKernel:
     evaluator as their first argument; the kernel keeps no reference to
     it, so an evaluator is freed as soon as its last user drops it."""
 
-    def __init__(self, inst: Instance, pcols, g, average_block, average_col):
+    def __init__(self, inst: Instance, state, pcols, g, average_block, average_col):
         self.inst = inst
+        self.s = state[0]
         ew = inst._entry_weights
         self.indptr, self.pcols, self.w = ew.indptr, pcols, ew.data
         self.g, self._average_block, self._average_col = g, average_block, average_col
@@ -634,9 +633,6 @@ class _SumsKernel:
         # Linear's average column reads no sums: its one division, made once.
         self._linear_col = (inst._entry_colsum / inst.num_properties
                             if inst.model.family == "linear" and inst.num_properties else None)
-
-    def reset(self, state) -> None:
-        self.s = state[0]
 
     def _props_w(self, d: int):
         i0, i1 = self.indptr[d], self.indptr[d + 1]
@@ -720,14 +716,12 @@ class _CosineKernel:
     it as a flip that skips it would, so the state is bitwise the one a
     fresh evaluator reaches by replaying the moves."""
 
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, state):
+        self.norms, self.dots = state[0][0], state[1][0]
         t = inst._cosine
         self.e_user, self.e_sq = t.user_idx, t.sq_counts
         self.partner, self.other, self.prod = t.member_partner, t.member_other, t.member_prod
         self._col_block: _Block | None = None  # add_cols' layout of every entry
-
-    def reset(self, state) -> None:
-        self.norms, self.dots = state[0][0], state[1][0]
 
     def row(self, ev: IncrementalEvaluator, d: int, a: int, on: bool):
         """The new norm of d's user and d's new dots once d joins a

@@ -1,13 +1,14 @@
 """LP relaxation and naive randomized rounding with a repair pass.
 
-The step family relaxes the zero-disclosure integer program: maximize
-normalized utility subject to, for every property and adversary, at
-least one member withheld. The linear family relaxes the tradeoff
-objective directly, moving the max over per-adversary disclosure into an
-epigraph variable. Either way the relaxation's objective value upper
-bounds the exact integral optimum on the tradeoff scale (for step this
-reads the budget term at zero disclosure, which is where the integral
-optimum sits whenever lam = 1).
+One model relaxes the tradeoff objective for both families: an epigraph
+variable y stands for the aggregate disclosure and costs lam, so the
+relaxation reports ``util + lam * (tau - y)``. Linear's rows bound y by
+weighted coverage. Step disclosure is a product of member bits, and its
+standard linearization (Fortet 1960; Glover & Woolsey 1974) bounds it
+from below: ``sum_{d in p} x_da - (|p| - 1)``. Every relaxation is
+feasible (y = 1, and z = 1 for step/average), and its value upper
+bounds the exact integral optimum on the tradeoff scale at every lam and
+aggregation.
 
 Rounding sets each bit independently with the fractional probability;
 the repair pass then restores cardinality: orphaned entries go to their
@@ -39,8 +40,10 @@ LP_FAMILIES = ("step", "linear")
 
 
 class LpInfeasibleError(InstanceError):
-    """The relaxation has no feasible point (e.g. a hyperedge cannot be
-    split across the available adversaries)."""
+    """The solver reported the relaxation infeasible. The model is
+    feasible for every validated step and linear instance (y = 1 meets
+    every disclosure row), so this marks a solver fault, not an outcome
+    of the instance."""
 
 
 @dataclass(frozen=True)
@@ -62,19 +65,29 @@ def _lp_model(instance: Instance):
     """The relaxation of a validated step or linear instance as
     ``(c, a_ub, b_ub, nx)``: minimize ``c @ x`` subject to
     ``a_ub @ x <= b_ub`` (CSC) and x in [0, 1]. The first nx = |D| k
-    columns are x (entry d, adversary a at d * k + a); a linear instance
-    adds the epigraph column y = nx, which closes every row after the
-    cardinality rows. Rows: cardinality (-sum_a x_da <= -1,
-    sum_a x_da <= t) per entry, then per property and adversary (step: at
-    most |p| - 1 members held; linear/worst: weighted coverage <= y), or
-    per adversary (linear/average: coverage averaged over properties
-    <= y)."""
+    columns are x (entry d, adversary a at d * k + a); column nx is the
+    epigraph y, costed lam, which bounds the aggregate disclosure from
+    above. Rows: cardinality (-sum_a x_da <= -1, sum_a x_da <= t) per
+    entry, then
+    - worst: per property and adversary, weighted coverage - y <= 0
+      (linear), or sum_{d in p} x_da - y <= |p| - 1 (step: the product
+      of a's member bits bounded from below);
+    - linear/average: per adversary, coverage averaged over properties
+      - y <= 0;
+    - step/average: per property and adversary,
+      sum_{d in p} x_da - z_pa <= |p| - 1, then per adversary
+      sum_p z_pa / |P| - y <= 0, with z_pa the column nx + 1 + p * k + a.
+    y = 1 (and z = 1) meets every disclosure row, so the relaxation is
+    feasible, and its optimum bounds the tradeoff optimum at every lam
+    and aggregation."""
     family = instance.model.family
+    average = instance.model.aggregation == "average"
     num_d, num_p, k = instance.num_entries, instance.num_properties, instance.k
     nx, first = num_d * k, 2 * num_d  # first: the first row after the cardinality rows
+    n_z = num_p * k if family == "step" and average else 0
     ew = instance._entry_weights  # |D| x |P|: a_dp, or 1 for step
     # rows[ptr[d]:ptr[d + 1]] are entry d's other rows (on adversary 0), vals their values.
-    if family == "linear" and instance.model.aggregation == "average":
+    if family == "linear" and average:
         # One row per adversary; an entry weighs its summed a_dp / |P|,
         # added in property order, and enters the row only if that is > 0.
         per_entry = np.bincount(np.repeat(np.arange(num_d), np.diff(ew.indptr)),
@@ -85,7 +98,9 @@ def _lp_model(instance: Instance):
         y_rows = first + np.arange(k if num_p else 0)
     else:
         ptr, rows, vals = ew.indptr, ew.indices.astype(np.int64) * k, ew.data  # row p * k + a
-        y_rows = first + np.arange(num_p * k if family == "linear" else 0)
+        # Worst: y closes every row (p, a). Step/average: z_pa does, and y
+        # closes the k mean rows after them.
+        y_rows = first + (n_z + np.arange(k) if n_z else np.arange(num_p * k))
 
     # Entry d's block: rows 2d and 2d + 1, then its other rows. Column
     # d * k + a is block d with the other rows moved to adversary a.
@@ -93,7 +108,11 @@ def _lp_model(instance: Instance):
     block_rows = np.insert(first + rows, at, np.arange(2 * num_d))
     block_vals = np.insert(vals, at, np.tile([-1.0, 1.0], num_d))
     length = np.repeat(np.diff(ptr) + 2, k)
-    indptr = np.cumsum(np.concatenate(([0], length, [y_rows.size])))  # y's column last
+    # Then y's column, and z_pa's: -1 on row (p, a), 1 / |P| on a's mean row.
+    z = np.arange(n_z)
+    tail_rows = np.concatenate([y_rows, np.stack([first + z, first + n_z + z % k], axis=1).ravel()])
+    tail_vals = np.concatenate([np.full(y_rows.size, -1.0), np.tile([-1.0, 1 / max(num_p, 1)], n_z)])
+    indptr = np.cumsum(np.concatenate(([0], length, [y_rows.size], np.full(n_z, 2, length.dtype))))
     col = np.repeat(np.arange(nx), length)
     i = np.arange(indptr[nx]) - indptr[col]
     d, a = np.divmod(col, k)
@@ -101,14 +120,12 @@ def _lp_model(instance: Instance):
     a_rows = block_rows[src] + a * (i >= 2)
 
     b_prop = np.repeat(instance._sizes - 1.0, k) if family == "step" else np.zeros(y_rows.size)
-    b_ub = np.concatenate([np.tile([-1.0, float(instance.t)], num_d), b_prop])
-    c = -(instance.utility_weights / normalizer(instance)).ravel()
-    if family == "linear":
-        c = np.append(c, instance.lam)
-    n_vars = c.size
-    a_ub = sp.csc_matrix((np.concatenate([block_vals[src], np.full(y_rows.size, -1.0)]),
-                          np.concatenate([a_rows, y_rows]), indptr[:n_vars + 1]),
-                         shape=(b_ub.size, n_vars))
+    b_ub = np.concatenate([np.tile([-1.0, float(instance.t)], num_d), b_prop,
+                           np.zeros(k if n_z else 0)])
+    c = np.concatenate([-(instance.utility_weights / normalizer(instance)).ravel(),
+                        [instance.lam], np.zeros(n_z)])
+    a_ub = sp.csc_matrix((np.concatenate([block_vals[src], tail_vals]),
+                          np.concatenate([a_rows, tail_rows]), indptr), shape=(b_ub.size, c.size))
     return c, a_ub, b_ub, nx
 
 
@@ -122,12 +139,17 @@ def linprog(c, a_ub, b_ub):
     return milp(c, constraints=LinearConstraint(a_ub, -np.inf, b_ub), bounds=(0.0, 1.0))
 
 
+def check_lp_family(instance: Instance) -> None:
+    """Reject an instance whose family has no relaxation."""
+    if instance.model.family not in LP_FAMILIES:
+        raise InstanceError(f"lp supports {'|'.join(LP_FAMILIES)} families, "
+                            f"not {instance.model.family!r}")
+
+
 def solve_lp_relaxation(instance: Instance) -> FractionalSolution:
     """Solve the relaxation for the instance's family, step or linear."""
     instance = validate_instance(instance)
-    family = instance.model.family
-    if family not in LP_FAMILIES:
-        raise InstanceError(f"LP relaxation supports {'|'.join(LP_FAMILIES)}, not {family!r}")
+    check_lp_family(instance)
     z = normalizer(instance)
 
     c, a_ub, b_ub, nx = _lp_model(instance)
@@ -139,13 +161,8 @@ def solve_lp_relaxation(instance: Instance) -> FractionalSolution:
 
     x_hat = np.clip(res.x[:nx].reshape(instance.num_entries, instance.k), 0.0, 1.0)
     util = float((instance.utility_weights * x_hat).sum()) / z
-    lam, tau = instance.lam, instance.tau
-    if family == "step":
-        lp_objective = util + lam * tau
-    else:
-        y_val = float(res.x[nx]) if instance.num_properties > 0 else 0.0
-        lp_objective = util + lam * (tau - y_val)
-    return FractionalSolution(x_hat=x_hat, lp_objective=lp_objective)
+    y_val = float(res.x[nx]) if instance.num_properties > 0 else 0.0
+    return FractionalSolution(x_hat=x_hat, lp_objective=util + instance.lam * (instance.tau - y_val))
 
 
 def _roundings(frac: FractionalSolution, rng, c: int) -> np.ndarray:

@@ -98,10 +98,8 @@ def generate_instance(
 
 def random_small_instance(seed: int, family: str | None = None) -> Instance:
     """Desk-scale random instance for oracle cross-checks: at most 6
-    entries, 3 adversaries, cap 2, any disclosure family.
-
-    Step instances are generated with lam = 1: that is the regime in
-    which the zero-disclosure relaxation bounds the tradeoff optimum.
+    entries, 3 adversaries, cap 2, any disclosure family. Step instances
+    are generated with lam = 1.
     """
     rng = np.random.default_rng(seed)
     if family is None:

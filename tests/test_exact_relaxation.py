@@ -17,7 +17,6 @@ from privpart import (
     InfeasibleError,
     Instance,
     InstanceError,
-    LpInfeasibleError,
     SearchParams,
     SensitiveProperty,
     SizeGuardError,
@@ -673,24 +672,43 @@ def test_lp_without_properties_uses_top_t():
         assert frac.x_hat[d, top2[d]].sum() == pytest.approx(2.0, abs=1e-6)
 
 
-def test_lp_step_infeasible_with_singleton_property():
+def test_lp_step_singleton_property_is_feasible():
+    # The entry discloses its property wherever it goes, and no split
+    # lets a zero-disclosure model hold it; the epigraph y takes the
+    # disclosure instead.
     props = [SensitiveProperty(0, (0,))]
     hg = DependencyHypergraph(1, props)
     inst = validate_instance(Instance(hg, np.array([[0.5, 0.5]]), 2, 1,
                                       model=DisclosureModel("step", "worst")))
-    with pytest.raises(LpInfeasibleError):
-        solve_lp_relaxation(inst)
+    c, a_ub, b_ub, nx = _lp_model(inst)
+    for x in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):  # y = 1 meets every row
+        assert np.all(a_ub @ np.append(x, 1.0) <= b_ub)
+    frac = solve_lp_relaxation(inst)
+    # The half split leaves y = 0.5: utility 1 minus lam * y.
+    assert np.allclose(frac.x_hat, 0.5, atol=1e-9)
+    assert frac.lp_objective == pytest.approx(0.5, abs=1e-9)
+    assert frac.lp_objective >= enumerate_optimum(inst).objective.value
 
 
 def test_lp_bounds_exact_for_linear_any_lambda():
     for trial in range(30):
         inst = random_small_instance(600 + trial, family="linear")
-        try:
-            frac = solve_lp_relaxation(inst)
-        except LpInfeasibleError:
-            continue
+        frac = solve_lp_relaxation(inst)
         exact = solve_exact(inst)
         assert frac.lp_objective >= exact.objective.value - 1e-9
+
+
+def test_lp_bounds_exact_for_step_any_lambda_and_aggregation():
+    # random_small_instance draws step only at lam = 1: rebuild each
+    # desk instance at lam 0.3 too, under both aggregations.
+    for trial in range(200):
+        proto = random_small_instance(3000 + trial, family="step")
+        for lam, aggregation in product((0.3, 1.0), ("worst", "average")):
+            inst = validate_instance(Instance(
+                proto.hypergraph, proto.utility_weights, proto.k, proto.t, lam, proto.tau,
+                DisclosureModel("step", aggregation), proto.entries))
+            optimum = enumerate_optimum(inst).objective.value
+            assert solve_lp_relaxation(inst).lp_objective >= optimum - 1e-9, (trial, lam, aggregation)
 
 
 def _reference_lp_model(instance):
@@ -712,15 +730,20 @@ def _reference_lp_model(instance):
         idx = [d * k + a for a in range(k)]
         add_row(idx, [-1.0] * k, -1.0)
         add_row(idx, [1.0] * k, float(instance.t))
-    n_vars = nx + (1 if family == "linear" else 0)
+    y, num_p = nx, instance.num_properties
+    average = instance.model.aggregation == "average"
+    n_vars = nx + 1 + (num_p * k if family == "step" and average else 0)
     if family == "step":
-        for p in instance.hypergraph.properties:
+        for pid, p in enumerate(instance.hypergraph.properties):
             for a in range(k):
-                idx = [d * k + a for d in p.members]
-                add_row(idx, [1.0] * len(idx), float(len(p.members) - 1))
-    elif instance.num_properties > 0:
-        y = nx
-        if instance.model.aggregation == "worst":
+                closing = y + 1 + pid * k + a if average else y  # z_pa or y
+                idx = [d * k + a for d in p.members] + [closing]
+                add_row(idx, [1.0] * len(p.members) + [-1.0], float(len(p.members) - 1))
+        for a in range(k if average and num_p else 0):
+            idx = [y + 1 + pid * k + a for pid in range(num_p)] + [y]
+            add_row(idx, [1.0 / num_p] * num_p + [-1.0], 0.0)
+    elif num_p > 0:
+        if not average:
             for p in instance.hypergraph.properties:
                 for a in range(k):
                     idx = [d * k + a for d in p.members] + [y]
@@ -736,19 +759,19 @@ def _reference_lp_model(instance):
                 add_row(idx, vals, 0.0)
     c = np.zeros(n_vars)
     c[:nx] = -(instance.utility_weights / instance._normalizer).ravel()
-    if family == "linear":
-        c[nx] = instance.lam
+    c[y] = instance.lam
     a_ub = sp.csr_matrix((data, (rows, cols)), shape=(len(b_ub), n_vars), dtype=np.float64)
     return c, a_ub, np.array(b_ub), nx
 
 
 def _lp_instances():
     """Criterion 1's step and linear desk instances, 500x50 synthetic
-    instances (linear/average, linear/worst, step) and two without
-    properties."""
+    instances (linear/average, linear/worst, step/worst, step/average)
+    and two without properties."""
     cases = [random_small_instance(1000 + trial) for trial in range(200)]
     cases = [inst for inst in cases if inst.model.family in ("step", "linear")]
-    for family, aggregation in (("linear", "average"), ("linear", "worst"), ("step", "worst")):
+    for family, aggregation in (("linear", "average"), ("linear", "worst"), ("step", "worst"),
+                                ("step", "average")):
         cases.append(generate_instance(SynthConfig(500, 50, 5, 1, seed=3),
                                        DisclosureModel(family, aggregation)))
     w = np.random.default_rng(8).random((4, 3))
@@ -771,10 +794,7 @@ def test_lp_model_equals_row_by_row_build():
 
 
 def _lp_outcome(inst):
-    try:
-        frac = solve_lp_relaxation(inst)
-    except LpInfeasibleError:
-        return "infeasible"
+    frac = solve_lp_relaxation(inst)
     return frac.x_hat.tobytes(), frac.lp_objective
 
 
@@ -788,7 +808,6 @@ def test_lp_solve_matches_linprog_highs_bitwise(monkeypatch):
     ours = [_lp_outcome(inst) for inst in cases]
     monkeypatch.setattr(relaxation, "linprog", highs)
     assert ours == [_lp_outcome(inst) for inst in cases]
-    assert "infeasible" in ours
 
 
 def test_lp_solver_is_imported_on_the_first_lp_only():

@@ -169,9 +169,9 @@ def test_cli_ilp_size_guard_exit_code(tmp_path):
     assert rc == 3
 
 
-def test_cli_infeasible_exit_code(tmp_path):
-    # k=1 is rejected at validation, so craft a step instance whose LP is
-    # unsatisfiable: a single-member property cannot be split at all.
+def test_cli_infeasible_exit_code(tmp_path, capsys):
+    # A single-member property discloses fully wherever its entry goes,
+    # so no assignment meets discbudget's strict budget tau = 0.
     doc = {
         "num_entries": 1, "num_adversaries": 2, "t": 1, "lambda": 1.0, "tau_I": 0.0,
         "model": {"family": "step", "aggregation": "worst"},
@@ -180,8 +180,23 @@ def test_cli_infeasible_exit_code(tmp_path):
     }
     inst_path = tmp_path / "leaky.json"
     inst_path.write_text(json.dumps(doc))
-    rc = main(["solve", "--instance", str(inst_path), "--algorithm", "lp"])
-    assert rc == 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_bench_config_text(tmp_path, source={"file": str(inst_path)},
+                                           algorithms=["ilp"],
+                                           params={"ilp": {"formulation": "discbudget"}}))
+    assert main(["bench", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith("infeasible: ")
+    # The same instance's relaxation is feasible: lp rounds it.
+    assert main(["solve", "--instance", str(inst_path), "--algorithm", "lp"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("seed", [8025, 12896, 16677, 18422])
+def test_verify_lp_bound_on_step_average(seed, capsys):
+    # Each seed's one instance is step/average with an optimum that
+    # discloses: a relaxation that reads zero disclosure lies below it.
+    assert main(["verify", "--count", "1", "--seed", str(seed)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "step/average" in out and "(1 LP bounds)" in out
 
 
 def test_cli_ingest_and_bench(tmp_path):
