@@ -41,12 +41,13 @@ new aggregates.
                            written out, with the excluded max read in
                            O(k) (the largest fprime, and for its holder
                            the runner-up) rather than from the table
-* ``add_gain_matrix()`` -- gains for every eligible addition, from one
-                           column per adversary (``_columns``), cached
-                           until a flip touches that adversary, and the
-                           addition table (``_additions``); the columns
-                           a flip made stale are recomputed in one
-                           ``add_cols`` call
+* ``add_gain_matrix()`` -- gains for every eligible addition, from the
+                           same diagonal (``_excluded_diag``), one column
+                           per adversary (``_columns``), cached until a
+                           flip touches that adversary, and the addition
+                           table (``_additions``); the columns a flip
+                           made stale are recomputed in one ``add_cols``
+                           call
 * ``neighborhood_gains(d)`` -- gains of entry d's local-search neighbors,
                            on Python floats; additions read d's row of
                            the columns
@@ -476,12 +477,24 @@ class IncrementalEvaluator:
         excl[i0][i1] = excl[i1][i0] = v2
         return diag, excl
 
+    def _excluded_diag(self) -> list[float]:
+        """The excluded-max table's diagonal alone, in O(k) without the
+        table: the largest fprime, and for its first holder the
+        runner-up."""
+        fp = self.fprime
+        second, top = sorted(fp)[-2:]
+        diag = [top] * self.k
+        diag[fp.index(top)] = second
+        return diag
+
     def add_gain_row(self, d: int) -> list[float]:
         """Gains for adding entry d to each adversary a, as a list of k
         floats; already set bits come back as -inf. Callers check the
         per-entry cap. ``_gain`` on Python floats, operation for
         operation, with the excluded-max diagonal read in O(k): the
-        largest fprime, and for its first holder the runner-up."""
+        largest fprime, and for its first holder the runner-up (written
+        out rather than through ``_excluded_diag``, whose list and call
+        cost this hot path about a tenth)."""
         agg = self._add_aggregates(d)
         fp = self.fprime
         second, top = sorted(fp)[-2:]
@@ -506,7 +519,7 @@ class IncrementalEvaluator:
     def add_gain_matrix(self) -> np.ndarray:
         """(|D|, k) matrix of addition gains; ineligible cells are -inf.
         Eligible means: bit unset and entry below the per-entry cap."""
-        low = np.maximum(self._columns(), self._excluded_max()[0])
+        low = np.maximum(self._columns(), self._excluded_diag())
         return self._gain(self._uz, low, self._additions(), out=low)
 
     def _additions(self) -> np.ndarray:

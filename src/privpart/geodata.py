@@ -55,11 +55,12 @@ class IngestResult:
 
 def _parse_line(line: str) -> tuple[str, str] | None:
     """The ``(user, location)`` key of a check-in line (tab-separated if
-    it holds a tab, else comma-separated), or None when it is malformed."""
-    fields = [f.strip() for f in line.rstrip("\n").split("\t" if "\t" in line else ",")]
+    it holds a tab, else comma-separated), or None when it is malformed.
+    Only the two fields it keeps are stripped."""
+    fields = line.split("\t" if "\t" in line else ",")
     if len(fields) < 3:
         return None
-    user, loc = fields[0], fields[-1]
+    user, loc = fields[0].strip(), fields[-1].strip()
     if not user or not loc:
         return None
     return user, loc

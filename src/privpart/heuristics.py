@@ -92,7 +92,7 @@ import numpy as np
 
 from .disclosure import per_property_disclosure
 from .evaluator import IncrementalEvaluator
-from .instance import Assignment, Instance, InstanceError, Move, validate_instance
+from .instance import Assignment, Instance, InstanceError, validate_instance
 from .objective import ObjectiveValue, batch_objective, best_draw
 
 STRATEGIES = ("greedy", "grasp")
@@ -179,15 +179,16 @@ def rand_plus(instance: Instance, runs: int = 100, seed: int = 0) -> SolveResult
 
 # -- candidate selection (construction) ---------------------------------------
 
-def _select_from_gain_matrix(gains: np.ndarray, params: SearchParams, rng) -> Move | None:
-    """Pick an addition from a (|D|, k) gain matrix; None when nothing
-    strictly improves."""
+def _select_from_gain_matrix(gains: np.ndarray, params: SearchParams,
+                             rng) -> tuple[int, int] | None:
+    """Pick an addition, as (entry, adversary), from a (|D|, k) gain
+    matrix; None when nothing strictly improves."""
     k = gains.shape[1]
     if params.strategy == "greedy":
         flat = int(np.argmax(gains))  # first max in row-major = lowest (d, a)
         if not gains.flat[flat] > 0.0:
             return None
-        return Move("add", flat // k, to_adversary=flat % k)
+        return divmod(flat, k)
     flat_gains = gains.ravel()
     improving = np.flatnonzero(flat_gains > 0.0)
     if improving.size == 0:
@@ -203,7 +204,7 @@ def _select_from_gain_matrix(gains: np.ndarray, params: SearchParams, rng) -> Mo
     # sort faster as Python tuples than in numpy.
     top = sorted(zip((-vals).tolist(), improving.tolist()))[: params.n]
     flat = top[_draw(len(top), rng)][1]
-    return Move("add", flat // k, to_adversary=flat % k)
+    return divmod(flat, k)
 
 
 def _select_from_gain_row(gains: list[float], params: SearchParams, rng) -> int | None:
@@ -252,10 +253,10 @@ def _construct_global(ev: IncrementalEvaluator, params: SearchParams, rng) -> in
     inst = ev.inst
     applied = 0
     for _ in range(inst.t * inst.num_entries):
-        move = _select_from_gain_matrix(ev.add_gain_matrix(), params, rng)
-        if move is None:
+        pick = _select_from_gain_matrix(ev.add_gain_matrix(), params, rng)
+        if pick is None:
             break
-        ev.apply(move)
+        ev.add(*pick)
         applied += 1
     return applied
 

@@ -32,6 +32,8 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral, Real
+from operator import countOf
 from typing import Sequence
 
 import numpy as np
@@ -318,6 +320,21 @@ def _conflict_keys(raw: Instance) -> tuple[np.ndarray, np.ndarray]:
                           raw.num_properties + raw._cosine.user_idx)
 
 
+def _check_number_types(values, common: type, kind, pid: int, field: str) -> None:
+    """Every value's type is ``kind`` (``Integral`` or ``Real``) and not
+    bool, else an ``InstanceError`` naming property ``pid``'s first value
+    that is not, as the JSON loader words it. Values all of type
+    ``common`` pass on one count of their types; otherwise each of their
+    few distinct types is checked once."""
+    if countOf(map(type, values), common) == len(values):
+        return
+    bad = {cls for cls in set(map(type, values)) if cls is bool or not issubclass(cls, kind)}
+    if bad:
+        value = next(v for v in values if type(v) in bad)
+        noun = "an integer" if kind is Integral else "a number"
+        raise InstanceError(f"property {pid} {field} must be {noun}, got {value!r}")
+
+
 def validate_instance(raw: Instance) -> Instance:
     """Check structural invariants and build every table solvers read:
     ``_weight_matrix`` (|P| x |D| incidence), ``_sizes``, the entry-major
@@ -326,6 +343,22 @@ def validate_instance(raw: Instance) -> Instance:
     (None for the others) and the ``_conflict_keys`` of myopic addition
     windows. Idempotent: a validated instance comes back unchanged.
     Raises :class:`InstanceError` on any violation.
+
+    Each property is checked in this order, the first failure reported:
+    dense id; a non-empty member tuple; member types; no duplicate member;
+    members in [0, |D|); and when it has weights: aligned with the
+    members; weight types; finite; nonnegative; summing to 1 within
+    ``WEIGHT_SUM_TOL``. Linear and quadratic properties must have weights.
+    A member is an ``Integral`` (a Python or numpy integer), a weight a
+    ``Real`` (a Python or numpy float, or an integer); bool is neither,
+    and nothing is coerced. Each check is one C-level pass over the
+    property's tuple: a set for duplicates; a count of the values' types
+    (only values not all int, or all float, have their few distinct types
+    checked one by one); a sort for the member range; a sum for
+    finiteness (an ``isfinite`` pass runs only when the sum is not
+    finite); a min for the sign. So the Python work is O(|P|), not
+    O(memberships); only a failed range check walks the members, to name
+    the first one out of range.
     """
     if raw.validated:
         return raw
@@ -355,25 +388,34 @@ def validate_instance(raw: Instance) -> Instance:
             if e.id != i:
                 raise InstanceError(f"entry ids must be dense, got {e.id} at position {i}")
 
-    family = raw.model.family
+    family, num_d = raw.model.family, hg.num_entries
     for pid, p in enumerate(hg.properties):
         if p.id != pid:
             raise InstanceError(f"property ids must be dense, got {p.id} at position {pid}")
-        if not p.members:
+        members = p.members
+        if not members:
             raise InstanceError(f"property {p.id} has empty member set")
-        if len(set(p.members)) != len(p.members):
+        _check_number_types(members, int, Integral, p.id, "member")
+        if len(set(members)) != len(members):
             raise InstanceError(f"property {p.id} has duplicate members")
-        for d in p.members:
-            if not (0 <= d < hg.num_entries):
-                raise InstanceError(f"property {p.id} member {d} out of range")
-        if p.weights is not None:
-            if len(p.weights) != len(p.members):
+        # One sort bounds the members faster than min and max: ints of
+        # one type compare without dispatch, and ordered ones in one run.
+        ordered = sorted(members)
+        if ordered[0] < 0 or ordered[-1] >= num_d:
+            d = next(d for d in members if not 0 <= d < num_d)
+            raise InstanceError(f"property {p.id} member {d} out of range")
+        weights = p.weights
+        if weights is not None:
+            if len(weights) != len(members):
                 raise InstanceError(f"property {p.id}: weights not aligned with members")
-            if not all(math.isfinite(w) for w in p.weights):
+            _check_number_types(weights, float, Real, p.id, "weight")
+            # A sum is finite only if every term is, so one pass settles
+            # finiteness unless the sum is not.
+            total = float(sum(weights))
+            if not math.isfinite(total) and not all(map(math.isfinite, weights)):
                 raise InstanceError(f"property {p.id}: non-finite weight")
-            if any(w < 0 for w in p.weights):
+            if min(weights) < 0:
                 raise InstanceError(f"property {p.id}: negative weight")
-            total = float(sum(p.weights))
             if abs(total - 1.0) > WEIGHT_SUM_TOL:
                 raise InstanceError(
                     f"property {p.id}: weights sum {total:.10g} != 1"

@@ -7,6 +7,10 @@ weights are scaled down by the adversary count. The dependency graph
 inserts each (entry, property) edge independently with probability p_f;
 a property whose column comes up empty is re-sampled a bounded number
 of times. Per-property disclosure weights are uniform over members.
+
+Member and weight tuples are built from ``tolist()`` and ``(w,) * n``:
+plain Python ints and floats, made in C-level passes rather than one
+Python step per member.
 """
 
 from __future__ import annotations
@@ -74,15 +78,14 @@ def generate_instance(
         for _ in range(MAX_PROPERTY_RETRIES):
             mask = rng.random(num_d) < cfg.p_f
             if mask.any():
-                members = tuple(int(d) for d in np.nonzero(mask)[0])
+                members = tuple(mask.nonzero()[0].tolist())
                 break
         if members is None:
             raise InstanceError(
                 f"p_f={cfg.p_f} too small for non-empty properties "
                 f"(gave up after {MAX_PROPERTY_RETRIES} tries)"
             )
-        w = 1.0 / len(members)
-        props.append(SensitiveProperty(pid, members, tuple(w for _ in members)))
+        props.append(SensitiveProperty(pid, members, (1.0 / len(members),) * len(members)))
 
     inst = Instance(
         DependencyHypergraph(num_d, props),
@@ -135,10 +138,9 @@ def random_small_instance(seed: int, family: str | None = None) -> Instance:
         props = []
         for pid in range(num_props):
             size = int(rng.integers(1, num_d + 1))
-            members = tuple(sorted(int(x) for x in rng.choice(num_d, size=size, replace=False)))
+            members = tuple(sorted(rng.choice(num_d, size=size, replace=False).tolist()))
             raw = rng.random(len(members)) + 0.1
-            w = tuple(float(x) for x in raw / raw.sum())
-            props.append(SensitiveProperty(pid, members, w))
+            props.append(SensitiveProperty(pid, members, tuple((raw / raw.sum()).tolist())))
 
     inst = Instance(
         DependencyHypergraph(num_d, props),

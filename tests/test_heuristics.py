@@ -130,8 +130,7 @@ def _select(inst, assignment, params, seed):
 
 def test_global_selection_greedy_takes_argmax():
     inst = plain([[0.9, 0.1], [0.1, 0.8]], t=1)
-    move = _select(inst, Assignment.empty(inst), SearchParams("greedy", "global"), 0)
-    assert (move.entry, move.to_adversary) == (0, 0)
+    assert _select(inst, Assignment.empty(inst), SearchParams("greedy", "global"), 0) == (0, 0)
 
 
 def test_global_selection_returns_none_without_strict_improvement():
@@ -145,7 +144,7 @@ def test_global_selection_grasp_draws_uniformly_from_top_n():
     inst = plain([[0.5, 0.3, 0.1]], k=3, t=1)
     empty = Assignment.empty(inst)
     params = SearchParams("grasp", "global", n=2)
-    picks = [_select(inst, empty, params, seed).to_adversary for seed in range(400)]
+    picks = [_select(inst, empty, params, seed)[1] for seed in range(400)]
     assert set(picks) == {0, 1}
     share = picks.count(0) / len(picks)
     assert 0.4 <= share <= 0.6
@@ -164,7 +163,7 @@ def _select_full_lexsort(gains, n, rng):
     order = improving[np.lexsort((improving, -flat_gains[improving]))]
     top = order[:n]
     flat = int(top[rng.integers(top.size)])
-    return Move("add", flat // k, to_adversary=flat % k)
+    return flat // k, flat % k
 
 
 def test_grasp_global_selection_matches_full_lexsort_reference():
@@ -280,6 +279,7 @@ def test_scalar_other_max_matches_numpy_reference():
             rest = [fprime[c] for c in range(k) if c not in (a, b)]
             assert excl[a][b] == max(rest, default=-np.inf), (fprime, a, b)
         assert [excl[a][a] for a in range(k)] == list(diag)
+        assert IncrementalEvaluator._excluded_diag(ev) == diag
 
 
 # -- myopic construction scores windows and commits the rows it scored ---------------

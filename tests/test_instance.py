@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,33 @@ def _raw(members=(0, 1), weights=(0.5, 0.5), **over):
 def test_validate_rejects_out_of_range_values(over, message):
     with pytest.raises(InstanceError, match=message):
         validate_instance(_raw(**over))
+
+
+@pytest.mark.parametrize("members, weights, message", [
+    ((0, 1.5), (0.5, 0.5), "property 0 member must be an integer, got 1.5"),
+    ((0, True), (0.5, 0.5), "property 0 member must be an integer, got True"),
+    ((0, "1"), (0.5, 0.5), "property 0 member must be an integer, got '1'"),
+    (([0], 1), (0.5, 0.5), "property 0 member must be an integer, got [0]"),
+    ((0, 1), ("0.5", 0.5), "property 0 weight must be a number, got '0.5'"),
+    ((0, 1), (0.5, None), "property 0 weight must be a number, got None"),
+    ((0, 1), (True, 0.0), "property 0 weight must be a number, got True"),
+], ids=["float-member", "bool-member", "string-member", "list-member", "string-weight",
+       "null-weight", "bool-weight"])
+def test_validate_rejects_non_number_members_and_weights(members, weights, message):
+    # A float or bool member would land on an entry by its value, a bool
+    # weight would count as 1.0, and a string, a list or None would raise
+    # TypeError deep in a comparison or a set: each is an InstanceError
+    # naming the property.
+    with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+        validate_instance(_raw(members=members, weights=weights))
+
+
+def test_validate_accepts_numpy_and_integer_numbers():
+    inst = validate_instance(_raw(members=(np.int64(0), np.int32(1)),
+                                  weights=(np.float32(0.25), 3 / 4)))
+    assert inst._weight_matrix.indices.tolist() == [0, 1]
+    assert inst._weight_matrix.data.tolist() == [0.25, 0.75]
+    assert validate_instance(_raw(members=(1,), weights=(1,)))._weight_matrix.data.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("build, error, message", [

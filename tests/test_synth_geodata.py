@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from privpart import (
+    DataEntry,
     DisclosureModel,
     GeodataError,
     InstanceError,
+    SensitiveProperty,
     SynthConfig,
     build_location_instance,
     generate_instance,
     ingest_checkins,
     instance_to_json,
+    random_small_instance,
     synthetic_checkin_lines,
     tradeoff_objective,
 )
@@ -57,6 +60,90 @@ def test_same_seed_serializes_identically():
     assert a == b
     c = instance_to_json(generate_instance(SynthConfig(40, 8, 3, 2, seed=124)))
     assert c != a
+
+
+def _reference_synth_properties(cfg):
+    """A copy of generate_instance's draws as it built each member and
+    weight with a per-member generator expression."""
+    rng = np.random.default_rng(cfg.seed)
+    num_d, k = cfg.num_entries, cfg.k
+    u_min = rng.uniform(0.0, 0.1)
+    high = rng.random((num_d, k)) < cfg.p_u
+    weights = np.where(high, rng.uniform(0.8, 1.0, size=(num_d, k)), u_min) / k
+    props = []
+    for pid in range(cfg.num_properties):
+        while True:
+            mask = rng.random(num_d) < cfg.p_f
+            if mask.any():
+                members = tuple(int(d) for d in np.nonzero(mask)[0])
+                break
+        w = 1.0 / len(members)
+        props.append(SensitiveProperty(pid, members, tuple(w for _ in members)))
+    return props, weights
+
+
+def _reference_small(seed):
+    """A copy of random_small_instance's draws as it built each member and
+    weight with a per-member generator expression."""
+    rng = np.random.default_rng(seed)
+    family = ("step", "linear", "quadratic", "cosine")[rng.integers(4)]
+    num_d = int(rng.integers(2, 7))
+    k = int(rng.integers(2, 4))
+    t = int(rng.integers(1, min(2, k) + 1))
+    aggregation = ("worst", "average")[rng.integers(2)]
+    lam = 1.0 if family == "step" else float(rng.choice([0.5, 1.0]))
+    tau = float(rng.choice([0.0, 0.3]))
+    weights = rng.random((num_d, k))
+    entries, props = None, []
+    if family == "cosine":
+        num_users = int(rng.integers(2, min(4, num_d) + 1))
+        user_of = [u % num_users for u in range(num_d)]
+        entries = [DataEntry(d, (f"u{user_of[d]}", f"L{d // num_users}", int(rng.integers(1, 6))))
+                   for d in range(num_d)]
+        pairs = [(i, j) for i in range(num_users) for j in range(i + 1, num_users)]
+        rng.shuffle(pairs)
+        for pid, (ui, uj) in enumerate(pairs[:int(rng.integers(1, len(pairs) + 1))]):
+            props.append(SensitiveProperty(
+                pid, tuple(d for d in range(num_d) if user_of[d] in (ui, uj))))
+    else:
+        for pid in range(int(rng.integers(0, 5))):
+            size = int(rng.integers(1, num_d + 1))
+            members = tuple(sorted(int(x) for x in rng.choice(num_d, size=size, replace=False)))
+            raw = rng.random(len(members)) + 0.1
+            props.append(SensitiveProperty(pid, members, tuple(float(x) for x in raw / raw.sum())))
+    return props, weights, (k, t, lam, tau, family, aggregation), entries
+
+
+def _typed(props):
+    """Each property's id, members and weights, every number with its type."""
+    def typed(values):
+        return None if values is None else [(type(v), v) for v in values]
+    return [(p.id, typed(p.members), typed(p.weights)) for p in props]
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(500, 50, k=5, t=1, seed=1),
+    SynthConfig(400, 500, k=10, t=2, seed=1),
+] + [SynthConfig(5 + 3 * s, s % 7, k=2 + s % 3, t=1 + s % 2, p_f=(0.02, 0.3, 0.9)[s % 3],
+                 seed=s) for s in range(20)],
+    ids=lambda cfg: f"{cfg.num_entries}x{cfg.num_properties}-seed{cfg.seed}")
+def test_generator_properties_equal_the_per_member_copy(cfg):
+    inst = generate_instance(cfg, model=DisclosureModel("linear", "worst"))
+    props, weights = _reference_synth_properties(cfg)
+    assert _typed(inst.hypergraph.properties) == _typed(props)
+    assert inst.utility_weights.tobytes() == weights.tobytes()
+
+
+def test_small_instances_equal_the_per_member_copy():
+    # Criterion 1's seeds, every family.
+    for seed in range(1000, 1200):
+        inst = random_small_instance(seed)
+        props, weights, scalars, entries = _reference_small(seed)
+        assert _typed(inst.hypergraph.properties) == _typed(props)
+        assert inst.utility_weights.tobytes() == weights.tobytes()
+        assert (inst.k, inst.t, inst.lam, inst.tau, inst.model.family,
+                inst.model.aggregation) == scalars
+        assert inst.entries == (None if entries is None else tuple(entries))
 
 
 # -- ingestion -------------------------------------------------------------------
